@@ -12,7 +12,17 @@ __version__ = "0.1.0"
 
 from .group import GroupElement, Modulus, add, group_sum, neg, uniform_element
 from .planner import PlanResult, baseline_k_lower_bound, plan_shuffled_k, sigma_for, validate_params
-from .protocol import Transcript, Variant, aggregate, run_ikos, run_ikos_randomized, shuffle_block
+from .protocol import (
+    Transcript,
+    Variant,
+    aggregate,
+    aggregate_batch,
+    run_batch,
+    run_ikos,
+    run_ikos_randomized,
+    share_batch,
+    shuffle_block,
+)
 from .randgraph import (
     ComponentHistogram,
     EnumerationBudgetError,
@@ -44,6 +54,9 @@ __all__ = [
     "run_ikos",
     "run_ikos_randomized",
     "aggregate",
+    "share_batch",
+    "run_batch",
+    "aggregate_batch",
     "PlanResult",
     "sigma_for",
     "plan_shuffled_k",

@@ -15,9 +15,10 @@ import secrets
 import sys
 
 import click
+import numpy as np
 
 from . import __version__
-from .group import Modulus, group_sum, uniform_element
+from .group import Modulus, group_sum
 from .oracle import (
     CollisionMode,
     exact_avg_case_tv,
@@ -27,7 +28,7 @@ from .oracle import (
     verify_chain,
 )
 from .planner import baseline_k_lower_bound, plan_shuffled_k, validate_params
-from .protocol import Variant, aggregate, run_ikos, run_ikos_randomized, transcript_to_dict
+from .protocol import Variant, aggregate_batch, run_batch, transcript_at, transcript_to_dict
 from .randgraph import (
     EnumerationBudgetError,
     estimate_component_distribution,
@@ -35,7 +36,7 @@ from .randgraph import (
     expectation_bound,
     lemma4_probability_bound,
 )
-from .rng import derive_seed, stream
+from .rng import derive_seed
 
 EXIT_VIOLATION = 1
 
@@ -50,8 +51,26 @@ def _resolve_m(m: int | None, m_bits: int | None) -> int:
     return m
 
 
+def _modulus(m: int) -> Modulus:
+    try:
+        return Modulus(m)
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
+
+
 def _resolve_seed(seed: int | None) -> int:
     return seed if seed is not None else secrets.randbits(32)
+
+
+def _echo(text: str, err: bool = False, nl: bool = True) -> None:
+    """click.echo to the current sys.stdout or sys.stderr.
+
+    Without a file, click.echo caches the stream in a WeakKeyDictionary
+    whose value is the stream itself, so the entry never dies: a process
+    that runs many commands with redirected streams would keep every one
+    of them, and all the output written to it, alive.
+    """
+    click.echo(text, file=sys.stderr if err else sys.stdout, nl=nl)
 
 
 def _flatten(prefix: str, value, out: dict) -> None:
@@ -72,7 +91,7 @@ def emit_report(report: dict, fmt: str) -> None:
     so the two formats carry identical data field-for-field.
     """
     if fmt == "json":
-        click.echo(json.dumps(report, sort_keys=True, indent=2))
+        _echo(json.dumps(report, sort_keys=True, indent=2))
         return
     flat: dict = {}
     _flatten("", report, flat)
@@ -83,11 +102,11 @@ def emit_report(report: dict, fmt: str) -> None:
         for key in sorted(flat):
             value = flat[key]
             writer.writerow([key, json.dumps(value) if value is not None else ""])
-        click.echo(buf.getvalue(), nl=False)
+        _echo(buf.getvalue(), nl=False)
         return
     width = max((len(k) for k in flat), default=0)
     for key in sorted(flat):
-        click.echo(f"{key:<{width}}  {flat[key]}")
+        _echo(f"{key:<{width}}  {flat[key]}")
 
 
 _FORMAT = click.option(
@@ -114,7 +133,7 @@ def main() -> None:
 @_FORMAT
 def plan(sigma: float, n: int, m: int | None, m_bits: int | None, fmt: str) -> None:
     """Minimal messages per user for a target security level."""
-    m_val = _resolve_m(m, m_bits)
+    m_val = _modulus(_resolve_m(m, m_bits)).m
     try:
         result = plan_shuffled_k(sigma, n, m_val)
     except ValueError as exc:
@@ -151,39 +170,34 @@ def simulate(n, k, m, m_bits, variant, seed, runs, out) -> None:
     m_val = _resolve_m(m, m_bits)
     if n < 1 or k < 1 or runs < 1:
         raise click.UsageError("need n >= 1, k >= 1, runs >= 1")
-    try:
-        mod = Modulus(m_val)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
+    mod = _modulus(m_val)
     seed = _resolve_seed(seed)
-    run = run_ikos if variant == Variant.PLAIN.value else run_ikos_randomized
-    lines = []
+    clear = variant == Variant.RANDOMIZED_INPUTS.value
     failures = 0
-    for r in range(runs):
-        run_seed = derive_seed(seed, r)
-        rng = stream(seed, r)
-        inputs = [uniform_element(rng, mod) for _ in range(n)]
-        transcript = run(inputs, k, mod, rng)
-        expected = group_sum(inputs, mod)
-        got = aggregate(transcript, mod)
-        conserved = got == expected
-        failures += not conserved
-        lines.append(json.dumps(transcript_to_dict(transcript, mod, run_seed), sort_keys=True))
-        click.echo(
-            f"run {r}: input_sum={expected} aggregate={got} "
-            f"conserved={'yes' if conserved else 'NO'}",
-            err=True,
-        )
-    payload = "\n".join(lines) + "\n"
+    # each transcript is written as soon as it is made, so memory stays
+    # at one run's worth whatever --runs is
+    with click.open_file(out or "-", "w", encoding="utf-8") as fh:
+        for r in range(runs):
+            run_seed = derive_seed(seed, r)
+            rng = np.random.default_rng(run_seed)
+            inputs = rng.integers(0, mod.m, size=(1, n), dtype=np.uint64)
+            blocks, clear_block = run_batch(inputs, k, mod, rng, clear)
+            expected = group_sum(inputs[0].tolist(), mod)
+            got = int(aggregate_batch(blocks, clear_block, mod)[0])
+            conserved = got == expected
+            failures += not conserved
+            record = transcript_to_dict(transcript_at(blocks, clear_block, 0), mod, run_seed)
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
+            _echo(
+                f"run {r}: input_sum={expected} aggregate={got} "
+                f"conserved={'yes' if conserved else 'NO'}",
+                err=True,
+            )
     if out is not None:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-        click.echo(f"wrote {runs} transcript(s) to {out}", err=True)
-    else:
-        click.echo(payload, nl=False)
-    click.echo(f"seed={seed}", err=True)
+        _echo(f"wrote {runs} transcript(s) to {out}", err=True)
+    _echo(f"seed={seed}", err=True)
     if failures:
-        click.echo(f"{failures} conservation check(s) FAILED", err=True)
+        _echo(f"{failures} conservation check(s) FAILED", err=True)
         sys.exit(EXIT_VIOLATION)
 
 

@@ -1,9 +1,10 @@
 """Arithmetic in the cyclic group Z_m and unbiased uniform sampling.
 
 Group elements are plain ints kept in canonical form 0 <= value < m.
-Python integers are unbounded, so intermediate sums never overflow; the
-2**63 cap on the modulus is a contract choice that keeps every residue
-(and any pairwise sum) inside machine-word double-width.
+Python integers are unbounded, so intermediate sums never overflow here.
+The 2**63 cap on the modulus is what the batched protocol engine relies
+on: it holds residues in uint64, and any pairwise sum of two residues
+stays below 2**64.
 """
 
 from __future__ import annotations

@@ -29,18 +29,21 @@ from fractions import Fraction
 from itertools import permutations, product
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from .group import Modulus
 from .planner import sigma_for, validate_params
-from .protocol import run_ikos, shuffle_block
+from .protocol import run_batch, share_batch
 from .randgraph import (
+    _BATCH_ELEMENTS,
     ENUMERATION_BUDGET,
     EnumerationBudgetError,
+    _shard_sizes,
     estimate_m_power_C,
     exact_m_power_C,
     expectation_bound,
 )
-from .rng import stream
-from .sharing import share
+from .rng import derive_seed
 
 HOEFFDING_CONFIDENCE = 0.999
 
@@ -259,10 +262,16 @@ def collision_probability(
 ) -> Estimate:
     """Monte Carlo frequency of the collision event.
 
-    Shard s draws from the stream derived from (seed, mode, s); integer hit
-    counts merge exactly, so results are bit-identical for fixed
-    (seed, shards). m = 1 is the degenerate single-element group where
-    every transcript is all-zeros, so the probability is exactly 1.
+    Each sample draws a uniform input and runs the protocol engine on it
+    (``protocol.run_batch``): V_VS_V compares two shuffled executions on
+    the shared input, E_EVENT an unshuffled sharing (``share_batch``) with
+    a shuffled execution. Samples are drawn in batches of at most
+    ``randgraph._BATCH_ELEMENTS`` residues per transcript. Shard s draws
+    from the numpy stream ``default_rng(derive_seed(seed, mode tag, s))``;
+    integer hit counts merge exactly, so results are bit-identical for
+    fixed (seed, shards). m = 1 is the degenerate single-element group
+    where every transcript is all-zeros, so the probability is exactly 1;
+    m above 2**63, the engine's uint64 bound, raises ValueError.
     """
     if samples < 1 or shards < 1:
         raise ValueError(f"need samples >= 1 and shards >= 1, got {samples}, {shards}")
@@ -271,26 +280,18 @@ def collision_probability(
     if m == 1:
         return Estimate(1.0, 0.0, samples, samples)
     mod = Modulus(m)
-    base, extra = divmod(samples, shards)
+    batch_cap = max(1, _BATCH_ELEMENTS // (k * n))
     hits = 0
-    for s in range(shards):
-        rng = stream(seed, _MODE_TAG[mode], s)
-        for _ in range(base + (1 if s < extra else 0)):
-            x = [rng.randrange(m) for _ in range(n)]
+    for s, shard_samples in enumerate(_shard_sizes(samples, shards)):
+        rng = np.random.default_rng(derive_seed(seed, _MODE_TAG[mode], s))
+        for done in range(0, shard_samples, batch_cap):
+            x = rng.integers(0, m, size=(min(batch_cap, shard_samples - done), n), dtype=np.uint64)
             if mode is CollisionMode.V_VS_V:
-                t1 = run_ikos(x, k, mod, rng)
-                t2 = run_ikos(x, k, mod, rng)
-                hits += t1.blocks == t2.blocks
+                first, _ = run_batch(x, k, mod, rng)
             else:
-                a = [share(xi, k, mod, rng) for xi in x]
-                b = [share(xi, k, mod, rng) for xi in x]
-                flat_a = tuple(a[i].shares[j] for j in range(k) for i in range(n))
-                flat_b = tuple(
-                    v
-                    for j in range(k)
-                    for v in shuffle_block([b[i].shares[j] for i in range(n)], rng)
-                )
-                hits += flat_a == flat_b
+                first, _ = share_batch(x, k, mod, rng)
+            second, _ = run_batch(x, k, mod, rng)
+            hits += int((first == second).all(axis=(1, 2)).sum())
     return Estimate(hits / samples, hoeffding_halfwidth(samples), samples, hits)
 
 

@@ -23,8 +23,6 @@ LOG2_E = math.log2(math.e)
 # sigma_for.
 _CEIL_GUARD = 2.0**-40
 
-PRECONDITION_LABELS = ("n>=19", "k>=3", "m-bound", "sigma>=1")
-
 
 def sigma_for(k: int, n: int, m: int) -> float:
     """Security exponent (bits) achieved by k shuffled shares, n users, Z_m.
@@ -59,9 +57,11 @@ class PlanResult:
 def plan_shuffled_k(sigma: float, n: int, m: int) -> PlanResult:
     """Minimal k with sigma_for(k, n, m) >= sigma; total adds 1 clear message.
 
-    Raises ValueError for n <= 2 (the formula's denominator log2(n) - log2(e)
-    must be positive), sigma <= 0, or m < 2.
+    Raises ValueError for a sigma that is not finite, n <= 2 (the formula's
+    denominator log2(n) - log2(e) must be positive), sigma <= 0, or m < 2.
     """
+    if not math.isfinite(sigma):
+        raise ValueError(f"sigma must be finite, got {sigma}")
     if n <= 2:
         raise ValueError(f"need n >= 3 so that log2(n) > log2(e), got n={n}")
     if sigma <= 0:

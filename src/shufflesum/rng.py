@@ -2,23 +2,18 @@
 
 Every stochastic entry point in this package takes either an explicit
 ``random.Random`` handle or a ``(seed, shards)`` pair. Child streams are
-derived by hashing the seed together with an index path, which keeps runs,
-shards and subsystems on independent streams that reproduce exactly across
-processes and platforms. None of this is cryptographic randomness.
+seeded with ``numpy.random.default_rng(derive_seed(seed, *path))``: hashing
+the seed together with an index path keeps runs, shards and subsystems on
+independent streams that reproduce exactly across processes and platforms.
+None of this is cryptographic randomness.
 """
 
 from __future__ import annotations
 
 import hashlib
-import random
 
 
 def derive_seed(seed: int, *path: int) -> int:
     """Collapse (seed, path...) into a stable 64-bit child seed."""
     tag = ":".join(str(p) for p in (seed, *path)).encode()
     return int.from_bytes(hashlib.sha256(tag).digest()[:8], "big")
-
-
-def stream(seed: int, *path: int) -> random.Random:
-    """A fresh deterministic stream for (seed, path...)."""
-    return random.Random(derive_seed(seed, *path))

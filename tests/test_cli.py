@@ -56,6 +56,20 @@ class TestPlan:
         assert run_cli(runner, ["plan", "--sigma", "1", "--n", "100", "--m", "2", "--m-bits", "1"]).exit_code == 2
         assert run_cli(runner, ["plan", "--sigma", "1", "--n", "100"]).exit_code == 2
 
+    @pytest.mark.parametrize("sigma", ["inf", "-inf", "nan"])
+    def test_non_finite_sigma_is_usage_error(self, runner, sigma):
+        res = run_cli(runner, ["plan", "--sigma", sigma, "--n", "10000", "--m-bits", "32"])
+        assert res.exit_code == 2
+        assert "sigma must be finite" in res.output
+
+    def test_modulus_above_cap_is_usage_error(self, runner):
+        # the same Modulus check as simulate: 2**63 is the largest m
+        args = ["plan", "--sigma", "40", "--n", "10000", "--m-bits"]
+        assert run_cli(runner, args + ["63"]).exit_code == 0
+        res = run_cli(runner, args + ["70"])
+        assert res.exit_code == 2
+        assert "modulus must be <= 2**63" in res.output
+
     def test_small_sigma_small_n(self, runner):
         res = run_cli(runner, ["plan", "--sigma", "1", "--n", "19", "--m", "2", "--format", "json"])
         assert res.exit_code == 0
@@ -95,6 +109,25 @@ class TestSimulate:
         assert run_cli(runner, args + ["--out", str(a)]).exit_code == 0
         assert run_cli(runner, args + ["--out", str(b)]).exit_code == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_numpy_stream_pin(self, runner, tmp_path):
+        # Deliberate pin of the numpy Generator stream (NEP 19 allows it to
+        # change between numpy versions): a shift moves these residues and
+        # fails here, so the change is noticed rather than silent.
+        out = tmp_path / "pin.jsonl"
+        args = ["simulate", "--n", "4", "--k", "2", "--m-bits", "8", "--seed", "77", "--out", str(out)]
+        assert run_cli(runner, args).exit_code == 0
+        blocks = json.loads(out.read_text(encoding="utf-8").splitlines()[0])["blocks"]
+        assert [v for block in blocks for v in block][:5] == [135, 216, 151, 132, 25]
+
+    def test_stdout_matches_out_file(self, runner, tmp_path):
+        args = ["simulate", "--n", "3", "--k", "2", "--m", "11", "--variant", "randomized",
+                "--seed", "5", "--runs", "3"]
+        out = tmp_path / "s.jsonl"
+        assert run_cli(runner, args + ["--out", str(out)]).exit_code == 0
+        res = runner.invoke(main, args)
+        assert res.exit_code == 0
+        assert res.stdout == out.read_text(encoding="utf-8")
 
     def test_randomized_variant_has_clear_block(self, runner, tmp_path):
         out = tmp_path / "r.jsonl"

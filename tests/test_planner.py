@@ -68,6 +68,11 @@ class TestPlan:
         with pytest.raises(ValueError):
             plan_shuffled_k(40, 100, 1)
 
+    @pytest.mark.parametrize("sigma", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_sigma(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be finite"):
+            plan_shuffled_k(sigma, 10**4, 2**32)
+
     def test_small_sigma_small_n(self):
         # ceil((2*1 + 1) / (log2 19 - log2 e) + 1) = ceil(2.0695) = 3
         res = plan_shuffled_k(1, 19, 2)

@@ -3,16 +3,20 @@ import json
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import SIGNIFICANCE, binomial_sigma, chisq_pvalue, two_sample_chisq_pvalue
 from shufflesum.group import Modulus, group_sum
+from shufflesum.oracle import exact_output_distribution
 from shufflesum.protocol import (
     Transcript,
     Variant,
     aggregate,
+    aggregate_batch,
+    run_batch,
     run_ikos,
     run_ikos_randomized,
     shuffle_block,
@@ -43,6 +47,43 @@ class TestShuffleBlock:
         sigma = binomial_sigma(n, 1 / 6)
         for o in orderings:
             assert abs(counts[o] - n / 6) <= 4 * sigma
+
+
+class TestEngine:
+    @pytest.mark.parametrize("m", [2**63, 2**63 - 1])
+    @pytest.mark.parametrize("clear", [False, True])
+    def test_no_overflow_at_modulus_cap(self, m, clear):
+        # every input m - 1 drives each pairwise add to its largest value
+        n, k, runs = 1000, 11, 3
+        mod = Modulus(m)
+        x = np.full((runs, n), m - 1, dtype=np.uint64)
+        blocks, masks = run_batch(x, k, mod, np.random.default_rng(63), clear)
+        assert blocks.shape == (runs, k, n)
+        assert int(blocks.max()) < m
+        if clear:
+            assert int(masks.max()) < m
+        else:
+            assert masks is None
+        expected = n * (m - 1) % m
+        for r in range(runs):
+            # Python-int sum, independent of the engine's uint64 adds
+            total = sum(blocks[r].ravel().tolist())
+            if masks is not None:
+                total += sum(masks[r].tolist())
+            assert total % m == expected
+        assert aggregate_batch(blocks, masks, mod).tolist() == [expected] * runs
+
+    def test_law_matches_exact_enumeration(self):
+        inputs, k, m = (1, 2), 2, 3
+        runs = 100_000
+        law = exact_output_distribution(inputs, k, m)
+        x = np.tile(np.array(inputs, dtype=np.uint64), (runs, 1))
+        blocks, _ = run_batch(x, k, Modulus(m), np.random.default_rng(2006))
+        counts = Counter(map(tuple, blocks.reshape(runs, -1).tolist()))
+        assert set(counts) <= set(law.mass)
+        outcomes = sorted(law.mass)
+        observed = [counts[o] for o in outcomes]
+        assert chisq_pvalue(observed, [float(law.probability(o)) for o in outcomes]) > SIGNIFICANCE
 
 
 class TestRunPlain:
