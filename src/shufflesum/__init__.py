@@ -3,26 +3,18 @@ them through independent shufflers, together with the closed-form security
 planner and a verification harness that measures the actual transcript
 distributions against the proved bounds.
 
-All randomness is deterministic and seeded (``random.Random`` /
-``numpy.random.Generator``); nothing here is a cryptographic RNG. This
+The protocol runs on one batched numpy engine (``share_batch`` /
+``run_batch`` / ``aggregate_batch``). All randomness is deterministic and
+seeded: numpy ``Generator`` streams, and a stdlib ``Random`` in the
+single-graph ``sample_graph``. Nothing here is a cryptographic RNG. This
 package simulates and analyzes the protocol, it does not deploy it.
 """
 
 __version__ = "0.1.0"
 
-from .group import GroupElement, Modulus, add, group_sum, neg, uniform_element
+from .group import GroupElement, Modulus, group_sum
 from .planner import PlanResult, baseline_k_lower_bound, plan_shuffled_k, sigma_for, validate_params
-from .protocol import (
-    Transcript,
-    Variant,
-    aggregate,
-    aggregate_batch,
-    run_batch,
-    run_ikos,
-    run_ikos_randomized,
-    share_batch,
-    shuffle_block,
-)
+from .protocol import Variant, aggregate_batch, run_batch, share_batch
 from .randgraph import (
     ComponentHistogram,
     EnumerationBudgetError,
@@ -35,25 +27,12 @@ from .randgraph import (
     lemma4_probability_bound,
     sample_graph,
 )
-from .sharing import ShareVector, reconstruct, share, share_recursive
 
 __all__ = [
     "GroupElement",
     "Modulus",
-    "add",
-    "neg",
     "group_sum",
-    "uniform_element",
-    "ShareVector",
-    "share",
-    "reconstruct",
-    "share_recursive",
     "Variant",
-    "Transcript",
-    "shuffle_block",
-    "run_ikos",
-    "run_ikos_randomized",
-    "aggregate",
     "share_batch",
     "run_batch",
     "aggregate_batch",

@@ -28,7 +28,7 @@ from .oracle import (
     verify_chain,
 )
 from .planner import baseline_k_lower_bound, plan_shuffled_k, validate_params
-from .protocol import Variant, aggregate_batch, run_batch, transcript_at, transcript_to_dict
+from .protocol import Variant, aggregate_batch, run_batch, transcript_record
 from .randgraph import (
     EnumerationBudgetError,
     estimate_component_distribution,
@@ -186,7 +186,7 @@ def simulate(n, k, m, m_bits, variant, seed, runs, out) -> None:
             got = int(aggregate_batch(blocks, clear_block, mod)[0])
             conserved = got == expected
             failures += not conserved
-            record = transcript_to_dict(transcript_at(blocks, clear_block, 0), mod, run_seed)
+            record = transcript_record(blocks, clear_block, 0, mod, run_seed)
             fh.write(json.dumps(record, sort_keys=True) + "\n")
             _echo(
                 f"run {r}: input_sum={expected} aggregate={got} "
@@ -330,6 +330,7 @@ def verify_chain_cmd(n, k, m, m_bits, samples, seed, shards, fmt) -> None:
     m_val = _resolve_m(m, m_bits)
     if n < 1 or k < 1 or m_val < 2 or samples < 1 or shards < 1:
         raise click.UsageError("need n, k >= 1, m >= 2, samples, shards >= 1")
+    _modulus(m_val)
     seed = _resolve_seed(seed)
     report = verify_chain(n, k, m_val, samples, seed, shards)
     payload = {"version": __version__, **report.to_dict()}

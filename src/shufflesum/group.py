@@ -1,15 +1,14 @@
-"""Arithmetic in the cyclic group Z_m and unbiased uniform sampling.
+"""The cyclic group Z_m.
 
 Group elements are plain ints kept in canonical form 0 <= value < m.
-Python integers are unbounded, so intermediate sums never overflow here.
-The 2**63 cap on the modulus is what the batched protocol engine relies
-on: it holds residues in uint64, and any pairwise sum of two residues
-stays below 2**64.
+Python integers are unbounded, so ``group_sum`` never overflows. The
+2**63 cap on the modulus is what the batched protocol engine relies on:
+it holds residues in uint64, and any pairwise sum of two residues stays
+below 2**64.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -33,24 +32,7 @@ class Modulus:
             raise ValueError(f"modulus must be <= 2**63, got {self.m}")
 
 
-def add(a: GroupElement, b: GroupElement, mod: Modulus) -> GroupElement:
-    return (a + b) % mod.m
-
-
-def neg(a: GroupElement, mod: Modulus) -> GroupElement:
-    return (-a) % mod.m
-
-
 def group_sum(elements: Iterable[GroupElement], mod: Modulus) -> GroupElement:
     """Sum of the elements in Z_m; the empty sum is 0."""
     return sum(elements) % mod.m
 
-
-def uniform_element(rng: random.Random, mod: Modulus) -> GroupElement:
-    """Exactly uniform residue in [0, m).
-
-    ``Random.randrange`` draws via rejection sampling over a power-of-two
-    range (``getrandbits``), so every residue has probability exactly 1/m
-    with no modulo bias.
-    """
-    return rng.randrange(mod.m)

@@ -269,9 +269,12 @@ def collision_probability(
     ``randgraph._BATCH_ELEMENTS`` residues per transcript. Shard s draws
     from the numpy stream ``default_rng(derive_seed(seed, mode tag, s))``;
     integer hit counts merge exactly, so results are bit-identical for
-    fixed (seed, shards). m = 1 is the degenerate single-element group
-    where every transcript is all-zeros, so the probability is exactly 1;
-    m above 2**63, the engine's uint64 bound, raises ValueError.
+    fixed (seed, shards) and a fixed batch cap. Each batch draws its
+    inputs, shares and permutations in turn, so the hits, unlike the
+    component-count sampler's counts, depend on the cap. m = 1 is the
+    degenerate single-element group where every transcript is all-zeros,
+    so the probability is exactly 1; m above 2**63, the engine's uint64
+    bound, raises ValueError.
     """
     if samples < 1 or shards < 1:
         raise ValueError(f"need samples >= 1 and shards >= 1, got {samples}, {shards}")

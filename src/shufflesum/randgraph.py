@@ -34,8 +34,11 @@ ENUMERATION_BUDGET = 10**7
 # two-sided 99% normal quantile, for Monte Carlo mean confidence intervals
 _Z99 = 2.5758293035489004
 
-# elements per numpy batch when mass-sampling graphs (memory / speed knob;
-# results do not depend on it)
+# elements per numpy batch when mass-sampling (memory / speed knob). The
+# component-count sampler does not depend on it: rng.permuted shuffles row
+# after row, so any split of a shard draws the same stream. The collision
+# sampler in oracle does: each of its batches draws inputs, then shares,
+# then permutations, so a different cap gives a different stream.
 _BATCH_ELEMENTS = 1 << 21
 
 

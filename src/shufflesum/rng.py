@@ -1,8 +1,7 @@
 """Seeded, splittable random streams.
 
-Every stochastic entry point in this package takes either an explicit
-``random.Random`` handle or a ``(seed, shards)`` pair. Child streams are
-seeded with ``numpy.random.default_rng(derive_seed(seed, *path))``: hashing
+Every stochastic entry point in this package takes a ``(seed, shards)``
+pair or an explicit ``numpy.random.Generator``. Child streams are seeded with ``numpy.random.default_rng(derive_seed(seed, *path))``: hashing
 the seed together with an index path keeps runs, shards and subsystems on
 independent streams that reproduce exactly across processes and platforms.
 None of this is cryptographic randomness.

@@ -7,6 +7,8 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
+
 from helpers import SIGNIFICANCE, two_sample_chisq_pvalue
 from shufflesum.group import Modulus, group_sum
 from shufflesum.oracle import (
@@ -20,7 +22,7 @@ from shufflesum.oracle import (
     verify_chain,
 )
 from shufflesum.planner import baseline_k_lower_bound, plan_shuffled_k, sigma_for
-from shufflesum.protocol import aggregate, run_ikos, run_ikos_randomized, shuffle_block
+from shufflesum.protocol import aggregate_batch, run_batch
 from shufflesum.randgraph import (
     estimate_component_distribution,
     estimate_m_power_C,
@@ -62,19 +64,18 @@ def test_criterion_03_planner_minimality():
 
 
 def test_criterion_04_protocol_sum_conservation():
-    rng = random.Random(404)
+    rng = np.random.default_rng(404)
     moduli = [Modulus(2), Modulus(7), Modulus(2**32)]
-    runs_per_variant = 5000
-    for i in range(runs_per_variant):
+    # 100 random (m, n, k) per variant, 50 executions each
+    runs = 50
+    for i in range(100):
         mod = moduli[i % 3]
-        n, k = rng.randint(1, 100), rng.randint(1, 16)
-        x = [rng.randrange(mod.m) for _ in range(n)]
-        expected = group_sum(x, mod)
-        assert aggregate(run_ikos(x, k, mod, rng), mod) == expected
-        n, k = rng.randint(1, 100), rng.randint(1, 16)
-        x = [rng.randrange(mod.m) for _ in range(n)]
-        expected = group_sum(x, mod)
-        assert aggregate(run_ikos_randomized(x, k, mod, rng), mod) == expected
+        for clear in (False, True):
+            n, k = int(rng.integers(1, 101)), int(rng.integers(1, 17))
+            x = rng.integers(0, mod.m, size=(runs, n), dtype=np.uint64)
+            expected = [group_sum(row, mod) for row in x.tolist()]
+            blocks, clear_block = run_batch(x, k, mod, rng, clear)
+            assert aggregate_batch(blocks, clear_block, mod).tolist() == expected
     report(4, "10^4 executions (both variants) conserve the sum exactly")
 
 
@@ -180,14 +181,16 @@ def test_criterion_10_randomized_inputs_reduction():
     assert law_a == law_b
 
     # sampled: the two constructions are indistinguishable by chi-square
-    rng = random.Random(1010)
+    rng = np.random.default_rng(1010)
     samples = 100_000
-    permuted = Counter()
-    direct = Counter()
-    for _ in range(samples):
-        t = run_ikos_randomized(inputs, k, mod, rng)
-        permuted[t.blocks[0] + shuffle_block(t.clear_block, rng)] += 1
-        direct[run_ikos(inputs, k + 1, mod, rng).flattened()] += 1
+    x = np.tile(np.array(inputs, dtype=np.uint64), (samples, 1))
+    blocks, clear = run_batch(x, k, mod, rng, clear=True)
+    permuted_flat = np.concatenate(
+        (blocks.reshape(samples, -1), rng.permuted(clear, axis=-1)), axis=1
+    )
+    direct_blocks, _ = run_batch(x, k + 1, mod, rng)
+    permuted = Counter(map(tuple, permuted_flat.tolist()))
+    direct = Counter(map(tuple, direct_blocks.reshape(samples, -1).tolist()))
     assert two_sample_chisq_pvalue(permuted, direct) > SIGNIFICANCE
     report(10, "permuting the clear block reproduces the (k+1)-share plain law")
 

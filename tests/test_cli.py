@@ -207,6 +207,13 @@ class TestVerify:
     def test_chain_rejects_degenerate_m(self, runner):
         assert run_cli(runner, ["verify", "chain", "--n", "2", "--k", "2", "--m", "1", "--seed", "1"]).exit_code == 2
 
+    def test_chain_rejects_modulus_above_cap(self, runner):
+        # the same Modulus check as plan and simulate
+        args = ["verify", "chain", "--n", "2", "--k", "2", "--m-bits", "64", "--samples", "10", "--seed", "1"]
+        res = run_cli(runner, args)
+        assert res.exit_code == 2
+        assert "modulus must be <= 2**63" in res.output
+
 
 def test_version_flag(runner):
     res = run_cli(runner, ["--version"])

@@ -1,11 +1,11 @@
-import random
-
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import SIGNIFICANCE, binomial_sigma, chisq_pvalue
-from shufflesum.group import MAX_MODULUS, Modulus, add, group_sum, neg, uniform_element
+from shufflesum.group import MAX_MODULUS, Modulus, group_sum
+from shufflesum.protocol import _add, _sub, share_batch
 
 moduli = st.sampled_from([2, 3, 5, 7, 64, 97, 2**32, 2**63 - 1, 2**63])
 
@@ -15,6 +15,24 @@ def mod_and_elements(draw, count):
     m = draw(moduli)
     xs = tuple(draw(st.integers(0, m - 1)) for _ in range(count))
     return Modulus(m), xs
+
+
+def add(a: int, b: int, m: Modulus) -> int:
+    """The protocol engine's uint64 add in Z_m, on one pair of residues."""
+    return int(_add(np.array([a], np.uint64), np.array([b], np.uint64), np.uint64(m.m))[0])
+
+
+def neg(a: int, m: Modulus) -> int:
+    """The engine's uint64 subtraction 0 - a in Z_m."""
+    return int(_sub(np.zeros(1, np.uint64), np.array([a], np.uint64), np.uint64(m.m))[0])
+
+
+def engine_draws(m: int, count: int, seed: int) -> np.ndarray:
+    """``count`` uniform residues as the engine draws them: the clear masks
+    of a one-share randomized sharing of zeros."""
+    zeros = np.zeros((1, count), dtype=np.uint64)
+    _, masks = share_batch(zeros, 1, Modulus(m), np.random.default_rng(seed), clear=True)
+    return masks[0]
 
 
 class TestModulus:
@@ -53,11 +71,10 @@ class TestArithmetic:
         assert neg(3, m) == 4
 
     def test_neg_involution(self):
-        rng = random.Random(11)
         m = Modulus(2**32)
-        for _ in range(1000):
-            x = rng.randrange(m.m)
-            assert neg(neg(x, m), m) == x
+        xs = np.random.default_rng(11).integers(0, m.m, size=1000, dtype=np.uint64)
+        zero, mm = np.zeros_like(xs), np.uint64(m.m)
+        assert (_sub(zero, _sub(zero, xs, mm), mm) == xs).all()
 
     @given(mod_and_elements(3))
     def test_associative(self, case):
@@ -91,38 +108,27 @@ class TestArithmetic:
 
 
 class TestUniformElement:
+    """Uniform residues as the engine draws them (``Generator.integers``)."""
+
     def test_coin_is_balanced(self):
-        rng = random.Random(0)
-        m = Modulus(2)
         n = 100_000
-        ones = sum(uniform_element(rng, m) for _ in range(n))
+        ones = int(engine_draws(2, n, seed=0).sum())
         assert abs(ones - n / 2) <= 5 * binomial_sigma(n, 0.5)
 
     def test_m3_counts_within_four_sigma(self):
-        rng = random.Random(1)
-        m = Modulus(3)
         n = 300_000
-        counts = [0, 0, 0]
-        for _ in range(n):
-            counts[uniform_element(rng, m)] += 1
+        counts = np.bincount(engine_draws(3, n, seed=1), minlength=3)
         sigma = binomial_sigma(n, 1 / 3)
         for c in counts:
             assert abs(c - n / 3) <= 4 * sigma
 
     def test_fixed_seed_reproduces(self):
-        m = Modulus(2**32)
-        r1, r2 = random.Random(99), random.Random(99)
-        assert [uniform_element(r1, m) for _ in range(100)] == [
-            uniform_element(r2, m) for _ in range(100)
-        ]
+        assert (engine_draws(2**32, 100, seed=99) == engine_draws(2**32, 100, seed=99)).all()
 
     @pytest.mark.parametrize("m,buckets", [(2, 2), (3, 3), (7, 7), (2**32, 256)])
     def test_chi_square_uniformity(self, m, buckets):
         # buckets divide m evenly, so the bucketed law is exactly uniform
-        rng = random.Random(m)
-        mod = Modulus(m)
         n = 1_000_000
-        counts = [0] * buckets
-        for _ in range(n):
-            counts[uniform_element(rng, mod) * buckets // m] += 1
-        assert chisq_pvalue(counts, [1 / buckets] * buckets) > SIGNIFICANCE
+        draws = engine_draws(m, n, seed=m)
+        counts = np.bincount(draws * np.uint64(buckets) // np.uint64(m), minlength=buckets)
+        assert chisq_pvalue(counts.tolist(), [1 / buckets] * buckets) > SIGNIFICANCE

@@ -1,6 +1,5 @@
 import itertools
 import json
-import random
 from collections import Counter
 
 import numpy as np
@@ -11,41 +10,54 @@ from hypothesis import strategies as st
 from helpers import SIGNIFICANCE, binomial_sigma, chisq_pvalue, two_sample_chisq_pvalue
 from shufflesum.group import Modulus, group_sum
 from shufflesum.oracle import exact_output_distribution
-from shufflesum.protocol import (
-    Transcript,
-    Variant,
-    aggregate,
-    aggregate_batch,
-    run_batch,
-    run_ikos,
-    run_ikos_randomized,
-    shuffle_block,
-    transcript_from_dict,
-    transcript_to_dict,
-)
+from shufflesum.protocol import aggregate_batch, run_batch, share_batch, transcript_record
+
+
+def tiled(inputs, runs: int) -> np.ndarray:
+    """``runs`` copies of one input vector, as an engine input array."""
+    return np.tile(np.array(inputs, dtype=np.uint64), (runs, 1))
+
+
+def flattened(blocks: np.ndarray, clear: np.ndarray | None = None) -> list[tuple[int, ...]]:
+    """Each run's kn (or (k+1)n) residues, block-ordered."""
+    flat = blocks.reshape(len(blocks), -1)
+    if clear is not None:
+        flat = np.concatenate((flat, clear), axis=1)
+    return list(map(tuple, flat.tolist()))
+
+
+def random_instances(rng: np.random.Generator, count: int, moduli, max_n: int, max_k: int):
+    """``count`` random (m, k, inputs) instances of one run each, n <= max_n users."""
+    for _ in range(count):
+        m = Modulus(int(rng.choice(moduli)))
+        n, k = int(rng.integers(1, max_n + 1)), int(rng.integers(1, max_k + 1))
+        yield m, k, rng.integers(0, m.m, size=(1, n), dtype=np.uint64)
 
 
 class TestShuffleBlock:
+    """Each shuffler's permutation, seen through k = 1 runs, whose one block
+    is the inputs themselves in shuffled order."""
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            shuffle_block([], random.Random(0))
+            run_batch(np.zeros((1, 0), dtype=np.uint64), 1, Modulus(97), np.random.default_rng(0))
 
     def test_single_element_fixed(self):
-        assert shuffle_block([5], random.Random(0)) == (5,)
+        blocks, _ = run_batch(tiled([5], 1), 1, Modulus(97), np.random.default_rng(0))
+        assert blocks.tolist() == [[[5]]]
 
     @given(st.lists(st.integers(0, 96), min_size=1, max_size=20), st.integers(0, 2**32))
     def test_preserves_multiset(self, elements, seed):
-        out = shuffle_block(elements, random.Random(seed))
-        assert sorted(out) == sorted(elements)
+        blocks, _ = run_batch(tiled(elements, 1), 1, Modulus(97), np.random.default_rng(seed))
+        assert sorted(blocks[0, 0].tolist()) == sorted(elements)
 
     def test_orderings_uniform(self):
         # 3 distinct elements: all 6 orderings equally likely
-        rng = random.Random(8)
         n = 60_000
-        orderings = list(itertools.permutations((10, 20, 30)))
-        counts = Counter(shuffle_block((10, 20, 30), rng) for _ in range(n))
+        blocks, _ = run_batch(tiled((10, 20, 30), n), 1, Modulus(97), np.random.default_rng(8))
+        counts = Counter(flattened(blocks))
         sigma = binomial_sigma(n, 1 / 6)
-        for o in orderings:
+        for o in itertools.permutations((10, 20, 30)):
             assert abs(counts[o] - n / 6) <= 4 * sigma
 
 
@@ -88,139 +100,112 @@ class TestEngine:
 
 class TestRunPlain:
     def test_rejects_bad_args(self):
-        m = Modulus(7)
-        with pytest.raises(ValueError):
-            run_ikos([], 2, m, random.Random(0))
-        with pytest.raises(ValueError):
-            run_ikos([1], 0, m, random.Random(0))
+        m, rng = Modulus(7), np.random.default_rng(0)
+        for clear in (False, True):
+            with pytest.raises(ValueError):
+                run_batch(np.zeros((1, 0), dtype=np.uint64), 2, m, rng, clear)
+            with pytest.raises(ValueError):
+                run_batch(tiled([1], 1), 0, m, rng, clear)
+            # int64 inputs would otherwise come back as float64 residues
+            with pytest.raises(ValueError):
+                run_batch(np.array([[1, 2]]), 2, m, rng, clear)
+            with pytest.raises(ValueError):
+                run_batch(np.array([1, 2], dtype=np.uint64), 2, m, rng, clear)
+            with pytest.raises(ValueError):
+                share_batch([[1, 2]], 2, m, rng, clear)
 
     def test_sum_conservation(self):
-        rng = random.Random(9)
-        for _ in range(1000):
-            m = Modulus(rng.choice([2, 7, 2**32]))
-            n = rng.randint(1, 20)
-            k = rng.randint(1, 8)
-            x = [rng.randrange(m.m) for _ in range(n)]
-            t = run_ikos(x, k, m, rng)
-            assert aggregate(t, m) == group_sum(x, m)
-            assert t.n == n and t.k == k and t.variant is Variant.PLAIN
+        rng = np.random.default_rng(9)
+        for m, k, x in random_instances(rng, 1000, [2, 7, 2**32], 20, 8):
+            blocks, clear = run_batch(x, k, m, rng)
+            assert aggregate_batch(blocks, clear, m).tolist() == [group_sum(x[0].tolist(), m)]
+            assert blocks.shape == (1, k, x.shape[1]) and clear is None
 
     def test_single_user_blocks_are_shares_in_order(self):
-        rng = random.Random(10)
         m = Modulus(97)
-        captured = []
-        t = run_ikos([42], 5, m, rng, on_shares=captured.append)
-        (shares,) = captured[0]
-        assert tuple(b[0] for b in t.blocks) == shares.shares
+        shares, _ = share_batch(tiled([42], 1), 5, m, np.random.default_rng(10))
+        blocks, _ = run_batch(tiled([42], 1), 5, m, np.random.default_rng(10))
+        assert (blocks == shares).all()
 
     def test_blocks_are_permutations_of_captured_shares(self):
-        rng = random.Random(11)
+        # run_batch shuffles exactly the shares share_batch draws on the same seed
+        rng = np.random.default_rng(11)
         m = Modulus(11)
-        for _ in range(200):
-            n, k = rng.randint(1, 12), rng.randint(1, 5)
-            x = [rng.randrange(11) for _ in range(n)]
-            captured = []
-            t = run_ikos(x, k, m, rng, on_shares=captured.append)
-            per_user = captured[0]
-            for j, block in enumerate(t.blocks):
-                assert Counter(block) == Counter(sv.shares[j] for sv in per_user)
+        for seed, (_, k, x) in enumerate(random_instances(rng, 200, [11], 12, 5)):
+            shares, _ = share_batch(x, k, m, np.random.default_rng(seed))
+            blocks, _ = run_batch(x, k, m, np.random.default_rng(seed))
+            assert (np.sort(blocks, axis=-1) == np.sort(shares, axis=-1)).all()
 
     def test_two_users_single_share_uniform(self):
         # n=2, m=2, k=1, inputs (0,1): transcript is (0,1) or (1,0), each 1/2
-        rng = random.Random(12)
-        m = Modulus(2)
         n = 20_000
-        counts = Counter(run_ikos([0, 1], 1, m, rng).blocks[0] for _ in range(n))
+        blocks, _ = run_batch(tiled([0, 1], n), 1, Modulus(2), np.random.default_rng(12))
+        counts = Counter(flattened(blocks))
         assert set(counts) == {(0, 1), (1, 0)}
         assert abs(counts[(0, 1)] - n / 2) <= 4 * binomial_sigma(n, 0.5)
 
     def test_values_in_range(self):
-        rng = random.Random(13)
-        m = Modulus(7)
-        t = run_ikos([1, 2, 3], 4, m, rng)
-        assert all(0 <= v < 7 for v in t.flattened())
+        blocks, _ = run_batch(tiled([1, 2, 3], 1), 4, Modulus(7), np.random.default_rng(13))
+        assert blocks.dtype == np.uint64 and int(blocks.max()) < 7
 
 
 class TestRunRandomized:
     def test_structure_and_conservation(self):
-        rng = random.Random(14)
-        for _ in range(500):
-            m = Modulus(rng.choice([2, 7, 2**32]))
-            n = rng.randint(1, 15)
-            k = rng.randint(1, 6)
-            x = [rng.randrange(m.m) for _ in range(n)]
-            t = run_ikos_randomized(x, k, m, rng)
+        rng = np.random.default_rng(14)
+        for m, k, x in random_instances(rng, 500, [2, 7, 2**32], 15, 6):
+            blocks, clear = run_batch(x, k, m, rng, clear=True)
             # k shuffled messages plus one clear message per user
-            assert len(t.blocks) == k and len(t.clear_block) == n
-            assert t.variant is Variant.RANDOMIZED_INPUTS
-            assert aggregate(t, m) == group_sum(x, m)
+            assert blocks.shape == (1, k, x.shape[1]) and clear.shape == x.shape
+            assert aggregate_batch(blocks, clear, m).tolist() == [group_sum(x[0].tolist(), m)]
 
     def test_clear_block_marginal_uniform(self):
-        rng = random.Random(15)
-        m = Modulus(5)
         n_runs = 50_000
-        counts = [0] * 5
-        for _ in range(n_runs):
-            t = run_ikos_randomized([2, 4], 1, m, rng)
-            counts[t.clear_block[0]] += 1
-        assert chisq_pvalue(counts, [0.2] * 5) > SIGNIFICANCE
+        _, clear = run_batch(tiled([2, 4], n_runs), 1, Modulus(5), np.random.default_rng(15), clear=True)
+        counts = np.bincount(clear[:, 0], minlength=5)
+        assert chisq_pvalue(counts.tolist(), [0.2] * 5) > SIGNIFICANCE
 
     def test_simulation_relation_sampled(self):
         # permuting the clear block reproduces the (k+1)-share plain law
-        rng = random.Random(16)
+        rng = np.random.default_rng(16)
         m = Modulus(2)
-        inputs = [0, 1]
-        n_runs = 30_000
-        permuted = Counter()
-        plain = Counter()
-        for _ in range(n_runs):
-            t = run_ikos_randomized(inputs, 1, m, rng)
-            permuted[t.blocks[0] + shuffle_block(t.clear_block, rng)] += 1
-            plain[run_ikos(inputs, 2, m, rng).flattened()] += 1
+        x = tiled([0, 1], 30_000)
+        blocks, clear = run_batch(x, 1, m, rng, clear=True)
+        permuted = Counter(flattened(blocks, rng.permuted(clear, axis=-1)))
+        plain = Counter(flattened(run_batch(x, 2, m, rng)[0]))
         assert two_sample_chisq_pvalue(permuted, plain) > SIGNIFICANCE
 
 
 class TestAggregate:
     def test_zeros(self):
-        m = Modulus(5)
-        assert aggregate(Transcript(((0, 0), (0, 0))), m) == 0
+        assert aggregate_batch(np.zeros((1, 2, 2), dtype=np.uint64), None, Modulus(5)).tolist() == [0]
 
     def test_full_group_sum(self):
-        rng = random.Random(17)
         m = Modulus(7)
-        t = run_ikos([3, 4], 5, m, rng)
-        assert aggregate(t, m) == 0
+        blocks, _ = run_batch(tiled([3, 4], 1), 5, m, np.random.default_rng(17))
+        assert aggregate_batch(blocks, None, m).tolist() == [0]
 
     def test_invariant_under_block_permutation(self):
-        rng = random.Random(18)
+        rng = np.random.default_rng(18)
         m = Modulus(11)
-        t = run_ikos([1, 2, 3, 4], 3, m, rng)
-        scrambled = Transcript(tuple(shuffle_block(b, rng) for b in t.blocks))
-        assert aggregate(scrambled, m) == aggregate(t, m)
+        blocks, _ = run_batch(tiled([1, 2, 3, 4], 1), 3, m, rng)
+        scrambled = rng.permuted(blocks, axis=-1)
+        assert aggregate_batch(scrambled, None, m).tolist() == aggregate_batch(blocks, None, m).tolist()
 
 
 class TestSerialization:
     def test_schema_and_roundtrip(self):
-        rng = random.Random(19)
         m = Modulus(7)
-        t = run_ikos_randomized([1, 2, 3], 2, m, rng)
-        d = transcript_to_dict(t, m, seed=123)
+        blocks, clear = run_batch(tiled([1, 2, 3], 2), 2, m, np.random.default_rng(19), clear=True)
+        d = transcript_record(blocks, clear, 1, m, seed=123)
         assert set(d) == {"n", "k", "m", "variant", "blocks", "clear_block", "seed"}
         assert d["variant"] == "randomized" and d["seed"] == 123
+        assert (d["n"], d["k"], d["m"]) == (3, 2, 7)
         parsed = json.loads(json.dumps(d))
-        t2, m2, seed = transcript_from_dict(parsed)
-        assert t2 == t and m2 == m and seed == 123
+        assert parsed["blocks"] == blocks[1].tolist()
+        assert parsed["clear_block"] == clear[1].tolist()
 
     def test_plain_has_null_clear_block(self):
-        rng = random.Random(20)
         m = Modulus(7)
-        d = transcript_to_dict(run_ikos([1, 2], 3, m, rng), m, seed=0)
+        blocks, clear = run_batch(tiled([1, 2], 1), 3, m, np.random.default_rng(20))
+        d = transcript_record(blocks, clear, 0, m, seed=0)
         assert d["clear_block"] is None and d["variant"] == "plain"
-
-    def test_inconsistent_record_rejected(self):
-        rng = random.Random(21)
-        m = Modulus(7)
-        d = transcript_to_dict(run_ikos([1, 2], 3, m, rng), m, seed=0)
-        d["n"] = 5
-        with pytest.raises(ValueError):
-            transcript_from_dict(d)

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from shufflesum import randgraph
 from shufflesum.oracle import hoeffding_halfwidth
 from shufflesum.randgraph import (
     ComponentHistogram,
@@ -179,6 +180,20 @@ class TestEstimators:
         a = estimate_component_distribution(9, 3, 20_000, seed=2, shards=3)
         b = estimate_component_distribution(9, 3, 20_000, seed=2, shards=3)
         assert a == b
+
+    def test_counts_do_not_depend_on_batch_cap(self, monkeypatch):
+        # rng.permuted shuffles row after row, so splitting a shard into
+        # smaller batches draws the same permutations
+        full = estimate_component_distribution(8, 3, 2000, seed=9, shards=2)
+        monkeypatch.setattr(randgraph, "_BATCH_ELEMENTS", 100)
+        assert estimate_component_distribution(8, 3, 2000, seed=9, shards=2) == full
+
+    def test_numpy_stream_pin(self):
+        # Deliberate pin of the numpy Generator stream (NEP 19 allows it to
+        # change between numpy versions): a shift moves these counts and
+        # fails here, so the change is noticed rather than silent.
+        hist = estimate_component_distribution(8, 2, 1000, seed=5)
+        assert hist.counts == {1: 850, 2: 137, 3: 13}
 
     def test_two_vertices_three_perms(self):
         # C=2 only when all three permutations are the identity: 1/8
