@@ -5,9 +5,8 @@ distributions against the proved bounds.
 
 The protocol runs on one batched numpy engine (``share_batch`` /
 ``run_batch`` / ``aggregate_batch``). All randomness is deterministic and
-seeded: numpy ``Generator`` streams, and a stdlib ``Random`` in the
-single-graph ``sample_graph``. Nothing here is a cryptographic RNG. This
-package simulates and analyzes the protocol, it does not deploy it.
+seeded numpy ``Generator`` streams. Nothing here is a cryptographic RNG.
+This package simulates and analyzes the protocol, it does not deploy it.
 """
 
 __version__ = "0.1.0"
@@ -18,14 +17,11 @@ from .protocol import Variant, aggregate_batch, run_batch, share_batch
 from .randgraph import (
     ComponentHistogram,
     EnumerationBudgetError,
-    PermutationMultigraph,
-    connected_components,
     estimate_component_distribution,
     estimate_m_power_C,
     exact_m_power_C,
     expectation_bound,
     lemma4_probability_bound,
-    sample_graph,
 )
 
 __all__ = [
@@ -41,11 +37,8 @@ __all__ = [
     "plan_shuffled_k",
     "baseline_k_lower_bound",
     "validate_params",
-    "PermutationMultigraph",
     "ComponentHistogram",
     "EnumerationBudgetError",
-    "sample_graph",
-    "connected_components",
     "lemma4_probability_bound",
     "expectation_bound",
     "estimate_component_distribution",

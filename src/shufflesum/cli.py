@@ -2,8 +2,9 @@
 and verify the measured quantities against the closed-form bounds.
 
 Exit codes: 0 all checks pass, 1 a verified bound is violated, 2 invalid
-or over-budget parameters. Seeds are always explicit in the output; a
-seed that was not supplied is generated once and recorded.
+or over-budget parameters, 3 an unexpected error (traceback on stderr).
+Seeds are always explicit in the output; a seed that was not supplied is
+generated once and recorded.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import io
 import json
 import secrets
 import sys
+import traceback
 
 import click
 import numpy as np
@@ -119,7 +121,21 @@ _FORMAT = click.option(
 )
 
 
-@click.group()
+class _Group(click.Group):
+    """Exits 3, with the traceback on stderr, on an exception that is not
+    click's own, so that a crash never reads as a violated bound (1)."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (click.ClickException, click.exceptions.Exit, click.Abort):
+            raise
+        except Exception:
+            traceback.print_exc()
+            sys.exit(3)
+
+
+@click.group(cls=_Group)
 @click.version_option(version=__version__, prog_name="shufflesum")
 def main() -> None:
     """Split-and-mix secure summation: planning, simulation, verification."""
@@ -255,7 +271,7 @@ def verify_graph_dist(n, k, samples, seed, shards, fmt) -> None:
 @_FORMAT
 def verify_graph_exp(n, k, m, m_bits, samples, seed, shards, fmt) -> None:
     """Monte Carlo E[m^C] vs its closed-form bound."""
-    m_val = _resolve_m(m, m_bits)
+    m_val = _modulus(_resolve_m(m, m_bits)).m
     if n < 1 or k < 1 or samples < 1 or shards < 1:
         raise click.UsageError("need n, k, samples, shards >= 1")
     try:
@@ -289,9 +305,9 @@ def verify_graph_exp(n, k, m, m_bits, samples, seed, shards, fmt) -> None:
 @_FORMAT
 def verify_tv_exact(n, k, m, m_bits, fmt) -> None:
     """Exact average TV vs the exact collision-probability bound."""
-    m_val = _resolve_m(m, m_bits)
-    if n < 1 or k < 1 or m_val < 1:
-        raise click.UsageError("need n, k, m >= 1")
+    m_val = _modulus(_resolve_m(m, m_bits)).m
+    if n < 1 or k < 1:
+        raise click.UsageError("need n, k >= 1")
     try:
         tv = exact_avg_case_tv(n, k, m_val)
         collision = exact_collision_probability(n, k, m_val, CollisionMode.V_VS_V)
@@ -299,7 +315,7 @@ def verify_tv_exact(n, k, m, m_bits, fmt) -> None:
         raise click.UsageError(str(exc)) from exc
     radicand = collision * m_val ** (k * n - 1) - 1
     sound = tv * tv <= radicand
-    bound = lemma1_bound(collision, n, k, m_val) if m_val >= 2 else None
+    bound = lemma1_bound(collision, n, k, m_val)
     report = {
         "version": __version__,
         "params": {"n": n, "k": k, "m": m_val},
@@ -308,7 +324,7 @@ def verify_tv_exact(n, k, m, m_bits, fmt) -> None:
             "fraction": f"{collision.numerator}/{collision.denominator}",
             "value": float(collision),
         },
-        "lemma1_bound": None if bound is None else {"value": bound.value, "status": bound.status},
+        "lemma1_bound": {"value": bound.value, "status": bound.status},
         "ok": sound,
     }
     emit_report(report, fmt)

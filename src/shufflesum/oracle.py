@@ -31,11 +31,11 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from . import randgraph
 from .group import Modulus
 from .planner import sigma_for, validate_params
 from .protocol import run_batch, share_batch
 from .randgraph import (
-    _BATCH_ELEMENTS,
     ENUMERATION_BUDGET,
     EnumerationBudgetError,
     _shard_sizes,
@@ -283,7 +283,7 @@ def collision_probability(
     if m == 1:
         return Estimate(1.0, 0.0, samples, samples)
     mod = Modulus(m)
-    batch_cap = max(1, _BATCH_ELEMENTS // (k * n))
+    batch_cap = max(1, randgraph._BATCH_ELEMENTS // (k * n))
     hits = 0
     for s, shard_samples in enumerate(_shard_sizes(samples, shards)):
         rng = np.random.default_rng(derive_seed(seed, _MODE_TAG[mode], s))

@@ -58,7 +58,8 @@ def plan_shuffled_k(sigma: float, n: int, m: int) -> PlanResult:
     """Minimal k with sigma_for(k, n, m) >= sigma; total adds 1 clear message.
 
     Raises ValueError for a sigma that is not finite, n <= 2 (the formula's
-    denominator log2(n) - log2(e) must be positive), sigma <= 0, or m < 2.
+    denominator log2(n) - log2(e) must be positive), sigma <= 0, m < 2, or
+    a k so large that floats no longer tell k from k + 1.
     """
     if not math.isfinite(sigma):
         raise ValueError(f"sigma must be finite, got {sigma}")
@@ -70,6 +71,8 @@ def plan_shuffled_k(sigma: float, n: int, m: int) -> PlanResult:
         raise ValueError(f"need m >= 2, got {m}")
     denom = math.log2(n) - LOG2_E
     arg = (2 * sigma + math.log2(m)) / denom + 1
+    if math.ulp(arg) >= 1:
+        raise ValueError(f"sigma={sigma} needs about {arg:.3g} messages, past float resolution")
     if abs(arg - round(arg)) < _CEIL_GUARD:
         arg -= _CEIL_GUARD
     k = max(1, math.ceil(arg))

@@ -51,8 +51,8 @@ def share_batch(
     uniform residue comes from one ``rng.integers`` call, which is exactly
     uniform on [0, m) for any m <= 2**63: the masks first, then the first
     k - 1 shares. The last share solves the sum by pairwise subtraction.
-    Raises ValueError unless ``inputs`` is a 2-D uint64 array with n >= 1
-    users and k >= 1.
+    Raises ValueError unless ``inputs`` is a 2-D uint64 array of residues
+    below m, with n >= 1 users and k >= 1.
     """
     if not isinstance(inputs, np.ndarray) or inputs.ndim != 2 or inputs.dtype != np.uint64:
         raise ValueError("inputs must be a 2-D uint64 array of shape (runs, n)")
@@ -62,6 +62,8 @@ def share_batch(
     if k < 1:
         raise ValueError(f"need at least one shuffled share, got k={k}")
     mm = np.uint64(m.m)
+    if (inputs >= mm).any():
+        raise ValueError(f"inputs must be residues below m={m.m}")
     draws = rng.integers(0, m.m, size=(runs, k - 1 + clear, n), dtype=np.uint64)
     masks = draws[:, 0] if clear else None
     head = draws[:, 1:] if clear else draws

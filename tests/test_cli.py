@@ -4,7 +4,10 @@ import json
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from shufflesum import cli
 from shufflesum.cli import main
 
 
@@ -69,6 +72,20 @@ class TestPlan:
         res = run_cli(runner, args + ["70"])
         assert res.exit_code == 2
         assert "modulus must be <= 2**63" in res.output
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        sigma=st.floats(allow_nan=True, allow_infinity=True),
+        n=st.integers(-10, 10**12),
+        m=st.one_of(
+            st.tuples(st.just("--m"), st.integers(-5, 2**70)),
+            st.tuples(st.just("--m-bits"), st.integers(-5, 200)),
+        ),
+    )
+    def test_exit_code_in_contract(self, sigma, n, m):
+        # any parameters: a result, a violated bound or a usage error, never a crash
+        res = run_cli(CliRunner(), ["plan", "--sigma", repr(sigma), "--n", str(n), m[0], str(m[1])])
+        assert res.exit_code in (0, 1, 2), res.output
 
     def test_small_sigma_small_n(self, runner):
         res = run_cli(runner, ["plan", "--sigma", "1", "--n", "19", "--m", "2", "--format", "json"])
@@ -175,6 +192,17 @@ class TestVerify:
         res = run_cli(runner, ["verify", "graph-exp", "--n", "19", "--k", "3", "--m", "25", "--seed", "1"])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("m", [["--m", "1"], ["--m-bits", "64"]])
+    def test_graph_exp_modulus_out_of_range_exit_2(self, runner, m):
+        # the same Modulus check as plan, simulate and chain
+        res = run_cli(runner, ["verify", "graph-exp", "--n", "19", "--k", "3", *m, "--samples", "10", "--seed", "1"])
+        assert res.exit_code == 2
+
+    @pytest.mark.parametrize("m", [["--m", "1"], ["--m-bits", "64"]])
+    def test_tv_exact_modulus_out_of_range_exit_2(self, runner, m):
+        res = run_cli(runner, ["verify", "tv-exact", "--n", "2", "--k", "2", *m])
+        assert res.exit_code == 2
+
     def test_tv_exact_small_instance(self, runner):
         res = run_cli(runner, ["verify", "tv-exact", "--n", "3", "--k", "2", "--m", "2", "--format", "json"])
         assert res.exit_code == 0
@@ -213,6 +241,17 @@ class TestVerify:
         res = run_cli(runner, args)
         assert res.exit_code == 2
         assert "modulus must be <= 2**63" in res.output
+
+
+def test_crash_exits_3_with_traceback(runner, monkeypatch):
+    # 1 means a violated bound, so an unexpected error must not exit 1
+    def crash(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "verify_chain", crash)
+    res = run_cli(runner, ["verify", "chain", "--n", "2", "--k", "2", "--m", "2", "--samples", "10", "--seed", "1"])
+    assert res.exit_code == 3
+    assert "Traceback" in res.stderr and "RuntimeError: boom" in res.stderr
 
 
 def test_version_flag(runner):

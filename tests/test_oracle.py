@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from shufflesum import oracle
+from shufflesum import oracle, randgraph
 from shufflesum.oracle import (
     CollisionMode,
     Estimate,
@@ -176,7 +176,7 @@ class TestMonteCarloCollision:
         whole = estimates()
         # 2500 samples per shard in batches of at most 7: many batches and
         # a short last one
-        monkeypatch.setattr(oracle, "_BATCH_ELEMENTS", 7)
+        monkeypatch.setattr(randgraph, "_BATCH_ELEMENTS", 7)
         split = estimates()
         # one user with one share always collides, whatever the draws
         full = Estimate(1.0, hoeffding_halfwidth(5000), 5000, 5000)
@@ -194,6 +194,13 @@ class TestMonteCarloCollision:
         # fails here, so the change is noticed rather than silent.
         est = collision_probability(2, 2, 2, 20_000, seed=1113, mode=CollisionMode.V_VS_V, shards=4)
         assert est.hits == 3136
+
+    def test_batch_cap_read_at_call_time(self, monkeypatch):
+        # the sampler's batches follow randgraph's one cap; at 64 the
+        # batch-major draws give another stream than the pin above
+        monkeypatch.setattr(randgraph, "_BATCH_ELEMENTS", 64)
+        est = collision_probability(2, 2, 2, 20_000, seed=1113, mode=CollisionMode.V_VS_V, shards=4)
+        assert est.hits == 3127
 
 
 class TestLemma1Bound:
@@ -269,7 +276,9 @@ class TestVerifyChain:
         rep = verify_chain(19, 3, 2, samples=2000, seed=44)
         assert rep.exact_avg_tv is None
         assert rep.lemma1_source == "monte-carlo"
-        assert rep.lemma3_source == "monte-carlo"
+        # E[m^C] is exact at any n the recursion's budget allows
+        assert rep.exact_m_power_c == Fraction(35051863075, 17476901442)
+        assert rep.lemma3_source == "exact"
         assert abs(rep.theorem1_bound - 0.2023) < 1e-4
         assert rep.preconditions_ok == {"n>=19": True, "k>=3": True, "sigma>=1": True}
         assert rep.checks["expectation_bound_mc"] == "pass"

@@ -73,6 +73,13 @@ class TestPlan:
         with pytest.raises(ValueError, match="sigma must be finite"):
             plan_shuffled_k(sigma, 10**4, 2**32)
 
+    @pytest.mark.parametrize("sigma", [1e300, 1.7e308])
+    def test_rejects_k_past_float_resolution(self, sigma):
+        # the minimality check could not tell k from k + 1: it used to loop
+        # forever at 1e300 and overflow at 1.7e308
+        with pytest.raises(ValueError, match="past float resolution"):
+            plan_shuffled_k(sigma, 100, 2)
+
     def test_small_sigma_small_n(self):
         # ceil((2*1 + 1) / (log2 19 - log2 e) + 1) = ceil(2.0695) = 3
         res = plan_shuffled_k(1, 19, 2)

@@ -113,6 +113,12 @@ class TestRunPlain:
                 run_batch(np.array([1, 2], dtype=np.uint64), 2, m, rng, clear)
             with pytest.raises(ValueError):
                 share_batch([[1, 2]], 2, m, rng, clear)
+            # residues >= m would pass through unreduced (k = 1) or wrap
+            # in the last share's subtraction near 2**64
+            with pytest.raises(ValueError):
+                run_batch(np.array([[10, 3]], dtype=np.uint64), 1, m, rng, clear)
+            with pytest.raises(ValueError):
+                share_batch(np.array([[2**64 - 1]], dtype=np.uint64), 2, m, rng, clear)
 
     def test_sum_conservation(self):
         rng = np.random.default_rng(9)

@@ -2,26 +2,94 @@ import csv
 import io
 import math
 import random
+from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations, product
 
 import numpy as np
 import pytest
 
 from shufflesum import randgraph
 from shufflesum.oracle import hoeffding_halfwidth
+from shufflesum.planner import validate_params
 from shufflesum.randgraph import (
     ComponentHistogram,
     EnumerationBudgetError,
-    PermutationMultigraph,
     _component_counts_from_perms,
-    connected_components,
     estimate_component_distribution,
     estimate_m_power_C,
     exact_m_power_C,
     expectation_bound,
     lemma4_probability_bound,
-    sample_graph,
 )
+
+
+# Brute-force reference for the component count: one graph at a time, a
+# stdlib Random sampler and a union-find counter.
+
+
+@dataclass(frozen=True)
+class PermutationMultigraph:
+    """n vertices (0-based) and k permutations; edges are implicit."""
+
+    n: int
+    perms: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ValueError(f"need n >= 1 vertices, got {self.n}")
+        if len(self.perms) < 1:
+            raise ValueError("need at least one permutation")
+        for p in self.perms:
+            if sorted(p) != list(range(self.n)):
+                raise ValueError(f"not a permutation of range({self.n}): {p}")
+
+    @property
+    def k(self) -> int:
+        return len(self.perms)
+
+
+def sample_graph(n: int, k: int, rng: random.Random) -> PermutationMultigraph:
+    """Graph from k i.i.d. uniform permutations (Fisher-Yates each)."""
+    if n < 1 or k < 1:
+        raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
+    perms = []
+    for _ in range(k):
+        p = list(range(n))
+        rng.shuffle(p)
+        perms.append(tuple(p))
+    return PermutationMultigraph(n, tuple(perms))
+
+
+def connected_components(g: PermutationMultigraph) -> int:
+    """Number of connected components, ignoring edge multiplicity.
+
+    Union-find with path halving, directly on the edges v -- p(v); the edge
+    multiset is never materialized.
+    """
+    parent = list(range(g.n))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for p in g.perms:
+        for v, w in enumerate(p):
+            ra, rb = find(v), find(w)
+            if ra != rb:
+                parent[ra] = rb
+    return sum(1 for v in range(g.n) if find(v) == v)
+
+
+def enumerated_component_counts(n: int, k: int) -> Counter:
+    """Component count of every one of the (n!)^k permutation tuples."""
+    all_perms = list(permutations(range(n)))
+    return Counter(
+        connected_components(PermutationMultigraph(n, pt)) for pt in product(all_perms, repeat=k)
+    )
 
 
 def bfs_components(g: PermutationMultigraph) -> int:
@@ -243,9 +311,45 @@ class TestExactExpectation:
 
     def test_budget(self):
         with pytest.raises(EnumerationBudgetError):
-            exact_m_power_C(11, 2, 2)
+            exact_m_power_C(1000, 3, 2)
+        with pytest.raises(EnumerationBudgetError):
+            exact_m_power_C(10**4, 11, 2**32)
         with pytest.raises(EnumerationBudgetError):
             exact_m_power_C(100, 100, 2)
+        with pytest.raises(EnumerationBudgetError):
+            exact_m_power_C(10**200, 3, 2)
+
+    def test_matches_enumeration(self):
+        # every (n, k) with (n!)^k <= 10^5 and k <= 5, enumerated once each
+        instances = [
+            (n, k)
+            for n in range(1, 9)
+            for k in range(1, 6)
+            if math.factorial(n) ** k <= 10**5
+        ]
+        assert len(instances) == 23
+        for n, k in instances:
+            counts = enumerated_component_counts(n, k)
+            tuples = math.factorial(n) ** k
+            assert sum(counts.values()) == tuples
+            for m in (2, 3, 5):
+                expected = Fraction(sum(cnt * m**c for c, cnt in counts.items()), tuples)
+                assert exact_m_power_C(n, k, m) == expected, (n, k, m)
+
+    def test_reference_point(self):
+        got = exact_m_power_C(19, 3, 2)
+        assert got == Fraction(35051863075, 17476901442)
+        # exact lemma-3 distance bound, far under the theorem's 0.2023
+        assert abs(math.sqrt(got / 2 - 1) - 0.05297) < 1e-5
+
+    def test_below_closed_form_expectation_bound(self):
+        for n in (19, 30, 50, 100):
+            for k in (3, 4, 5):
+                top = int((n / math.e) ** (k - 1) / 2)
+                for m in (2, 3, 5, top // 2, top):
+                    if validate_params(n, k, m):
+                        continue
+                    assert exact_m_power_C(n, k, m) <= expectation_bound(n, k, m), (n, k, m)
 
 
 class TestHistogramExport:
