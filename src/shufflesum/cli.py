@@ -304,7 +304,8 @@ def verify_graph_exp(n, k, m, m_bits, samples, seed, shards, fmt) -> None:
 @click.option("--m-bits", type=int, default=None)
 @_FORMAT
 def verify_tv_exact(n, k, m, m_bits, fmt) -> None:
-    """Exact average TV vs the exact collision-probability bound."""
+    """Exact average TV vs the exact collision-probability bound, both
+    summed over block histograms; exit 2 past the work budget."""
     m_val = _modulus(_resolve_m(m, m_bits)).m
     if n < 1 or k < 1:
         raise click.UsageError("need n, k >= 1")
@@ -342,7 +343,7 @@ def verify_tv_exact(n, k, m, m_bits, fmt) -> None:
 @click.option("--shards", type=int, default=1, show_default=True)
 @_FORMAT
 def verify_chain_cmd(n, k, m, m_bits, samples, seed, shards, fmt) -> None:
-    """Full bound-chain report: exact where enumerable, Monte Carlo always."""
+    """Full bound-chain report: exact within the work budget, Monte Carlo always."""
     m_val = _resolve_m(m, m_bits)
     if n < 1 or k < 1 or m_val < 2 or samples < 1 or shards < 1:
         raise click.UsageError("need n, k >= 1, m >= 2, samples, shards >= 1")

@@ -1,11 +1,15 @@
 """Ground-truth security measurement.
 
-On tiny instances the full transcript law of the protocol is enumerable
-(m^((k-1)n) share completions times (n!)^k permutation tuples, every
-outcome equally likely), which gives exact total-variation distances and
-exact collision probabilities as rationals. On larger instances Monte
-Carlo takes over. ``verify_chain`` assembles both sides next to the chain
-of closed-form bounds:
+Each block of the transcript is shuffled by a uniform permutation, so a
+transcript's probability depends only on its k block histograms over Z_m:
+P(v) = P(h(v)) / prod_j multinomial(n; h_j). ``histogram_laws`` builds the
+exact integer law of the histograms as a convolution of the users' share
+rows, one law per input multiset, and the exact total-variation distance
+and collision probabilities are sums over histogram tuples, rationals
+that never touch floats. Their cost, counted in histogram updates by
+``exact_work``, is held to ``ENUMERATION_BUDGET``; beyond it Monte Carlo
+takes over. ``verify_chain`` assembles both sides next to the chain of
+closed-form bounds:
 
     avg TV  <=  sqrt(m^(kn-1) * Pr[collision] - 1)          (lemma 1)
     Pr[two transcripts collide] = Pr[fresh sharing = shuffled sharing]
@@ -13,9 +17,8 @@ of closed-form bounds:
     Pr[collision]  <=  E[m^C] / m^(kn)   (C from randgraph)  (lemma 3)
     avg TV  <=  sqrt(m (e/n)^(k-1)) = 2^-sigma               (theorem)
 
-and reports the status of every inequality. Exactness matters: the lemma-2
-check is an identity of rationals, so the enumeration counts integer
-outcomes over a common denominator and never touches floats.
+and reports the status of every inequality. The lemma-3 inequality holds
+with equality, and the report checks that identity too.
 """
 
 from __future__ import annotations
@@ -23,11 +26,11 @@ from __future__ import annotations
 import enum
 import json
 import math
-from collections import Counter
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
-from typing import Iterator, Sequence
+from itertools import combinations_with_replacement, product
+from typing import Iterator
 
 import numpy as np
 
@@ -73,179 +76,173 @@ class CollisionMode(enum.Enum):
     E_EVENT = "e-event"
 
 
-@dataclass(frozen=True)
-class OutputDistribution:
-    """Exact law of the flattened transcript (kn residues, block-ordered).
-
-    ``mass`` maps each outcome to its integer count out of ``denominator``
-    = m^((k-1)n) * (n!)^k equally likely (share completion, permutation
-    tuple) pairs. Probabilities are exact rationals.
-    """
-
-    n: int
-    k: int
-    m: int
-    mass: dict[tuple[int, ...], int]
-    denominator: int
-
-    def probability(self, outcome: tuple[int, ...]) -> Fraction:
-        return Fraction(self.mass.get(outcome, 0), self.denominator)
-
-    def total(self) -> Fraction:
-        return Fraction(sum(self.mass.values()), self.denominator)
+_WORK_KEY = {CollisionMode.V_VS_V: "exact_collision_v", CollisionMode.E_EVENT: "exact_collision_e"}
 
 
-def _share_tuples(x: int, k: int, m: int) -> Iterator[tuple[int, ...]]:
-    # every k-tuple over Z_m summing to x, each exactly once
-    for free in product(range(m), repeat=k - 1):
-        yield (*free, (x - sum(free)) % m)
-
-
-def _law_budget(n: int, k: int, m: int, extra_log2: float = 0.0) -> int | None:
-    """m^((k-1)n) * (n!)^k, or None when it clearly dwarfs the budget.
-
-    The log-space early-out avoids materializing factorial(n)**k for large
-    parameters; the 2-bit margin keeps boundary decisions on the exact
-    integer path.
-    """
-    log2_est = (
-        (k - 1) * n * math.log2(max(m, 1))
-        + k * math.lgamma(n + 1) / math.log(2)
-        + extra_log2
-    )
-    if log2_est > math.log2(ENUMERATION_BUDGET) + 2:
-        return None
-    return m ** ((k - 1) * n) * math.factorial(n) ** k
-
-
-def exact_output_distribution(inputs: Sequence[int], k: int, m: int) -> OutputDistribution:
-    """Exhaustive law of the plain protocol on fixed inputs.
-
-    Enumerates every share completion and every permutation tuple with
-    equal weight; rejects instances whose weighted outcome count
-    m^((k-1)n) * (n!)^k exceeds the 10**7 budget.
-    """
-    n = len(inputs)
+def _check_sizes(n: int, k: int, m: int) -> None:
     if n < 1 or k < 1 or m < 1:
         raise ValueError(f"need n, k, m >= 1, got n={n}, k={k}, m={m}")
-    denominator = _law_budget(n, k, m)
-    if denominator is None or denominator > ENUMERATION_BUDGET:
-        raise EnumerationBudgetError(
-            "m^((k-1)n) * (n!)^k exceeds the enumeration budget "
-            f"{ENUMERATION_BUDGET} for n={n}, k={k}, m={m}"
-        )
-    perms = list(permutations(range(n)))
-    perm_tuples = list(product(perms, repeat=k))
-    per_user = [list(_share_tuples(x % m, k, m)) for x in inputs]
-    counts: Counter = Counter()
-    for mat in product(*per_user):
-        blocks = [[mat[i][j] for i in range(n)] for j in range(k)]
-        for pt in perm_tuples:
-            flat = tuple(blocks[j][p] for j, perm in enumerate(pt) for p in perm)
-            counts[flat] += 1
-    return OutputDistribution(n, k, m, dict(counts), denominator)
 
 
-def _tv_between(a: OutputDistribution, b: OutputDistribution) -> Fraction:
-    keys = set(a.mass) | set(b.mass)
-    total = sum(abs(a.probability(v) - b.probability(v)) for v in keys)
-    return total / 2
+def _units(exact, *log2_terms: float) -> int | float:
+    # the exact count below 2^64, a float from its terms' logarithms past it
+    top = max(log2_terms)
+    log2 = top + math.log2(sum(2.0 ** (t - top) for t in log2_terms))
+    if log2 <= 64:
+        return exact()
+    return math.inf if log2 >= 1024 else 2.0**log2
 
 
-def exact_tv(inputs_a: Sequence[int], inputs_b: Sequence[int], k: int, m: int) -> Fraction:
-    """Exact total variation between the transcript laws of two inputs.
+def exact_work(n: int, k: int, m: int) -> dict[str, int | float]:
+    """Histogram updates each exact quantity takes, against ENUMERATION_BUDGET.
 
-    Only defined for inputs with equal sums (otherwise the server's output
-    itself distinguishes them and the security question is vacuous).
+    With L = C(n+m-1, n) input classes, S = L^k histogram tuples (each
+    block's histogram is one of C(n+m-1, m-1) = L) and U = n m^(k-1)
+    updates per tuple:
+
+        exact_collision_v   L U S
+        exact_avg_tv        L U S + L^2 S             (class pairs)
+        exact_collision_e   L U S + L m^((k-1)n)      (ordered sharings)
+
+    Counts are exact ints up to 2^64, and floats from logarithms past it
+    (math.inf past float range), so no huge integer is ever built. L is
+    estimated by Stirling's formula when min(n, m-1) > 128, where L > 2^128.
     """
-    if len(inputs_a) != len(inputs_b):
-        raise ValueError("input tuples must have the same length")
-    if sum(inputs_a) % m != sum(inputs_b) % m:
-        raise ValueError("inputs must have equal sums mod m")
-    return _tv_between(
-        exact_output_distribution(inputs_a, k, m),
-        exact_output_distribution(inputs_b, k, m),
-    )
+    _check_sizes(n, k, m)
+    r = min(n, m - 1)
+    if r <= 128:
+        classes = math.comb(n + m - 1, r)
+        log_l = math.log2(classes)
+    else:  # log C(r+s, r) without the cancellation of lgamma(n+m) - lgamma(m)
+        s = n + m - 1 - r
+        log_l = ((s + 0.5) * math.log1p(r / s) + r * math.log(s + r) - r - math.lgamma(r + 1)) / math.log(2)
+    log_conv = (k + 1) * log_l + math.log2(n) + (k - 1) * math.log2(m)
+
+    def conv() -> int:
+        return classes ** (k + 1) * n * m ** (k - 1)
+
+    return {
+        "exact_avg_tv": _units(lambda: conv() + classes ** (k + 2), log_conv, (k + 2) * log_l),
+        "exact_collision_v": _units(conv, log_conv),
+        "exact_collision_e": _units(
+            lambda: conv() + classes * m ** ((k - 1) * n), log_conv, log_l + (k - 1) * n * math.log2(m)
+        ),
+    }
 
 
-class _LawCache:
-    # the transcript law is invariant under permuting users, so cache by
-    # sorted input tuple
-    def __init__(self, k: int, m: int):
-        self.k = k
-        self.m = m
-        self._laws: dict[tuple[int, ...], OutputDistribution] = {}
+def _require_budget(n: int, k: int, m: int, quantity: str) -> None:
+    units = exact_work(n, k, m)[quantity]
+    if units > ENUMERATION_BUDGET:
+        raise EnumerationBudgetError(
+            f"{quantity} takes {units} histogram updates, over the budget "
+            f"{ENUMERATION_BUDGET}, for n={n}, k={k}, m={m}"
+        )
 
-    def law(self, inputs: tuple[int, ...]) -> OutputDistribution:
-        key = tuple(sorted(inputs))
-        if key not in self._laws:
-            self._laws[key] = exact_output_distribution(key, self.k, self.m)
-        return self._laws[key]
+
+def _share_rows(n: int, k: int, m: int) -> list[list[int]]:
+    # rows[x]: the packed histogram increment of each of the m^(k-1) share
+    # tuples of input x, one share per block
+    cell = [[(n + 1) ** (j * m + a) for a in range(m)] for j in range(k)]
+    rows: list[list[int]] = [[] for _ in range(m)]
+    for free in product(range(m), repeat=k - 1):
+        head = sum(cell[j][s] for j, s in enumerate(free))
+        for x in range(m):
+            rows[x].append(head + cell[k - 1][(x - sum(free)) % m])
+    return rows
+
+
+def histogram_laws(n: int, k: int, m: int) -> Iterator[tuple[tuple[int, ...], int, dict[int, int]]]:
+    """Exact integer law of the k block histograms, one per input class.
+
+    Yields (xs, orderings, law) for every sorted input tuple xs, in
+    lexicographic order; ``orderings`` input tuples sort to xs. ``law[key]``
+    counts the m^((k-1)n) equally likely share matrices whose blocks have
+    the histograms h_1..h_k packed in key = sum of h_j(a) (n+1)^(jm+a) over
+    blocks j and residues a. The law is the n-fold convolution of the
+    users' share rows, so it depends on the inputs only through xs.
+    """
+    _check_sizes(n, k, m)
+    rows = _share_rows(n, k, m)
+    for xs in combinations_with_replacement(range(m), n):
+        law = {0: 1}
+        for x in xs:
+            grown: defaultdict[int, int] = defaultdict(int)
+            for key, count in law.items():
+                for step in rows[x]:
+                    grown[key + step] += count
+            law = grown
+        yield xs, math.factorial(n) // math.prod(math.factorial(xs.count(a)) for a in set(xs)), law
 
 
 def exact_avg_case_tv(n: int, k: int, m: int) -> Fraction:
     """Expected exact TV over uniform equal-sum input pairs.
 
-    The conditioned pair set is parameterized exactly: the first input and
-    all but the last coordinate of the second are free, the last coordinate
-    solves the sum, giving m^(2n-1) equally likely pairs.
+    A shuffled block is uniform over the orderings of its histogram, so a
+    transcript with histograms h has the same probability N(h) / (D prod_j
+    multinomial(n; h_j)), D = m^((k-1)n), at every ordering, and the TV
+    between inputs x and x' is sum_h |N_x(h) - N_x'(h)| / 2D over histogram
+    tuples. The m^(2n-1) equally likely pairs (x uniform, x' uniform given
+    its sum) are grouped by input class. Raises EnumerationBudgetError when
+    ``exact_work`` puts it over ENUMERATION_BUDGET.
     """
-    if n < 1 or k < 1 or m < 1:
-        raise ValueError(f"need n, k, m >= 1, got n={n}, k={k}, m={m}")
-    per_law = _law_budget(n, k, m, extra_log2=(2 * n - 1) * math.log2(max(m, 1)))
-    pairs = m ** (2 * n - 1)
-    if per_law is None or pairs * per_law > ENUMERATION_BUDGET:
-        raise EnumerationBudgetError(
-            f"m^(2n-1) conditioned pairs x m^((k-1)n) (n!)^k outcomes exceeds "
-            f"the enumeration budget {ENUMERATION_BUDGET} for n={n}, k={k}, m={m}"
-        )
-    cache = _LawCache(k, m)
-    total = Fraction(0)
-    for x in product(range(m), repeat=n):
-        target = sum(x) % m
-        for free in product(range(m), repeat=n - 1):
-            xp = (*free, (target - sum(free)) % m)
-            total += _tv_between(cache.law(x), cache.law(xp))
-    return total / pairs
+    _require_budget(n, k, m, "exact_avg_tv")
+    by_sum: defaultdict[int, list[tuple[int, dict[int, int]]]] = defaultdict(list)
+    for xs, orderings, law in histogram_laws(n, k, m):
+        by_sum[sum(xs) % m].append((orderings, law))
+    total = 0
+    for classes in by_sum.values():
+        # each unordered pair of classes twice, halved; a class against itself 0
+        for i, (wa, a) in enumerate(classes):
+            for wb, b in classes[:i]:
+                gap = sum(abs(c - b.get(h, 0)) for h, c in a.items())
+                gap += sum(c for h, c in b.items() if h not in a)
+                total += wa * wb * gap
+    return Fraction(total, m ** ((k - 1) * n) * m ** (2 * n - 1))
+
+
+def _sharing_keys(rows: list[list[int]], xs: tuple[int, ...]) -> list[int]:
+    # packed histograms of every ordered unshuffled sharing of xs
+    keys = [0]
+    for x in xs:
+        keys = [key + step for key in keys for step in rows[x]]
+    return keys
 
 
 def exact_collision_probability(n: int, k: int, m: int, mode: CollisionMode) -> Fraction:
-    """Exact collision probability over a uniform input, by enumeration.
+    """Exact collision probability over a uniform input, from the histogram laws.
 
-    V_VS_V sums squared transcript probabilities; E_EVENT dot-products the
-    law of an unshuffled sharing against the transcript law. The two are
-    provably equal; computing both exercises that identity.
+    With F(h) = prod_j prod_a h_j(a)! = (n!)^k / prod_j multinomial(n; h_j),
+    V_VS_V sums N(h)^2 F(h) over histogram tuples h. E_EVENT is computed
+    apart from it: it walks the D = m^((k-1)n) ordered unshuffled sharings
+    S of each input class and sums N(h(S)) F(h(S)), so the lemma-2
+    identity between the two is checked, not assumed. Both are weighted by
+    the classes' orderings over (n!)^k D^2 m^n. Raises
+    EnumerationBudgetError when ``exact_work`` puts the mode over
+    ENUMERATION_BUDGET.
     """
-    if n < 1 or k < 1 or m < 1:
-        raise ValueError(f"need n, k, m >= 1, got n={n}, k={k}, m={m}")
-    per_law = _law_budget(n, k, m, extra_log2=n * math.log2(max(m, 1)))
-    if per_law is None or m**n * per_law > ENUMERATION_BUDGET:
-        raise EnumerationBudgetError(
-            f"m^n x m^((k-1)n) x (n!)^k exceeds the enumeration budget "
-            f"{ENUMERATION_BUDGET} for n={n}, k={k}, m={m}"
-        )
-    cache = _LawCache(k, m)
-    total = Fraction(0)
-    for x in product(range(m), repeat=n):
-        law = cache.law(x)
+    _require_budget(n, k, m, _WORK_KEY[mode])
+    rows = _share_rows(n, k, m)
+    fact = [math.factorial(h) for h in range(n + 1)]
+    cell_factorials: dict[int, int] = {}
+    total = 0
+    for xs, orderings, law in histogram_laws(n, k, m):
+        weight = {}
+        for key, count in law.items():
+            if key not in cell_factorials:
+                f, rest = 1, key
+                for _ in range(k * m):
+                    rest, h = divmod(rest, n + 1)
+                    f *= fact[h]
+                cell_factorials[key] = f
+            weight[key] = count * cell_factorials[key]
         if mode is CollisionMode.V_VS_V:
-            hit = Fraction(
-                sum(c * c for c in law.mass.values()), law.denominator**2
-            )
+            hit = sum(count * weight[key] for key, count in law.items())
         else:
-            # flat unshuffled sharing, share-index major: block j is the
-            # users' j-th shares in user order
-            plain: Counter = Counter()
-            for mat in product(*[list(_share_tuples(xi % m, k, m)) for xi in x]):
-                flat = tuple(mat[i][j] for j in range(k) for i in range(n))
-                plain[flat] += 1
-            plain_denom = m ** ((k - 1) * n)
-            hit = sum(
-                (Fraction(cnt, plain_denom) * law.probability(v) for v, cnt in plain.items()),
-                Fraction(0),
-            )
-        total += hit
-    return total / m**n
+            left, right = _sharing_keys(rows, xs[: n // 2]), _sharing_keys(rows, xs[n // 2 :])
+            hit = sum(weight[a + b] for a in left for b in right)
+        total += orderings * hit
+    d = m ** ((k - 1) * n)
+    return Fraction(total, fact[n] ** k * d * d * m**n)
 
 
 _MODE_TAG = {CollisionMode.V_VS_V: 1, CollisionMode.E_EVENT: 2}
@@ -278,8 +275,7 @@ def collision_probability(
     """
     if samples < 1 or shards < 1:
         raise ValueError(f"need samples >= 1 and shards >= 1, got {samples}, {shards}")
-    if n < 1 or k < 1 or m < 1:
-        raise ValueError(f"need n, k, m >= 1, got n={n}, k={k}, m={m}")
+    _check_sizes(n, k, m)
     if m == 1:
         return Estimate(1.0, 0.0, samples, samples)
     mod = Modulus(m)
@@ -370,10 +366,11 @@ class SecurityReport:
     """Every measured and derived quantity of one chain verification.
 
     Exact entries are rationals (None when the instance is beyond the
-    enumeration budget); Monte Carlo entries always carry their sample
-    counts and confidence halfwidths. ``checks`` records the status of
-    every inequality in the chain: "pass", "fail", "unavailable" (budget)
-    or "not-applicable" (outside the proved n/k/sigma regime).
+    work budget; ``exact_work`` gives the histogram updates each would
+    take); Monte Carlo entries always carry their sample counts and
+    confidence halfwidths. ``checks`` records the status of every
+    inequality in the chain: "pass", "fail", "unavailable" (budget) or
+    "not-applicable" (outside the proved n/k/sigma regime).
     """
 
     n: int
@@ -386,6 +383,7 @@ class SecurityReport:
     exact_collision_v: Fraction | None
     exact_collision_e: Fraction | None
     exact_m_power_c: Fraction | None
+    exact_work: dict[str, int | float]
     mc_collision_v: Estimate
     mc_collision_e: Estimate
     mc_m_power_c: float
@@ -429,6 +427,11 @@ class SecurityReport:
             "exact_collision_v": frac(self.exact_collision_v),
             "exact_collision_e": frac(self.exact_collision_e),
             "exact_m_power_c": frac(self.exact_m_power_c),
+            "exact_work": {
+                "budget": ENUMERATION_BUDGET,
+                "unit": "histogram updates",
+                **self.exact_work,
+            },
             "mc_collision_v": est(self.mc_collision_v),
             "mc_collision_e": est(self.mc_collision_e),
             "mc_m_power_c": {
@@ -454,21 +457,19 @@ def verify_chain(
 ) -> SecurityReport:
     """Measure the whole bound chain on one instance.
 
-    Exact quantities are computed wherever the enumeration budget allows;
+    Each exact quantity is computed wherever its own work fits the budget;
     Monte Carlo estimates are always produced. Every inequality of the
     chain is then evaluated and reported. Deterministic given
     (n, k, m, samples, seed, shards).
     """
-    exact_tv_val = exact_cv = exact_ce = exact_emc = None
-    try:
+    work = exact_work(n, k, m)
+    fits = {name: units <= ENUMERATION_BUDGET for name, units in work.items()}
+    exact_tv_val = exact_avg_case_tv(n, k, m) if fits["exact_avg_tv"] else None
+    exact_cv = exact_ce = exact_emc = None
+    if fits["exact_collision_v"]:
         exact_cv = exact_collision_probability(n, k, m, CollisionMode.V_VS_V)
+    if fits["exact_collision_e"]:
         exact_ce = exact_collision_probability(n, k, m, CollisionMode.E_EVENT)
-    except EnumerationBudgetError:
-        pass
-    try:
-        exact_tv_val = exact_avg_case_tv(n, k, m)
-    except EnumerationBudgetError:
-        pass
     try:
         exact_emc = exact_m_power_C(n, k, m)
     except EnumerationBudgetError:
@@ -510,23 +511,20 @@ def verify_chain(
     else:
         checks["lemma2_exact_identity"] = "unavailable"
     if exact_cv is not None and exact_emc is not None:
-        checks["lemma3_exact_soundness"] = _check(exact_cv <= Fraction(exact_emc, m**kn))
+        graph_route = Fraction(exact_emc, m**kn)
+        checks["lemma3_exact_soundness"] = _check(exact_cv <= graph_route)
+        checks["lemma3_exact_identity"] = _check(exact_cv == graph_route)
     else:
         checks["lemma3_exact_soundness"] = "unavailable"
+        checks["lemma3_exact_identity"] = "unavailable"
 
     checks["lemma2_mc_consistency"] = _check(
         abs(mc_v.value - mc_e.value) <= mc_v.ci_halfwidth + mc_e.ci_halfwidth
     )
-    if exact_cv is not None:
-        checks["mc_matches_exact_collision_v"] = _check(
-            abs(mc_v.value - float(exact_cv)) <= mc_v.ci_halfwidth
+    for name, est, exact in (("v", mc_v, exact_cv), ("e", mc_e, exact_ce)):
+        checks[f"mc_matches_exact_collision_{name}"] = (
+            "unavailable" if exact is None else _check(abs(est.value - float(exact)) <= est.ci_halfwidth)
         )
-        checks["mc_matches_exact_collision_e"] = _check(
-            abs(mc_e.value - float(exact_ce)) <= mc_e.ci_halfwidth
-        )
-    else:
-        checks["mc_matches_exact_collision_v"] = "unavailable"
-        checks["mc_matches_exact_collision_e"] = "unavailable"
 
     if in_regime:
         exp_bound = expectation_bound(n, k, m)
@@ -557,6 +555,7 @@ def verify_chain(
         exact_collision_v=exact_cv,
         exact_collision_e=exact_ce,
         exact_m_power_c=exact_emc,
+        exact_work=work,
         mc_collision_v=mc_v,
         mc_collision_e=mc_e,
         mc_m_power_c=emc_est,

@@ -16,7 +16,6 @@ from shufflesum.oracle import (
     collision_probability,
     exact_avg_case_tv,
     exact_collision_probability,
-    exact_output_distribution,
     hoeffding_halfwidth,
     theorem_bound,
     verify_chain,
@@ -30,6 +29,7 @@ from shufflesum.randgraph import (
     expectation_bound,
     lemma4_probability_bound,
 )
+from transcript_enumeration import exact_output_distribution
 
 ENUMERABLE_INSTANCES = [(2, 2, 2), (2, 2, 3), (3, 2, 2), (2, 3, 2), (2, 1, 2), (2, 1, 3), (1, 2, 2)]
 

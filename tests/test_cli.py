@@ -203,6 +203,37 @@ class TestVerify:
         res = run_cli(runner, ["verify", "tv-exact", "--n", "2", "--k", "2", *m])
         assert res.exit_code == 2
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(-1, 6),
+        k=st.integers(-1, 4),
+        m=st.one_of(
+            st.tuples(st.just("--m"), st.integers(-1, 6)),
+            st.tuples(st.just("--m-bits"), st.integers(-1, 70)),
+        ),
+    )
+    def test_tv_exact_exit_code_in_contract(self, n, k, m):
+        # a result, a violated bound, or a usage or budget error; never a crash
+        res = run_cli(CliRunner(), ["verify", "tv-exact", "--n", str(n), "--k", str(k), m[0], str(m[1])])
+        assert res.exit_code in (0, 1, 2), res.output
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(-1, 6),
+        k=st.integers(-1, 4),
+        m=st.one_of(
+            st.tuples(st.just("--m"), st.integers(-1, 6)),
+            st.tuples(st.just("--m-bits"), st.integers(-1, 70)),
+        ),
+        samples=st.integers(-1, 50),
+        shards=st.integers(-1, 3),
+    )
+    def test_chain_exit_code_in_contract(self, n, k, m, samples, shards):
+        args = ["verify", "chain", "--n", str(n), "--k", str(k), m[0], str(m[1]),
+                "--samples", str(samples), "--shards", str(shards), "--seed", "1"]
+        res = run_cli(CliRunner(), args)
+        assert res.exit_code in (0, 1, 2), res.output
+
     def test_tv_exact_small_instance(self, runner):
         res = run_cli(runner, ["verify", "tv-exact", "--n", "3", "--k", "2", "--m", "2", "--format", "json"])
         assert res.exit_code == 0

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -12,14 +13,18 @@ from shufflesum.oracle import (
     collision_probability,
     exact_avg_case_tv,
     exact_collision_probability,
-    exact_output_distribution,
-    exact_tv,
     hoeffding_halfwidth,
     lemma1_bound,
     theorem_bound,
     verify_chain,
 )
-from shufflesum.randgraph import EnumerationBudgetError, exact_m_power_C
+from shufflesum.randgraph import ENUMERATION_BUDGET, EnumerationBudgetError, exact_m_power_C
+from transcript_enumeration import (
+    avg_case_tv_by_enumeration,
+    collision_probability_by_enumeration,
+    exact_output_distribution,
+    exact_tv,
+)
 
 # instances small enough to enumerate completely; these values are pinned
 # from the exhaustive-enumeration oracle itself and act as regressions
@@ -136,6 +141,107 @@ class TestExactCollision:
     def test_budget_guard(self):
         with pytest.raises(EnumerationBudgetError):
             exact_collision_probability(19, 3, 2, CollisionMode.V_VS_V)
+
+
+# every instance the ordered enumerator in transcript_enumeration reaches
+REFERENCE_INSTANCES = SMALL_INSTANCES + [(3, 3, 2), (4, 2, 2), (3, 2, 3), (2, 4, 2)]
+
+
+def packed(histograms, n, m):
+    # the key ``histogram_laws`` files a tuple of block histograms under
+    return sum(h * (n + 1) ** (j * m + a) for j, hist in enumerate(histograms) for a, h in enumerate(hist))
+
+
+class TestHistogramLaw:
+    @pytest.mark.parametrize("n,k,m", REFERENCE_INSTANCES)
+    def test_matches_ordered_enumeration(self, n, k, m):
+        assert exact_avg_case_tv(n, k, m) == avg_case_tv_by_enumeration(n, k, m)
+        for mode in CollisionMode:
+            assert exact_collision_probability(n, k, m, mode) == collision_probability_by_enumeration(
+                n, k, m, mode
+            ), mode
+
+    @pytest.mark.parametrize("inputs,k,m", [((0, 1, 1), 2, 2), ((1, 2), 2, 3), ((0, 0, 1), 3, 2)])
+    def test_law_gives_every_ordered_outcome(self, inputs, k, m):
+        # an ordered transcript v has mass N(h(v)) * prod_j prod_a h_j(a)!
+        # out of m^((k-1)n) (n!)^k
+        n = len(inputs)
+        law = next(law for xs, _, law in oracle.histogram_laws(n, k, m) if xs == tuple(sorted(inputs)))
+        assert sum(law.values()) == m ** ((k - 1) * n)
+        reference = exact_output_distribution(inputs, k, m)
+        mass = {}
+        for key, count in law.items():
+            digits = [key // (n + 1) ** i % (n + 1) for i in range(k * m)]
+            mass[key] = count * math.prod(math.factorial(h) for h in digits)
+        seen = set()
+        for v, count in reference.mass.items():
+            blocks = [v[j * n : (j + 1) * n] for j in range(k)]
+            key = packed([[block.count(a) for a in range(m)] for block in blocks], n, m)
+            assert count == mass[key], v
+            seen.add(key)
+        assert seen == set(law)
+
+    def test_classes_and_orderings(self):
+        classes = [(xs, w) for xs, w, _ in oracle.histogram_laws(3, 2, 3)]
+        assert [xs for xs, _ in classes] == sorted(itertools.combinations_with_replacement(range(3), 3))
+        assert sum(w for _, w in classes) == 3**3
+        assert dict(classes)[(0, 1, 2)] == 6 and dict(classes)[(1, 1, 1)] == 1
+
+    def test_pinned_values_past_the_ordered_enumeration(self):
+        assert exact_avg_case_tv(4, 3, 2) == Fraction(245, 4096)
+        assert exact_avg_case_tv(5, 2, 2) == Fraction(165, 1024)
+        for mode in CollisionMode:
+            assert exact_collision_probability(4, 3, 2, mode) == Fraction(155, 294912)
+            assert exact_collision_probability(5, 2, 2, mode) == Fraction(13, 5120)
+        # exact TV falls with n at k = 3, m = 2
+        assert exact_avg_case_tv(5, 3, 2) == Fraction(985, 16384)
+        assert round(float(exact_avg_case_tv(5, 3, 2)), 4) == 0.0601
+        assert exact_avg_case_tv(10, 3, 2) == Fraction(928207003, 34359738368)
+        assert round(float(exact_avg_case_tv(10, 3, 2)), 4) == 0.0270
+
+    @pytest.mark.parametrize(
+        "n,k,m", [(2, 2, 2), (3, 3, 2), (4, 2, 2), (3, 2, 3), (4, 3, 2), (5, 2, 2), (3, 3, 3), (6, 2, 3), (10, 3, 2)]
+    )
+    def test_collision_equals_graph_route(self, n, k, m):
+        # lemma 3 holds with equality: Pr[V = V'] = E[m^C] / m^(kn)
+        p = exact_collision_probability(n, k, m, CollisionMode.V_VS_V)
+        assert p == Fraction(exact_m_power_C(n, k, m), m ** (k * n))
+
+
+class TestExactWork:
+    def test_reference_point_counts(self):
+        # L = 20 input classes, S = 20^3 histogram tuples, U = 19 * 2^2
+        conv = 20 * 76 * 8000
+        assert oracle.exact_work(19, 3, 2) == {
+            "exact_avg_tv": conv + 20**2 * 8000,
+            "exact_collision_v": conv,
+            "exact_collision_e": conv + 20 * 2**38,
+        }
+        assert conv == 12_160_000
+
+    @pytest.mark.parametrize("n,k,m", [(19, 3, 2), (9, 3, 4)])
+    def test_over_budget(self, n, k, m):
+        work = oracle.exact_work(n, k, m)
+        assert all(units > ENUMERATION_BUDGET for units in work.values())
+        with pytest.raises(EnumerationBudgetError, match=f"takes {work['exact_avg_tv']} histogram updates"):
+            exact_avg_case_tv(n, k, m)
+        with pytest.raises(EnumerationBudgetError, match=f"takes {work['exact_collision_v']} histogram"):
+            exact_collision_probability(n, k, m, CollisionMode.V_VS_V)
+
+    def test_e_event_can_be_over_alone(self):
+        work = oracle.exact_work(10, 3, 2)
+        assert work["exact_collision_v"] <= ENUMERATION_BUDGET < work["exact_collision_e"]
+        with pytest.raises(EnumerationBudgetError):
+            exact_collision_probability(10, 3, 2, CollisionMode.E_EVENT)
+
+    def test_large_counts_from_logarithms(self):
+        # past 2^64 a float close to the exact count; no huge integer is built
+        # (C(499, 200) takes the Stirling estimate)
+        exact = math.comb(499, 200) ** 2 * 200
+        approx = oracle.exact_work(200, 1, 300)["exact_collision_v"]
+        assert isinstance(approx, float) and math.isclose(approx, exact, rel_tol=1e-2)
+        assert set(oracle.exact_work(10**4, 11, 2**32).values()) == {math.inf}
+        assert oracle.exact_work(10**9, 3, 2)["exact_collision_e"] == math.inf
 
 
 class TestMonteCarloCollision:
@@ -298,6 +404,33 @@ class TestVerifyChain:
         assert parsed["exact_collision_v"]["fraction"] == "5/32"
         assert parsed["mc_collision_v"]["provenance"] == "monte-carlo"
         assert parsed["seed"] == 46
+
+    def test_exact_collision_without_e_event(self):
+        # E_EVENT's ordered walk is over budget at (10, 3, 2), V_VS_V is not
+        rep = verify_chain(10, 3, 2, samples=2000, seed=47)
+        assert rep.exact_collision_v == Fraction(28523, 15152644620288)
+        assert rep.exact_collision_e is None
+        assert rep.lemma1_source == "exact"
+        assert rep.checks["lemma2_exact_identity"] == "unavailable"
+        assert rep.checks["mc_matches_exact_collision_e"] == "unavailable"
+        assert rep.checks["lemma3_exact_identity"] == "pass"
+        assert rep.all_checks_pass()
+
+    @pytest.mark.parametrize("n,k,m", [(3, 2, 2), (4, 3, 2), (2, 2, 3)])
+    def test_lemma3_identity_checked(self, n, k, m):
+        rep = verify_chain(n, k, m, samples=1000, seed=48)
+        assert rep.checks["lemma3_exact_identity"] == "pass"
+        assert rep.checks["lemma3_exact_soundness"] == "pass"
+        assert rep.checks["lemma2_exact_identity"] == "pass"
+
+    def test_report_states_work_against_budget(self):
+        work = verify_chain(19, 3, 2, samples=100, seed=49).to_dict()["exact_work"]
+        assert work == {
+            "budget": ENUMERATION_BUDGET,
+            "unit": "histogram updates",
+            **oracle.exact_work(19, 3, 2),
+        }
+        assert work["exact_collision_v"] == 12_160_000 > work["budget"]
 
 
 def test_hoeffding_halfwidth_value():

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from helpers import SIGNIFICANCE, binomial_sigma, chisq_pvalue, two_sample_chisq_pvalue
 from shufflesum.group import Modulus, group_sum
-from shufflesum.oracle import exact_output_distribution
 from shufflesum.protocol import aggregate_batch, run_batch, share_batch, transcript_record
+from transcript_enumeration import exact_output_distribution
 
 
 def tiled(inputs, runs: int) -> np.ndarray:
