@@ -236,14 +236,17 @@ def verify_graph_dist(n, k, samples, seed, shards, fmt) -> None:
     seed = _resolve_seed(seed)
     hist = estimate_component_distribution(n, k, samples, seed, shards)
     halfwidth = hoeffding_halfwidth(samples)
+    # lemma 4 is proved for n >= 19 and k >= 3 only; outside, nothing is checked
+    preconditions = {"n>=19": n >= 19, "k>=3": k >= 3}
+    in_regime = all(preconditions.values())
     rows = {}
     violations = []
     for c, count in hist.counts.items():
         bound = lemma4_probability_bound(n, k, c, warn=False)
         freq = count / samples
-        ok = freq <= bound + halfwidth
+        ok = freq <= bound + halfwidth if in_regime else None
         rows[str(c)] = {"count": count, "frequency": freq, "lemma4_bound": bound, "ok": ok}
-        if not ok:
+        if ok is False:
             violations.append(c)
     report = {
         "version": __version__,
@@ -253,6 +256,7 @@ def verify_graph_dist(n, k, samples, seed, shards, fmt) -> None:
         "shards": shards,
         "hoeffding_halfwidth": halfwidth,
         "components": rows,
+        "preconditions_ok": preconditions,
         "violations": violations,
     }
     emit_report(report, fmt)

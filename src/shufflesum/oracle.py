@@ -34,19 +34,17 @@ from typing import Iterator
 
 import numpy as np
 
-from . import randgraph
 from .group import Modulus
 from .planner import sigma_for, validate_params
 from .protocol import run_batch, share_batch
 from .randgraph import (
     ENUMERATION_BUDGET,
     EnumerationBudgetError,
-    _shard_sizes,
     estimate_m_power_C,
     exact_m_power_C,
     expectation_bound,
+    shard_batches,
 )
-from .rng import derive_seed
 
 HOEFFDING_CONFIDENCE = 0.999
 
@@ -262,35 +260,26 @@ def collision_probability(
     Each sample draws a uniform input and runs the protocol engine on it
     (``protocol.run_batch``): V_VS_V compares two shuffled executions on
     the shared input, E_EVENT an unshuffled sharing (``share_batch``) with
-    a shuffled execution. Samples are drawn in batches of at most
-    ``randgraph._BATCH_ELEMENTS`` residues per transcript. Shard s draws
-    from the numpy stream ``default_rng(derive_seed(seed, mode tag, s))``;
-    integer hit counts merge exactly, so results are bit-identical for
-    fixed (seed, shards) and a fixed batch cap. Each batch draws its
-    inputs, shares and permutations in turn, so the hits, unlike the
-    component-count sampler's counts, depend on the cap. m = 1 is the
-    degenerate single-element group where every transcript is all-zeros,
-    so the probability is exactly 1; m above 2**63, the engine's uint64
-    bound, raises ValueError.
+    a shuffled execution. Samples come from ``randgraph.shard_batches``,
+    the one driver of both samplers: shard s draws from the numpy stream
+    ``default_rng(derive_seed(seed, mode tag, s))``, in batches of at most
+    ``randgraph._BATCH_ELEMENTS`` residues per transcript. Integer hit
+    counts merge exactly, so results are bit-identical for fixed (seed,
+    shards) and cap. Each batch draws its inputs, shares and permutations
+    in turn, so the hits, unlike the component counts, depend on the cap.
+    m outside [2, 2**63], the engine's group sizes, raises ValueError.
     """
-    if samples < 1 or shards < 1:
-        raise ValueError(f"need samples >= 1 and shards >= 1, got {samples}, {shards}")
     _check_sizes(n, k, m)
-    if m == 1:
-        return Estimate(1.0, 0.0, samples, samples)
     mod = Modulus(m)
-    batch_cap = max(1, randgraph._BATCH_ELEMENTS // (k * n))
     hits = 0
-    for s, shard_samples in enumerate(_shard_sizes(samples, shards)):
-        rng = np.random.default_rng(derive_seed(seed, _MODE_TAG[mode], s))
-        for done in range(0, shard_samples, batch_cap):
-            x = rng.integers(0, m, size=(min(batch_cap, shard_samples - done), n), dtype=np.uint64)
-            if mode is CollisionMode.V_VS_V:
-                first, _ = run_batch(x, k, mod, rng)
-            else:
-                first, _ = share_batch(x, k, mod, rng)
-            second, _ = run_batch(x, k, mod, rng)
-            hits += int((first == second).all(axis=(1, 2)).sum())
+    for rng, size in shard_batches(samples, shards, k * n, seed, _MODE_TAG[mode]):
+        x = rng.integers(0, m, size=(size, n), dtype=np.uint64)
+        if mode is CollisionMode.V_VS_V:
+            first, _ = run_batch(x, k, mod, rng)
+        else:
+            first, _ = share_batch(x, k, mod, rng)
+        second, _ = run_batch(x, k, mod, rng)
+        hits += int((first == second).all(axis=(1, 2)).sum())
     return Estimate(hits / samples, hoeffding_halfwidth(samples), samples, hits)
 
 

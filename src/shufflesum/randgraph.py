@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from io import StringIO
+from typing import Iterator
 
 import numpy as np
 
@@ -34,12 +34,33 @@ ENUMERATION_BUDGET = 10**7
 # two-sided 99% normal quantile, for Monte Carlo mean confidence intervals
 _Z99 = 2.5758293035489004
 
-# elements per numpy batch when mass-sampling (memory / speed knob). The
-# component-count sampler does not depend on it: rng.permuted shuffles row
-# after row, so any split of a shard draws the same stream. The collision
-# sampler in oracle does: each of its batches draws inputs, then shares,
-# then permutations, so a different cap gives a different stream.
+# elements per batch of shard_batches, the one driver of both Monte Carlo
+# samplers (memory / speed knob). The component-count sampler does not
+# depend on it: rng.permuted shuffles row after row, so any split of a
+# shard draws the same stream. The collision sampler in oracle does: each
+# batch draws inputs, then shares, then permutations, so a different cap
+# gives a different stream.
 _BATCH_ELEMENTS = 1 << 21
+
+
+def shard_batches(
+    samples: int, shards: int, elements: int, seed: int, *tag: int
+) -> Iterator[tuple[np.random.Generator, int]]:
+    """Yield (rng, size) for each batch of `samples` draws of `elements` numbers.
+
+    Shard s takes samples // shards draws, one more if s < samples % shards,
+    from default_rng(derive_seed(seed, *tag, s)), in batches of at most
+    _BATCH_ELEMENTS // elements draws (the cap is read at call time).
+    """
+    if samples < 1 or shards < 1:
+        raise ValueError(f"need samples >= 1 and shards >= 1, got {samples}, {shards}")
+    cap = max(1, _BATCH_ELEMENTS // elements)
+    base, extra = divmod(samples, shards)
+    for s in range(shards):
+        rng = np.random.default_rng(derive_seed(seed, *tag, s))
+        size = base + (s < extra)
+        for done in range(0, size, cap):
+            yield rng, min(cap, size - done)
 
 
 class EnumerationBudgetError(ValueError):
@@ -105,47 +126,27 @@ class ComponentHistogram:
 def _component_counts_from_perms(perms: np.ndarray) -> np.ndarray:
     """Component counts for a batch of graphs, perms shaped (batch, k, n).
 
-    Vectorized minimum-label propagation: every vertex starts labeled with
-    its own index and repeatedly takes the minimum label across its edges
-    (both directions of every permutation) until nothing changes; a vertex
-    then keeps its own index iff it is its component's minimum.
+    Minimum-label propagation on one flat label array, where graph b's
+    vertex v is b*n + v. Each round pulls p(v)'s label into v, pushes v's
+    label to p(v) (one scatter: a permutation repeats no index), then jumps
+    every label to its label's label (Shiloach and Vishkin, J. Algorithms
+    1982). At the fixed point a vertex keeps its own index iff it is the
+    minimum of its component.
     """
     batch, k, n = perms.shape
-    base = np.broadcast_to(np.arange(n), (batch, k, n))
-    inv = np.empty_like(perms)
-    np.put_along_axis(inv, perms, base, axis=-1)
-    labels = np.tile(np.arange(n), (batch, 1))
+    vertices = np.arange(batch * n)
+    flat = (perms + n * np.arange(batch)[:, None, None]).transpose(1, 0, 2).reshape(k, -1)
+    labels = vertices
     while True:
         new = labels.copy()
-        for i in range(k):
-            np.minimum(new, np.take_along_axis(new, perms[:, i, :], axis=1), out=new)
-            np.minimum(new, np.take_along_axis(new, inv[:, i, :], axis=1), out=new)
+        for p in flat:
+            np.minimum(new, new[p], out=new)
+            new[p] = np.minimum(new[p], new)
+        new = new[new]
         if np.array_equal(new, labels):
             break
         labels = new
-    return (labels == np.arange(n)).sum(axis=1)
-
-
-def _shard_sizes(samples: int, shards: int) -> list[int]:
-    base, extra = divmod(samples, shards)
-    return [base + (1 if s < extra else 0) for s in range(shards)]
-
-
-def _sample_component_counts(n: int, k: int, samples: int, seed: int, shards: int) -> Counter:
-    """Counter of component counts over `samples` graphs, sharded streams."""
-    counts: Counter = Counter()
-    batch_cap = max(1, _BATCH_ELEMENTS // (k * n))
-    for s, shard_samples in enumerate(_shard_sizes(samples, shards)):
-        rng = np.random.default_rng(derive_seed(seed, s))
-        remaining = shard_samples
-        while remaining > 0:
-            batch = min(remaining, batch_cap)
-            tiled = np.tile(np.arange(n), (batch, k, 1))
-            perms = rng.permuted(tiled, axis=-1)
-            cs = _component_counts_from_perms(perms)
-            counts.update(cs.tolist())
-            remaining -= batch
-    return counts
+    return (labels == vertices).reshape(batch, n).sum(axis=1)
 
 
 def estimate_component_distribution(
@@ -158,15 +159,15 @@ def estimate_component_distribution(
     """
     if n < 1 or k < 1:
         raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
-    if samples < 1:
-        raise ValueError(f"need samples >= 1, got {samples}")
-    if shards < 1:
-        raise ValueError(f"need shards >= 1, got {shards}")
-    counts = _sample_component_counts(n, k, samples, seed, shards)
-    return ComponentHistogram(n, k, dict(sorted(counts.items())), samples, seed)
+    totals = np.zeros(n + 1, dtype=np.int64)
+    for rng, size in shard_batches(samples, shards, k * n, seed):
+        perms = rng.permuted(np.tile(np.arange(n), (size, k, 1)), axis=-1)
+        totals += np.bincount(_component_counts_from_perms(perms), minlength=n + 1)
+    counts = {c: int(count) for c, count in enumerate(totals) if count}
+    return ComponentHistogram(n, k, counts, samples, seed)
 
 
-def _histogram_m_power_stats(counts: Counter | dict[int, int], m: int, samples: int) -> tuple[float, float]:
+def _histogram_m_power_stats(counts: dict[int, int], m: int, samples: int) -> tuple[float, float]:
     # exact integer accumulation over the histogram, floats only at the end
     total = sum(cnt * m**c for c, cnt in counts.items())
     total_sq = sum(cnt * m ** (2 * c) for c, cnt in counts.items())
@@ -199,8 +200,6 @@ def estimate_m_power_C(
         raise ValueError(f"need m >= 1, got {m}")
     hist = estimate_component_distribution(n, k, samples, seed, shards)
     return _histogram_m_power_stats(hist.counts, m, samples)
-
-
 
 
 def exact_m_power_C(n: int, k: int, m: int) -> Fraction:

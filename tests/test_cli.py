@@ -16,6 +16,13 @@ def runner():
     return CliRunner()
 
 
+# --m or --m-bits, valid or not, for the exit-code fuzz tests
+M_OPTION = st.one_of(
+    st.tuples(st.just("--m"), st.integers(-1, 6)),
+    st.tuples(st.just("--m-bits"), st.integers(-1, 70)),
+)
+
+
 def run_cli(runner, args):
     return runner.invoke(main, args, catch_exceptions=False)
 
@@ -168,6 +175,20 @@ class TestSimulate:
         assert run_cli(runner, ["simulate", "--n", "0", "--k", "1", "--m", "3"]).exit_code == 2
         assert run_cli(runner, ["simulate", "--n", "2", "--k", "1", "--m", "1"]).exit_code == 2
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(-1, 6),
+        k=st.integers(-1, 4),
+        m=M_OPTION,
+        runs=st.integers(-1, 3),
+        variant=st.sampled_from(["plain", "randomized"]),
+    )
+    def test_exit_code_in_contract(self, n, k, m, runs, variant):
+        args = ["simulate", "--n", str(n), "--k", str(k), m[0], str(m[1]),
+                "--runs", str(runs), "--variant", variant, "--seed", "1"]
+        res = run_cli(CliRunner(), args)
+        assert res.exit_code in (0, 1, 2), res.output
+
 
 class TestVerify:
     def test_graph_dist_passes(self, runner):
@@ -179,6 +200,52 @@ class TestVerify:
         report = json.loads(res.output)
         assert report["violations"] == []
         assert report["seed"] == 7
+        assert report["preconditions_ok"] == {"n>=19": True, "k>=3": True}
+        assert all(row["ok"] is True for row in report["components"].values())
+
+    @pytest.mark.parametrize("n, k", [(19, 1), (18, 3)])
+    def test_graph_dist_outside_regime_not_checked(self, runner, n, k):
+        # lemma 4 is proved only for n >= 19 and k >= 3; at (19, 1) the
+        # frequencies exceed its closed form, which is no violation
+        res = run_cli(
+            runner,
+            ["verify", "graph-dist", "--n", str(n), "--k", str(k), "--samples", "20000", "--seed", "1",
+             "--format", "json"],
+        )
+        assert res.exit_code == 0
+        report = json.loads(res.output)
+        assert report["preconditions_ok"] == {"n>=19": n >= 19, "k>=3": k >= 3}
+        assert report["violations"] == []
+        assert all(row["ok"] is None for row in report["components"].values())
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(-1, 25),
+        k=st.integers(-1, 4),
+        samples=st.integers(-1, 50),
+        shards=st.integers(-1, 3),
+    )
+    def test_graph_dist_exit_code_in_contract(self, n, k, samples, shards):
+        args = ["verify", "graph-dist", "--n", str(n), "--k", str(k),
+                "--samples", str(samples), "--shards", str(shards), "--seed", "1"]
+        res = run_cli(CliRunner(), args)
+        assert res.exit_code in (0, 1, 2), res.output
+        if n < 19 or k < 3:
+            assert res.exit_code != 1, res.output
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(-1, 25),
+        k=st.integers(-1, 4),
+        m=M_OPTION,
+        samples=st.integers(-1, 50),
+        shards=st.integers(-1, 3),
+    )
+    def test_graph_exp_exit_code_in_contract(self, n, k, m, samples, shards):
+        args = ["verify", "graph-exp", "--n", str(n), "--k", str(k), m[0], str(m[1]),
+                "--samples", str(samples), "--shards", str(shards), "--seed", "1"]
+        res = run_cli(CliRunner(), args)
+        assert res.exit_code in (0, 1, 2), res.output
 
     def test_graph_exp_passes(self, runner):
         res = run_cli(
@@ -207,10 +274,7 @@ class TestVerify:
     @given(
         n=st.integers(-1, 6),
         k=st.integers(-1, 4),
-        m=st.one_of(
-            st.tuples(st.just("--m"), st.integers(-1, 6)),
-            st.tuples(st.just("--m-bits"), st.integers(-1, 70)),
-        ),
+        m=M_OPTION,
     )
     def test_tv_exact_exit_code_in_contract(self, n, k, m):
         # a result, a violated bound, or a usage or budget error; never a crash
@@ -221,10 +285,7 @@ class TestVerify:
     @given(
         n=st.integers(-1, 6),
         k=st.integers(-1, 4),
-        m=st.one_of(
-            st.tuples(st.just("--m"), st.integers(-1, 6)),
-            st.tuples(st.just("--m-bits"), st.integers(-1, 70)),
-        ),
+        m=M_OPTION,
         samples=st.integers(-1, 50),
         shards=st.integers(-1, 3),
     )

@@ -258,16 +258,23 @@ class TestMonteCarloCollision:
             assert abs(est.value - exact) <= est.ci_halfwidth
 
     def test_degenerate_group(self):
-        est = collision_probability(3, 2, 1, 1000, seed=33, mode=CollisionMode.V_VS_V)
-        assert est.value == 1.0 and est.ci_halfwidth == 0.0
+        # m = 1 is rejected by Modulus, as at every other engine entry point
+        with pytest.raises(ValueError, match="modulus must be >= 2"):
+            collision_probability(3, 2, 1, 1000, seed=33, mode=CollisionMode.V_VS_V)
 
     def test_deterministic(self):
         kwargs = dict(samples=5000, seed=34, mode=CollisionMode.E_EVENT, shards=2)
         assert collision_probability(3, 2, 4, **kwargs) == collision_probability(3, 2, 4, **kwargs)
 
     def test_hits_consistent(self):
-        est = collision_probability(2, 2, 2, 4000, seed=35, mode=CollisionMode.V_VS_V)
-        assert est.value == est.hits / est.samples
+        # 4001 does not divide by 3; with 3 samples on 5 shards, two are empty
+        for samples, shards in [(4000, 1), (4001, 3), (3, 5)]:
+            est = collision_probability(2, 2, 2, samples, seed=35, mode=CollisionMode.V_VS_V, shards=shards)
+            assert est.samples == samples
+            assert est.value == est.hits / samples
+            # one user with one share always collides: every sample counted once
+            always = collision_probability(1, 1, 5, samples, seed=35, mode=CollisionMode.E_EVENT, shards=shards)
+            assert always.hits == samples
 
     @pytest.mark.parametrize("mode", list(CollisionMode))
     def test_same_estimate_in_one_batch_or_several(self, monkeypatch, mode):

@@ -188,6 +188,23 @@ class TestBatchCounts:
         perms = np.broadcast_to(cycle, (3, 1, n)).copy()
         assert list(_component_counts_from_perms(perms)) == [1, 1, 1]
 
+    def test_no_leakage_between_graphs(self):
+        # graph b's vertex v sits at b*n + v in one flat array; a wrong
+        # offset merges neighbouring graphs, which rows of one kind hide
+        rng = np.random.default_rng(5)
+        for n, k in [(1, 1), (1, 3), (6, 2), (11, 3)]:
+            identity = np.tile(np.arange(n), (k, 1))
+            cycle = np.tile(np.roll(np.arange(n), 1), (k, 1))
+            randoms = rng.permuted(np.tile(np.arange(n), (4, k, 1)), axis=-1)
+            rows = [identity, cycle, randoms[0], identity, randoms[1], randoms[2], cycle, randoms[3]]
+            for perms in (np.stack(rows), np.stack(rows[:1]), np.stack(rows[1:2])):
+                expected = [
+                    connected_components(PermutationMultigraph(n, tuple(tuple(int(v) for v in p) for p in g)))
+                    for g in perms
+                ]
+                assert _component_counts_from_perms(perms).tolist() == expected
+            assert _component_counts_from_perms(np.stack(rows))[[0, 1]].tolist() == [n, 1]
+
 
 class TestClosedFormBounds:
     def test_c1_is_one(self):
@@ -241,8 +258,10 @@ class TestEstimators:
         assert hist.counts == {1: 5000}
 
     def test_counts_total_samples(self):
-        hist = estimate_component_distribution(7, 2, 12_345, seed=1)
-        assert sum(hist.counts.values()) == 12_345 == hist.samples
+        # 12_345 does not divide by 4; with 3 samples on 5 shards, two are empty
+        for samples, shards in [(12_345, 1), (12_345, 4), (3, 5)]:
+            hist = estimate_component_distribution(7, 2, samples, seed=1, shards=shards)
+            assert sum(hist.counts.values()) == samples == hist.samples
 
     def test_deterministic(self):
         a = estimate_component_distribution(9, 3, 20_000, seed=2, shards=3)
