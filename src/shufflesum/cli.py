@@ -26,10 +26,11 @@ from .oracle import (
     exact_avg_case_tv,
     exact_collision_probability,
     hoeffding_halfwidth,
+    json_value,
     lemma1_bound,
     verify_chain,
 )
-from .planner import baseline_k_lower_bound, plan_shuffled_k, validate_params
+from .planner import baseline_k_lower_bound, plan_shuffled_k, regime_flags
 from .protocol import Variant, aggregate_batch, run_batch, transcript_record
 from .randgraph import (
     EnumerationBudgetError,
@@ -43,19 +44,11 @@ from .rng import derive_seed
 EXIT_VIOLATION = 1
 
 
-def _resolve_m(m: int | None, m_bits: int | None) -> int:
+def _resolve_m(m: int | None, m_bits: int | None) -> Modulus:
     if (m is None) == (m_bits is None):
         raise click.UsageError("specify exactly one of --m or --m-bits")
-    if m_bits is not None:
-        if m_bits < 1:
-            raise click.UsageError("--m-bits must be >= 1")
-        return 2**m_bits
-    return m
-
-
-def _modulus(m: int) -> Modulus:
     try:
-        return Modulus(m)
+        return Modulus(m if m_bits is None else 2**m_bits)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
 
@@ -111,6 +104,23 @@ def emit_report(report: dict, fmt: str) -> None:
         _echo(f"{key:<{width}}  {flat[key]}")
 
 
+def _finish(report: dict, fmt: str, ok: bool) -> None:
+    """Print the report with the program version; exit 1 unless ok."""
+    emit_report({"version": __version__, **report}, fmt)
+    if not ok:
+        sys.exit(EXIT_VIOLATION)
+
+
+def _options(*decorators):
+    def apply(command):
+        for decorator in reversed(decorators):
+            command = decorator(command)
+        return command
+
+    return apply
+
+
+_POSITIVE = click.IntRange(min=1)
 _FORMAT = click.option(
     "--format",
     "fmt",
@@ -118,6 +128,20 @@ _FORMAT = click.option(
     default="table",
     show_default=True,
     help="Output format.",
+)
+_MODULUS = _options(
+    click.option("--m", type=int, default=None, help="Group size."),
+    click.option("--m-bits", type=_POSITIVE, default=None, help="Group size as 2**bits."),
+)
+_SEED = click.option("--seed", type=int, default=None, help="Base seed (generated and printed if omitted).")
+_SAMPLING = _options(
+    click.option("--samples", type=_POSITIVE, default=100_000, show_default=True),
+    _SEED,
+    click.option("--shards", type=_POSITIVE, default=1, show_default=True),
+)
+_N_K = _options(
+    click.option("--n", type=_POSITIVE, required=True, help="Number of users."),
+    click.option("--k", type=_POSITIVE, required=True, help="Shuffled shares per user."),
 )
 
 
@@ -144,18 +168,16 @@ def main() -> None:
 @main.command()
 @click.option("--sigma", type=float, required=True, help="Target security exponent (bits).")
 @click.option("--n", type=int, required=True, help="Number of users.")
-@click.option("--m", type=int, default=None, help="Group size.")
-@click.option("--m-bits", type=int, default=None, help="Group size as 2**bits.")
+@_MODULUS
 @_FORMAT
 def plan(sigma: float, n: int, m: int | None, m_bits: int | None, fmt: str) -> None:
     """Minimal messages per user for a target security level."""
-    m_val = _modulus(_resolve_m(m, m_bits)).m
+    m_val = _resolve_m(m, m_bits).m
     try:
         result = plan_shuffled_k(sigma, n, m_val)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
     report = {
-        "version": __version__,
         "params": {"sigma": sigma, "n": n, "m": m_val},
         "k_shuffled": result.k_shuffled,
         "total_messages": result.total_messages,
@@ -163,30 +185,25 @@ def plan(sigma: float, n: int, m: int | None, m_bits: int | None, fmt: str) -> N
         "baseline_k_lower_bound": baseline_k_lower_bound(sigma),
         "preconditions_ok": result.preconditions_ok,
     }
-    emit_report(report, fmt)
+    _finish(report, fmt, True)
 
 
 @main.command()
-@click.option("--n", type=int, required=True, help="Number of users.")
-@click.option("--k", type=int, required=True, help="Shuffled shares per user.")
-@click.option("--m", type=int, default=None, help="Group size.")
-@click.option("--m-bits", type=int, default=None, help="Group size as 2**bits.")
+@_N_K
+@_MODULUS
 @click.option(
     "--variant",
     type=click.Choice([v.value for v in Variant]),
     default=Variant.PLAIN.value,
     show_default=True,
 )
-@click.option("--seed", type=int, default=None, help="Base seed (generated and printed if omitted).")
-@click.option("--runs", type=int, default=1, show_default=True)
+@_SEED
+@click.option("--runs", type=_POSITIVE, default=1, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None,
               help="Write transcripts (JSON lines) here instead of stdout.")
 def simulate(n, k, m, m_bits, variant, seed, runs, out) -> None:
     """Run the protocol and record transcripts plus conservation checks."""
-    m_val = _resolve_m(m, m_bits)
-    if n < 1 or k < 1 or runs < 1:
-        raise click.UsageError("need n >= 1, k >= 1, runs >= 1")
-    mod = _modulus(m_val)
+    mod = _resolve_m(m, m_bits)
     seed = _resolve_seed(seed)
     clear = variant == Variant.RANDOMIZED_INPUTS.value
     failures = 0
@@ -223,21 +240,16 @@ def verify() -> None:
 
 
 @verify.command("graph-dist")
-@click.option("--n", type=int, required=True)
-@click.option("--k", type=int, required=True)
-@click.option("--samples", type=int, default=100_000, show_default=True)
-@click.option("--seed", type=int, default=None)
-@click.option("--shards", type=int, default=1, show_default=True)
+@_N_K
+@_SAMPLING
 @_FORMAT
 def verify_graph_dist(n, k, samples, seed, shards, fmt) -> None:
     """Empirical component-count law vs its closed-form bound."""
-    if n < 1 or k < 1 or samples < 1 or shards < 1:
-        raise click.UsageError("need n, k, samples, shards >= 1")
     seed = _resolve_seed(seed)
     hist = estimate_component_distribution(n, k, samples, seed, shards)
     halfwidth = hoeffding_halfwidth(samples)
     # lemma 4 is proved for n >= 19 and k >= 3 only; outside, nothing is checked
-    preconditions = {"n>=19": n >= 19, "k>=3": k >= 3}
+    preconditions = regime_flags(n, k, None)
     in_regime = all(preconditions.values())
     rows = {}
     violations = []
@@ -249,7 +261,6 @@ def verify_graph_dist(n, k, samples, seed, shards, fmt) -> None:
         if ok is False:
             violations.append(c)
     report = {
-        "version": __version__,
         "params": {"n": n, "k": k},
         "samples": samples,
         "seed": seed,
@@ -259,25 +270,17 @@ def verify_graph_dist(n, k, samples, seed, shards, fmt) -> None:
         "preconditions_ok": preconditions,
         "violations": violations,
     }
-    emit_report(report, fmt)
-    if violations:
-        sys.exit(EXIT_VIOLATION)
+    _finish(report, fmt, not violations)
 
 
 @verify.command("graph-exp")
-@click.option("--n", type=int, required=True)
-@click.option("--k", type=int, required=True)
-@click.option("--m", type=int, default=None)
-@click.option("--m-bits", type=int, default=None)
-@click.option("--samples", type=int, default=100_000, show_default=True)
-@click.option("--seed", type=int, default=None)
-@click.option("--shards", type=int, default=1, show_default=True)
+@_N_K
+@_MODULUS
+@_SAMPLING
 @_FORMAT
 def verify_graph_exp(n, k, m, m_bits, samples, seed, shards, fmt) -> None:
     """Monte Carlo E[m^C] vs its closed-form bound."""
-    m_val = _modulus(_resolve_m(m, m_bits)).m
-    if n < 1 or k < 1 or samples < 1 or shards < 1:
-        raise click.UsageError("need n, k, samples, shards >= 1")
+    m_val = _resolve_m(m, m_bits).m
     try:
         bound = expectation_bound(n, k, m_val)
     except ValueError as exc:
@@ -286,7 +289,6 @@ def verify_graph_exp(n, k, m, m_bits, samples, seed, shards, fmt) -> None:
     estimate, halfwidth = estimate_m_power_C(n, k, m_val, samples, seed, shards)
     ok = estimate - halfwidth <= bound
     report = {
-        "version": __version__,
         "params": {"n": n, "k": k, "m": m_val},
         "samples": samples,
         "seed": seed,
@@ -296,68 +298,43 @@ def verify_graph_exp(n, k, m, m_bits, samples, seed, shards, fmt) -> None:
         "expectation_bound": bound,
         "ok": ok,
     }
-    emit_report(report, fmt)
-    if not ok:
-        sys.exit(EXIT_VIOLATION)
+    _finish(report, fmt, ok)
 
 
 @verify.command("tv-exact")
-@click.option("--n", type=int, required=True)
-@click.option("--k", type=int, required=True)
-@click.option("--m", type=int, default=None)
-@click.option("--m-bits", type=int, default=None)
+@_N_K
+@_MODULUS
 @_FORMAT
 def verify_tv_exact(n, k, m, m_bits, fmt) -> None:
     """Exact average TV vs the exact collision-probability bound, both
     summed over block histograms; exit 2 past the work budget."""
-    m_val = _modulus(_resolve_m(m, m_bits)).m
-    if n < 1 or k < 1:
-        raise click.UsageError("need n, k >= 1")
+    m_val = _resolve_m(m, m_bits).m
     try:
         tv = exact_avg_case_tv(n, k, m_val)
         collision = exact_collision_probability(n, k, m_val, CollisionMode.V_VS_V)
     except EnumerationBudgetError as exc:
         raise click.UsageError(str(exc)) from exc
-    radicand = collision * m_val ** (k * n - 1) - 1
-    sound = tv * tv <= radicand
-    bound = lemma1_bound(collision, n, k, m_val)
+    sound = tv * tv <= collision * m_val ** (k * n - 1) - 1
     report = {
-        "version": __version__,
         "params": {"n": n, "k": k, "m": m_val},
-        "exact_avg_tv": {"fraction": f"{tv.numerator}/{tv.denominator}", "value": float(tv)},
-        "exact_collision": {
-            "fraction": f"{collision.numerator}/{collision.denominator}",
-            "value": float(collision),
-        },
-        "lemma1_bound": {"value": bound.value, "status": bound.status},
+        "exact_avg_tv": json_value(tv),
+        "exact_collision": json_value(collision),
+        "lemma1_bound": json_value(lemma1_bound(collision, n, k, m_val)),
         "ok": sound,
     }
-    emit_report(report, fmt)
-    if not sound:
-        sys.exit(EXIT_VIOLATION)
+    _finish(report, fmt, sound)
 
 
 @verify.command("chain")
-@click.option("--n", type=int, required=True)
-@click.option("--k", type=int, required=True)
-@click.option("--m", type=int, default=None)
-@click.option("--m-bits", type=int, default=None)
-@click.option("--samples", type=int, default=100_000, show_default=True)
-@click.option("--seed", type=int, default=None)
-@click.option("--shards", type=int, default=1, show_default=True)
+@_N_K
+@_MODULUS
+@_SAMPLING
 @_FORMAT
 def verify_chain_cmd(n, k, m, m_bits, samples, seed, shards, fmt) -> None:
     """Full bound-chain report: exact within the work budget, Monte Carlo always."""
-    m_val = _resolve_m(m, m_bits)
-    if n < 1 or k < 1 or m_val < 2 or samples < 1 or shards < 1:
-        raise click.UsageError("need n, k >= 1, m >= 2, samples, shards >= 1")
-    _modulus(m_val)
-    seed = _resolve_seed(seed)
-    report = verify_chain(n, k, m_val, samples, seed, shards)
-    payload = {"version": __version__, **report.to_dict()}
-    emit_report(payload, fmt)
-    if not report.all_checks_pass():
-        sys.exit(EXIT_VIOLATION)
+    m_val = _resolve_m(m, m_bits).m
+    report = verify_chain(n, k, m_val, samples, _resolve_seed(seed), shards)
+    _finish(report.to_dict(), fmt, report.all_checks_pass())
 
 
 if __name__ == "__main__":

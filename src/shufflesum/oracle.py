@@ -26,8 +26,9 @@ from __future__ import annotations
 import enum
 import json
 import math
+import operator
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from typing import Iterator
@@ -35,7 +36,7 @@ from typing import Iterator
 import numpy as np
 
 from .group import Modulus
-from .planner import sigma_for, validate_params
+from .planner import regime_flags, sigma_for
 from .protocol import run_batch, share_batch
 from .randgraph import (
     ENUMERATION_BUDGET,
@@ -49,12 +50,11 @@ from .randgraph import (
 HOEFFDING_CONFIDENCE = 0.999
 
 
-def hoeffding_halfwidth(samples: int, confidence: float = HOEFFDING_CONFIDENCE) -> float:
-    """Two-sided Hoeffding halfwidth for a [0,1]-bounded sample mean."""
+def hoeffding_halfwidth(samples: int) -> float:
+    """Two-sided Hoeffding halfwidth at HOEFFDING_CONFIDENCE for a [0,1]-bounded sample mean."""
     if samples < 1:
         raise ValueError(f"need samples >= 1, got {samples}")
-    delta = 1.0 - confidence
-    return math.sqrt(math.log(2.0 / delta) / (2.0 * samples))
+    return math.sqrt(math.log(2.0 / (1.0 - HOEFFDING_CONFIDENCE)) / (2.0 * samples))
 
 
 @dataclass(frozen=True)
@@ -78,8 +78,8 @@ _WORK_KEY = {CollisionMode.V_VS_V: "exact_collision_v", CollisionMode.E_EVENT: "
 
 
 def _check_sizes(n: int, k: int, m: int) -> None:
-    if n < 1 or k < 1 or m < 1:
-        raise ValueError(f"need n, k, m >= 1, got n={n}, k={k}, m={m}")
+    if n < 1 or k < 1 or m < 2:
+        raise ValueError(f"need n, k >= 1 and m >= 2, got n={n}, k={k}, m={m}")
 
 
 def _units(exact, *log2_terms: float) -> int | float:
@@ -269,8 +269,8 @@ def collision_probability(
     in turn, so the hits, unlike the component counts, depend on the cap.
     m outside [2, 2**63], the engine's group sizes, raises ValueError.
     """
-    _check_sizes(n, k, m)
     mod = Modulus(m)
+    _check_sizes(n, k, m)
     hits = 0
     for rng, size in shard_batches(samples, shards, k * n, seed, _MODE_TAG[mode]):
         x = rng.integers(0, m, size=(size, n), dtype=np.uint64)
@@ -289,9 +289,7 @@ class Lemma1Bound:
 
     value: float | None
     status: str  # "ok" | "radicand-negative"
-
-    def value_or_zero(self) -> float:
-        return self.value if self.value is not None else 0.0
+    provenance: str = "exact"  # or "monte-carlo": how the radicand was obtained
 
 
 def _safe_exp(x: float) -> float:
@@ -311,19 +309,21 @@ def _bound_from_exact_radicand(rad: Fraction) -> Lemma1Bound:
 def _bound_from_log1p_arg(log_arg: float) -> Lemma1Bound:
     # log_arg = log(radicand + 1); radicand >= 0 iff log_arg >= 0
     if log_arg < 0:
-        return Lemma1Bound(None, "radicand-negative")
+        return Lemma1Bound(None, "radicand-negative", "monte-carlo")
     if log_arg > 700:
-        return Lemma1Bound(_safe_exp(log_arg / 2), "ok")
-    return Lemma1Bound(math.sqrt(math.expm1(log_arg)), "ok")
+        return Lemma1Bound(_safe_exp(log_arg / 2), "ok", "monte-carlo")
+    return Lemma1Bound(math.sqrt(math.expm1(log_arg)), "ok", "monte-carlo")
 
 
 def lemma1_bound(collision_prob, n: int, k: int, m: int) -> Lemma1Bound:
     """Distance bound sqrt(m^(kn-1) * collision_prob - 1), log-space safe.
 
-    Exact inputs (int / Fraction) decide the radicand's sign exactly. A
-    Monte Carlo estimate below the uniform floor m^(1-kn) leaves a negative
-    radicand; that is reported as an explicit status, never silently
-    clamped, to distinguish estimation noise from a genuinely zero bound.
+    Exact inputs (int / Fraction) decide the radicand's sign exactly and
+    give provenance "exact"; a float is a Monte Carlo estimate, provenance
+    "monte-carlo". An estimate below the uniform floor m^(1-kn) leaves a
+    negative radicand; that is reported as an explicit status, never
+    silently clamped, to distinguish estimation noise from a genuinely
+    zero bound.
     """
     if n < 1 or k < 1 or m < 2:
         raise ValueError(f"need n, k >= 1 and m >= 2, got n={n}, k={k}, m={m}")
@@ -337,7 +337,7 @@ def lemma1_bound(collision_prob, n: int, k: int, m: int) -> Lemma1Bound:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"collision probability must be in [0, 1], got {p}")
     if p == 0.0:
-        return Lemma1Bound(None, "radicand-negative")
+        return Lemma1Bound(None, "radicand-negative", "monte-carlo")
     return _bound_from_log1p_arg((kn - 1) * math.log(m) + math.log(p))
 
 
@@ -346,8 +346,26 @@ def theorem_bound(n: int, k: int, m: int) -> float:
     return 2.0 ** (-sigma_for(k, n, m))
 
 
-def _check(cond: bool) -> str:
-    return "pass" if cond else "fail"
+def _check(test, *inputs) -> str:
+    """"pass" or "fail" by test(*inputs); "unavailable" when an input is None."""
+    if any(x is None for x in inputs):
+        return "unavailable"
+    return "pass" if test(*inputs) else "fail"
+
+
+def json_value(value):
+    """JSON form of a report value; exact rationals and Monte Carlo
+    estimates state their provenance, bounds carry their own."""
+    if isinstance(value, Fraction):
+        fraction = f"{value.numerator}/{value.denominator}"
+        return {"fraction": fraction, "value": float(value), "provenance": "exact"}
+    if isinstance(value, Estimate):
+        return {**asdict(value), "confidence": HOEFFDING_CONFIDENCE, "provenance": "monte-carlo"}
+    if isinstance(value, Lemma1Bound):
+        return asdict(value)
+    if isinstance(value, dict):
+        return dict(value)
+    return value
 
 
 @dataclass(frozen=True)
@@ -378,9 +396,7 @@ class SecurityReport:
     mc_m_power_c: float
     mc_m_power_c_halfwidth: float
     lemma1_bound: Lemma1Bound
-    lemma1_source: str
     lemma3_bound: Lemma1Bound
-    lemma3_source: str
     theorem1_bound: float | None
     preconditions_ok: dict[str, bool]
     checks: dict[str, str]
@@ -389,53 +405,18 @@ class SecurityReport:
         return all(v != "fail" for v in self.checks.values())
 
     def to_dict(self) -> dict:
-        def frac(f: Fraction | None) -> dict | None:
-            if f is None:
-                return None
-            return {"fraction": f"{f.numerator}/{f.denominator}", "value": float(f), "provenance": "exact"}
-
-        def est(e: Estimate) -> dict:
-            return {
-                "value": e.value,
-                "ci_halfwidth": e.ci_halfwidth,
-                "confidence": HOEFFDING_CONFIDENCE,
-                "samples": e.samples,
-                "hits": e.hits,
-                "provenance": "monte-carlo",
-            }
-
-        def bnd(b: Lemma1Bound, source: str) -> dict:
-            return {"value": b.value, "status": b.status, "provenance": source}
-
-        return {
-            "params": {"n": self.n, "k": self.k, "m": self.m},
+        out = {f.name: json_value(getattr(self, f.name)) for f in fields(self)}
+        del out["n"], out["k"], out["m"], out["mc_m_power_c_halfwidth"]
+        out["params"] = {"n": self.n, "k": self.k, "m": self.m}
+        out["exact_work"] = {"budget": ENUMERATION_BUDGET, "unit": "histogram updates", **self.exact_work}
+        out["mc_m_power_c"] = {
+            "value": self.mc_m_power_c,
+            "ci_halfwidth": self.mc_m_power_c_halfwidth,
+            "confidence": 0.99,
             "samples": self.samples,
-            "seed": self.seed,
-            "shards": self.shards,
-            "exact_avg_tv": frac(self.exact_avg_tv),
-            "exact_collision_v": frac(self.exact_collision_v),
-            "exact_collision_e": frac(self.exact_collision_e),
-            "exact_m_power_c": frac(self.exact_m_power_c),
-            "exact_work": {
-                "budget": ENUMERATION_BUDGET,
-                "unit": "histogram updates",
-                **self.exact_work,
-            },
-            "mc_collision_v": est(self.mc_collision_v),
-            "mc_collision_e": est(self.mc_collision_e),
-            "mc_m_power_c": {
-                "value": self.mc_m_power_c,
-                "ci_halfwidth": self.mc_m_power_c_halfwidth,
-                "confidence": 0.99,
-                "samples": self.samples,
-                "provenance": "monte-carlo",
-            },
-            "lemma1_bound": bnd(self.lemma1_bound, self.lemma1_source),
-            "lemma3_bound": bnd(self.lemma3_bound, self.lemma3_source),
-            "theorem1_bound": self.theorem1_bound,
-            "preconditions_ok": dict(self.preconditions_ok),
-            "checks": dict(self.checks),
+            "provenance": "monte-carlo",
         }
+        return out
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
@@ -453,85 +434,50 @@ def verify_chain(
     """
     work = exact_work(n, k, m)
     fits = {name: units <= ENUMERATION_BUDGET for name, units in work.items()}
-    exact_tv_val = exact_avg_case_tv(n, k, m) if fits["exact_avg_tv"] else None
-    exact_cv = exact_ce = exact_emc = None
-    if fits["exact_collision_v"]:
-        exact_cv = exact_collision_probability(n, k, m, CollisionMode.V_VS_V)
-    if fits["exact_collision_e"]:
-        exact_ce = exact_collision_probability(n, k, m, CollisionMode.E_EVENT)
+    tv = exact_avg_case_tv(n, k, m) if fits["exact_avg_tv"] else None
+    cv = exact_collision_probability(n, k, m, CollisionMode.V_VS_V) if fits["exact_collision_v"] else None
+    ce = exact_collision_probability(n, k, m, CollisionMode.E_EVENT) if fits["exact_collision_e"] else None
     try:
-        exact_emc = exact_m_power_C(n, k, m)
+        emc = exact_m_power_C(n, k, m)
     except EnumerationBudgetError:
-        pass
+        emc = None
 
     mc_v = collision_probability(n, k, m, samples, seed, CollisionMode.V_VS_V, shards)
     mc_e = collision_probability(n, k, m, samples, seed, CollisionMode.E_EVENT, shards)
     emc_est, emc_hw = estimate_m_power_C(n, k, m, samples, seed, shards)
 
     kn = k * n
-    if exact_cv is not None:
-        l1 = lemma1_bound(exact_cv, n, k, m)
-        l1_source = "exact"
+    l1 = lemma1_bound(cv if cv is not None else mc_v.value, n, k, m)
+    # the graph route's radicand E[m^C]/m^(kn) * m^(kn-1) - 1 collapses to E[m^C]/m - 1
+    if emc is not None:
+        l3 = graph_lo = _bound_from_exact_radicand(emc / m - 1)
     else:
-        l1 = lemma1_bound(mc_v.value, n, k, m)
-        l1_source = "monte-carlo"
-
-    if exact_emc is not None:
-        l3 = lemma1_bound(Fraction(exact_emc, m**kn), n, k, m)
-        l3_source = "exact"
-    else:
-        # radicand of the graph route collapses to E[m^C]/m - 1
         l3 = _bound_from_log1p_arg(math.log(emc_est) - math.log(m))
-        l3_source = "monte-carlo"
-
+        graph_lo = _bound_from_log1p_arg(math.log(max(emc_est - emc_hw, float(m))) - math.log(m))
     thm = theorem_bound(n, k, m) if n >= 2 else None
-    violations = validate_params(n, k, m)
-    preconditions = {lab: lab not in violations for lab in ("n>=19", "k>=3", "sigma>=1")}
-    in_regime = all(preconditions.values())
+    preconditions = regime_flags(n, k, sigma_for(k, n, m) if n >= 2 else -math.inf)
 
-    checks: dict[str, str] = {}
-    if exact_tv_val is not None and exact_cv is not None:
-        rad = exact_cv * m ** (kn - 1) - 1
-        checks["lemma1_exact_soundness"] = _check(exact_tv_val * exact_tv_val <= rad)
-    else:
-        checks["lemma1_exact_soundness"] = "unavailable"
-    if exact_cv is not None and exact_ce is not None:
-        checks["lemma2_exact_identity"] = _check(exact_cv == exact_ce)
-    else:
-        checks["lemma2_exact_identity"] = "unavailable"
-    if exact_cv is not None and exact_emc is not None:
-        graph_route = Fraction(exact_emc, m**kn)
-        checks["lemma3_exact_soundness"] = _check(exact_cv <= graph_route)
-        checks["lemma3_exact_identity"] = _check(exact_cv == graph_route)
-    else:
-        checks["lemma3_exact_soundness"] = "unavailable"
-        checks["lemma3_exact_identity"] = "unavailable"
-
-    checks["lemma2_mc_consistency"] = _check(
-        abs(mc_v.value - mc_e.value) <= mc_v.ci_halfwidth + mc_e.ci_halfwidth
-    )
-    for name, est, exact in (("v", mc_v, exact_cv), ("e", mc_e, exact_ce)):
-        checks[f"mc_matches_exact_collision_{name}"] = (
-            "unavailable" if exact is None else _check(abs(est.value - float(exact)) <= est.ci_halfwidth)
+    route = Fraction(emc, m**kn) if emc is not None else None
+    checks = {
+        "lemma1_exact_soundness": _check(lambda t, c: t * t <= c * m ** (kn - 1) - 1, tv, cv),
+        "lemma2_exact_identity": _check(operator.eq, cv, ce),
+        "lemma3_exact_soundness": _check(operator.le, cv, route),
+        "lemma3_exact_identity": _check(operator.eq, cv, route),
+        "lemma2_mc_consistency": _check(
+            lambda a, b: abs(a.value - b.value) <= a.ci_halfwidth + b.ci_halfwidth, mc_v, mc_e
+        ),
+    }
+    for name, est, exact in (("v", mc_v, cv), ("e", mc_e, ce)):
+        checks[f"mc_matches_exact_collision_{name}"] = _check(
+            lambda e, x: abs(e.value - float(x)) <= e.ci_halfwidth, est, exact
         )
-
-    if in_regime:
-        exp_bound = expectation_bound(n, k, m)
-        checks["expectation_bound_mc"] = _check(emc_est - emc_hw <= exp_bound)
-        if exact_emc is not None:
-            graph_lo = lemma1_bound(Fraction(exact_emc, m**kn), n, k, m)
-        else:
-            low = max(emc_est - emc_hw, float(m))
-            graph_lo = _bound_from_log1p_arg(math.log(low) - math.log(m))
-        checks["graph_route_le_theorem1"] = _check(graph_lo.value_or_zero() <= thm)
-        if exact_tv_val is not None:
-            checks["theorem1_dominates_exact_tv"] = _check(float(exact_tv_val) <= thm)
-        else:
-            checks["theorem1_dominates_exact_tv"] = "unavailable"
+    if all(preconditions.values()):
+        checks["expectation_bound_mc"] = _check(lambda: emc_est - emc_hw <= expectation_bound(n, k, m))
+        checks["graph_route_le_theorem1"] = _check(lambda: (graph_lo.value or 0.0) <= thm)
+        checks["theorem1_dominates_exact_tv"] = _check(lambda t: float(t) <= thm, tv)
     else:
-        checks["expectation_bound_mc"] = "not-applicable"
-        checks["graph_route_le_theorem1"] = "not-applicable"
-        checks["theorem1_dominates_exact_tv"] = "not-applicable"
+        for name in ("expectation_bound_mc", "graph_route_le_theorem1", "theorem1_dominates_exact_tv"):
+            checks[name] = "not-applicable"
 
     return SecurityReport(
         n=n,
@@ -540,19 +486,17 @@ def verify_chain(
         samples=samples,
         seed=seed,
         shards=shards,
-        exact_avg_tv=exact_tv_val,
-        exact_collision_v=exact_cv,
-        exact_collision_e=exact_ce,
-        exact_m_power_c=exact_emc,
+        exact_avg_tv=tv,
+        exact_collision_v=cv,
+        exact_collision_e=ce,
+        exact_m_power_c=emc,
         exact_work=work,
         mc_collision_v=mc_v,
         mc_collision_e=mc_e,
         mc_m_power_c=emc_est,
         mc_m_power_c_halfwidth=emc_hw,
         lemma1_bound=l1,
-        lemma1_source=l1_source,
         lemma3_bound=l3,
-        lemma3_source=l3_source,
         theorem1_bound=thm,
         preconditions_ok=preconditions,
         checks=checks,

@@ -18,11 +18,6 @@ from dataclasses import dataclass
 
 LOG2_E = math.log2(math.e)
 
-# Fixing up a float ceiling: arguments within 2**-40 of an integer are
-# nudged down before ceil, then minimality is re-verified exactly against
-# sigma_for.
-_CEIL_GUARD = 2.0**-40
-
 
 def sigma_for(k: int, n: int, m: int) -> float:
     """Security exponent (bits) achieved by k shuffled shares, n users, Z_m.
@@ -73,20 +68,13 @@ def plan_shuffled_k(sigma: float, n: int, m: int) -> PlanResult:
     arg = (2 * sigma + math.log2(m)) / denom + 1
     if math.ulp(arg) >= 1:
         raise ValueError(f"sigma={sigma} needs about {arg:.3g} messages, past float resolution")
-    if abs(arg - round(arg)) < _CEIL_GUARD:
-        arg -= _CEIL_GUARD
+    # the float ceiling may be off by one either way; sigma_for decides
     k = max(1, math.ceil(arg))
     while sigma_for(k, n, m) < sigma:
         k += 1
     while k > 1 and sigma_for(k - 1, n, m) >= sigma:
         k -= 1
-    achieved = sigma_for(k, n, m)
-    flags = {
-        "n>=19": n >= 19,
-        "k>=3": k >= 3,
-        "sigma>=1": sigma >= 1,
-    }
-    return PlanResult(k, k + 1, achieved, flags)
+    return PlanResult(k, k + 1, sigma_for(k, n, m), regime_flags(n, k, sigma))
 
 
 def baseline_k_lower_bound(sigma: float) -> float:
@@ -94,6 +82,15 @@ def baseline_k_lower_bound(sigma: float) -> float:
     if sigma <= 0:
         raise ValueError(f"need sigma > 0, got {sigma}")
     return 2.0 * sigma
+
+
+def regime_flags(n: int, k: int, sigma: float | None) -> dict[str, bool]:
+    """Which preconditions of the proved regime hold, by label: n >= 19,
+    k >= 3 and, unless sigma is None, sigma >= 1."""
+    flags = {"n>=19": n >= 19, "k>=3": k >= 3}
+    if sigma is not None:
+        flags["sigma>=1"] = sigma >= 1
+    return flags
 
 
 def _m_bound_ok(n: int, k: int, m: int) -> bool:
@@ -109,13 +106,6 @@ def validate_params(n: int, k: int, m: int) -> list[str]:
     Checks n >= 19, k >= 3, m <= (1/2)(n/e)**(k-1) ("m-bound") and
     sigma_for(k, n, m) >= 1. An empty list means the proved regime applies.
     """
-    violations = []
-    if n < 19:
-        violations.append("n>=19")
-    if k < 3:
-        violations.append("k>=3")
-    if not _m_bound_ok(n, k, m):
-        violations.append("m-bound")
-    if n < 2 or k < 1 or m < 2 or sigma_for(k, n, m) < 1:
-        violations.append("sigma>=1")
-    return violations
+    sigma = sigma_for(k, n, m) if n >= 2 and k >= 1 and m >= 2 else -math.inf
+    flags = {**regime_flags(n, k, sigma), "m-bound": _m_bound_ok(n, k, m)}
+    return [label for label, ok in flags.items() if not ok]

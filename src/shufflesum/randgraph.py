@@ -196,8 +196,8 @@ def estimate_m_power_C(
     CI is a fair approximation for small m but optimistic for large m,
     where m^C is heavy-tailed.
     """
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
+    if m < 2:
+        raise ValueError(f"need m >= 2, got {m}")
     hist = estimate_component_distribution(n, k, samples, seed, shards)
     return _histogram_m_power_stats(hist.counts, m, samples)
 
@@ -216,8 +216,8 @@ def exact_m_power_C(n: int, k: int, m: int) -> Fraction:
     EnumerationBudgetError when n^2 w^log2(3) + w^2 exceeds
     ENUMERATION_BUDGET.
     """
-    if n < 1 or k < 1 or m < 1:
-        raise ValueError(f"need n, k, m >= 1, got n={n}, k={k}, m={m}")
+    if n < 1 or k < 1 or m < 2:
+        raise ValueError(f"need n, k >= 1 and m >= 2, got n={n}, k={k}, m={m}")
     # n^2 alone bounds the work from below; testing it first keeps lgamma finite
     over = n * n > ENUMERATION_BUDGET
     if not over:

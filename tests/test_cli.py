@@ -301,6 +301,7 @@ class TestVerify:
         report = json.loads(res.output)
         assert report["ok"] is True
         assert report["exact_avg_tv"]["fraction"] == "3/16"
+        assert report["exact_avg_tv"]["provenance"] == "exact"
 
     def test_tv_exact_over_budget_exit_2(self, runner):
         res = run_cli(runner, ["verify", "tv-exact", "--n", "9", "--k", "3", "--m", "4"])

@@ -363,7 +363,7 @@ class TestVerifyChain:
         rep = verify_chain(3, 2, 2, samples=20_000, seed=41)
         assert rep.exact_avg_tv == Fraction(3, 16)
         assert rep.exact_collision_v == Fraction(1, 24)
-        assert rep.lemma1_source == "exact"
+        assert rep.lemma1_bound.provenance == "exact"
         for name in (
             "lemma1_exact_soundness",
             "lemma2_exact_identity",
@@ -376,8 +376,8 @@ class TestVerifyChain:
     def test_single_user_everything_zero(self):
         rep = verify_chain(1, 2, 2, samples=5000, seed=42)
         assert rep.exact_avg_tv == 0
-        assert rep.lemma1_bound.value_or_zero() >= 0
-        assert rep.lemma3_bound.value_or_zero() >= 0
+        assert (rep.lemma1_bound.value or 0.0) >= 0
+        assert (rep.lemma3_bound.value or 0.0) >= 0
         assert rep.all_checks_pass()
 
     def test_out_of_regime_marked(self):
@@ -388,10 +388,10 @@ class TestVerifyChain:
     def test_large_instance_uses_monte_carlo(self):
         rep = verify_chain(19, 3, 2, samples=2000, seed=44)
         assert rep.exact_avg_tv is None
-        assert rep.lemma1_source == "monte-carlo"
+        assert rep.lemma1_bound.provenance == "monte-carlo"
         # E[m^C] is exact at any n the recursion's budget allows
         assert rep.exact_m_power_c == Fraction(35051863075, 17476901442)
-        assert rep.lemma3_source == "exact"
+        assert rep.lemma3_bound.provenance == "exact"
         assert abs(rep.theorem1_bound - 0.2023) < 1e-4
         assert rep.preconditions_ok == {"n>=19": True, "k>=3": True, "sigma>=1": True}
         assert rep.checks["expectation_bound_mc"] == "pass"
@@ -411,13 +411,20 @@ class TestVerifyChain:
         assert parsed["exact_collision_v"]["fraction"] == "5/32"
         assert parsed["mc_collision_v"]["provenance"] == "monte-carlo"
         assert parsed["seed"] == 46
+        # every reported value states how it was obtained
+        ref = json.loads(verify_chain(19, 3, 2, samples=1000, seed=46).to_json())
+        for report in (parsed, ref):
+            for entry in report.values():
+                if isinstance(entry, dict) and "value" in entry:
+                    assert entry["provenance"] in ("exact", "monte-carlo"), entry
+        assert ref["lemma1_bound"]["provenance"] == "monte-carlo"
 
     def test_exact_collision_without_e_event(self):
         # E_EVENT's ordered walk is over budget at (10, 3, 2), V_VS_V is not
         rep = verify_chain(10, 3, 2, samples=2000, seed=47)
         assert rep.exact_collision_v == Fraction(28523, 15152644620288)
         assert rep.exact_collision_e is None
-        assert rep.lemma1_source == "exact"
+        assert rep.lemma1_bound.provenance == "exact"
         assert rep.checks["lemma2_exact_identity"] == "unavailable"
         assert rep.checks["mc_matches_exact_collision_e"] == "unavailable"
         assert rep.checks["lemma3_exact_identity"] == "pass"

@@ -10,7 +10,7 @@ from itertools import permutations, product
 import numpy as np
 import pytest
 
-from shufflesum import randgraph
+from shufflesum import oracle, randgraph
 from shufflesum.oracle import hoeffding_halfwidth
 from shufflesum.planner import validate_params
 from shufflesum.randgraph import (
@@ -295,8 +295,16 @@ class TestEstimators:
         assert abs(est - 2.25) <= hw
 
     def test_m_power_degenerate_m1(self):
-        est, hw = estimate_m_power_C(5, 2, 1, 1000, seed=6)
-        assert est == 1.0 and hw == 0.0
+        # Z_1 is not a group the protocol runs on: every entry point rejects it
+        for call in (
+            lambda: estimate_m_power_C(5, 2, 1, 1000, seed=6),
+            lambda: exact_m_power_C(3, 2, 1),
+            lambda: oracle.exact_avg_case_tv(3, 2, 1),
+            lambda: oracle.exact_collision_probability(3, 2, 1, oracle.CollisionMode.V_VS_V),
+            lambda: oracle.exact_work(3, 2, 1),
+        ):
+            with pytest.raises(ValueError):
+                call()
 
     def test_m_power_deterministic(self):
         assert estimate_m_power_C(19, 3, 2, 5000, seed=7, shards=2) == estimate_m_power_C(
