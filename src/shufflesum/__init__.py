@@ -3,17 +3,17 @@ them through independent shufflers, together with the closed-form security
 planner and a verification harness that measures the actual transcript
 distributions against the proved bounds.
 
-The protocol runs on one batched numpy engine (``share_batch`` /
-``run_batch`` / ``aggregate_batch``). All randomness is deterministic and
-seeded numpy ``Generator`` streams. Nothing here is a cryptographic RNG.
+The protocol runs on one batched numpy engine over Z_m (``Modulus`` /
+``share_batch`` / ``run_batch`` / ``aggregate_batch``, all in
+``protocol``). All randomness is deterministic and seeded numpy
+``Generator`` streams. Nothing here is a cryptographic RNG.
 This package simulates and analyzes the protocol, it does not deploy it.
 """
 
 __version__ = "0.1.0"
 
-from .group import GroupElement, Modulus, group_sum
 from .planner import PlanResult, baseline_k_lower_bound, plan_shuffled_k, sigma_for, validate_params
-from .protocol import Variant, aggregate_batch, run_batch, share_batch
+from .protocol import Modulus, aggregate_batch, run_batch, share_batch
 from .randgraph import (
     ComponentHistogram,
     EnumerationBudgetError,
@@ -25,10 +25,7 @@ from .randgraph import (
 )
 
 __all__ = [
-    "GroupElement",
     "Modulus",
-    "group_sum",
-    "Variant",
     "share_batch",
     "run_batch",
     "aggregate_batch",

@@ -24,7 +24,6 @@ with equality, and the report checks that identity too.
 from __future__ import annotations
 
 import enum
-import json
 import math
 import operator
 from collections import defaultdict
@@ -35,12 +34,13 @@ from typing import Iterator
 
 import numpy as np
 
-from .group import Modulus
 from .planner import regime_flags, sigma_for
-from .protocol import run_batch, share_batch
+from .protocol import Modulus, run_batch, share_batch
 from .randgraph import (
     ENUMERATION_BUDGET,
     EnumerationBudgetError,
+    _check_sizes,
+    _float_or_inf,
     estimate_m_power_C,
     exact_m_power_C,
     expectation_bound,
@@ -75,11 +75,6 @@ class CollisionMode(enum.Enum):
 
 
 _WORK_KEY = {CollisionMode.V_VS_V: "exact_collision_v", CollisionMode.E_EVENT: "exact_collision_e"}
-
-
-def _check_sizes(n: int, k: int, m: int) -> None:
-    if n < 1 or k < 1 or m < 2:
-        raise ValueError(f"need n, k >= 1 and m >= 2, got n={n}, k={k}, m={m}")
 
 
 def _units(exact, *log2_terms: float) -> int | float:
@@ -325,8 +320,7 @@ def lemma1_bound(collision_prob, n: int, k: int, m: int) -> Lemma1Bound:
     silently clamped, to distinguish estimation noise from a genuinely
     zero bound.
     """
-    if n < 1 or k < 1 or m < 2:
-        raise ValueError(f"need n, k >= 1 and m >= 2, got n={n}, k={k}, m={m}")
+    _check_sizes(n, k, m)
     kn = k * n
     if isinstance(collision_prob, (int, Fraction)) and not isinstance(collision_prob, bool):
         p = Fraction(collision_prob)
@@ -358,7 +352,7 @@ def json_value(value):
     estimates state their provenance, bounds carry their own."""
     if isinstance(value, Fraction):
         fraction = f"{value.numerator}/{value.denominator}"
-        return {"fraction": fraction, "value": float(value), "provenance": "exact"}
+        return {"fraction": fraction, "value": _float_or_inf(value), "provenance": "exact"}
     if isinstance(value, Estimate):
         return {**asdict(value), "confidence": HOEFFDING_CONFIDENCE, "provenance": "monte-carlo"}
     if isinstance(value, Lemma1Bound):
@@ -417,9 +411,6 @@ class SecurityReport:
             "provenance": "monte-carlo",
         }
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
 def verify_chain(

@@ -9,26 +9,38 @@ user), which upgrades average-case security to worst-case security.
 One engine runs the protocol on a whole batch of executions at once.
 ``run_batch`` takes a ``(runs, n)`` uint64 input array and returns the
 ``(runs, k, n)`` shuffled blocks, plus the ``(runs, n)`` clear block of
-the randomized-inputs variant. Residues stay in uint64 and every sum is
-taken one pair at a time, reduced mod m after each add: both operands are
-below m, so no intermediate reaches 2m <= 2**64, which is why ``Modulus``
-caps m at 2**63. A plain ``.sum()`` over a row would wrap around.
+the randomized-inputs variant. Group elements of Z_m are residues
+0 <= x < m, and ``Modulus`` is the group order m. Residues stay in uint64
+and every sum is taken one pair at a time, reduced mod m after each add:
+both operands are below m, so no intermediate reaches 2m <= 2**64, which
+is why ``Modulus`` caps m at ``MAX_MODULUS`` = 2**63. A plain ``.sum()``
+over a row would wrap around.
 ``transcript_record`` turns run r of a result into the JSON record that
 ``simulate`` writes.
 """
 
 from __future__ import annotations
 
-import enum
+from dataclasses import dataclass
 
 import numpy as np
 
-from .group import Modulus
+MAX_MODULUS = 2**63
 
 
-class Variant(enum.Enum):
-    PLAIN = "plain"
-    RANDOMIZED_INPUTS = "randomized"
+@dataclass(frozen=True)
+class Modulus:
+    """Order of the group Z_m; all protocol arithmetic reduces modulo m."""
+
+    m: int
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.m, int) or isinstance(self.m, bool):
+            raise TypeError(f"modulus must be an int, got {type(self.m).__name__}")
+        if self.m < 2:
+            raise ValueError(f"modulus must be >= 2, got {self.m}")
+        if self.m > MAX_MODULUS:
+            raise ValueError(f"modulus must be <= 2**63, got {self.m}")
 
 
 def _add(a: np.ndarray, b: np.ndarray, m: np.uint64) -> np.ndarray:
@@ -117,12 +129,11 @@ def transcript_record(
     """Run r of a ``run_batch`` result as a JSON-shaped record
     {n, k, m, variant, blocks, clear_block, seed} of Python ints."""
     _, k, n = blocks.shape
-    variant = Variant.PLAIN if clear is None else Variant.RANDOMIZED_INPUTS
     return {
         "n": n,
         "k": k,
         "m": m.m,
-        "variant": variant.value,
+        "variant": "plain" if clear is None else "randomized",
         "blocks": blocks[r].tolist(),
         "clear_block": None if clear is None else clear[r].tolist(),
         "seed": seed,

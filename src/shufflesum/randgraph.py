@@ -18,10 +18,8 @@ batches of graphs and counts their components by label propagation.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from io import StringIO
 from typing import Iterator
 
 import numpy as np
@@ -30,6 +28,13 @@ from .planner import validate_params
 from .rng import derive_seed
 
 ENUMERATION_BUDGET = 10**7
+
+
+def _check_sizes(n: int, k: int, m: int) -> None:
+    """The one (n, k, m) check of every E[m^C], exact-law and bound entry point."""
+    if n < 1 or k < 1 or m < 2:
+        raise ValueError(f"need n, k >= 1 and m >= 2, got n={n}, k={k}, m={m}")
+
 
 # two-sided 99% normal quantile, for Monte Carlo mean confidence intervals
 _Z99 = 2.5758293035489004
@@ -67,20 +72,14 @@ class EnumerationBudgetError(ValueError):
     """Requested exact computation exceeds the fixed 10**7 work budget."""
 
 
-def lemma4_probability_bound(n: int, k: int, c: int, *, warn: bool = True) -> float:
+def lemma4_probability_bound(n: int, k: int, c: int) -> float:
     """Closed-form upper bound on Pr[C = c], evaluated in log space.
 
-    Stated for n >= 19 and k >= 3; smaller parameters only produce a
-    warning because the expression itself is defined everywhere. c = 1
-    gives exactly 1.
+    Proved for n >= 19 and k >= 3 (``planner.regime_flags``), but the
+    expression is evaluated everywhere. c = 1 gives exactly 1.
     """
     if c < 1 or c > n:
         raise ValueError(f"component count must satisfy 1 <= c <= n, got c={c}")
-    if warn and (n < 19 or k < 3):
-        warnings.warn(
-            f"probability bound is only proved for n >= 19 and k >= 3 (got n={n}, k={k})",
-            stacklevel=2,
-        )
     log_bound = (
         (c - 1) * math.log(1.5)
         - math.lgamma(c + 1)
@@ -109,18 +108,6 @@ class ComponentHistogram:
     counts: dict[int, int]
     samples: int
     seed: int
-
-    def frequency(self, c: int) -> float:
-        return self.counts.get(c, 0) / self.samples
-
-    def to_csv(self) -> str:
-        """Columns c, count, frequency, lemma4_bound for every observed c."""
-        out = StringIO()
-        out.write("c,count,frequency,lemma4_bound\n")
-        for c in sorted(self.counts):
-            bound = lemma4_probability_bound(self.n, self.k, c, warn=False)
-            out.write(f"{c},{self.counts[c]},{self.counts[c] / self.samples!r},{bound!r}\n")
-        return out.getvalue()
 
 
 def _component_counts_from_perms(perms: np.ndarray) -> np.ndarray:
@@ -167,6 +154,14 @@ def estimate_component_distribution(
     return ComponentHistogram(n, k, counts, samples, seed)
 
 
+def _float_or_inf(x: Fraction) -> float:
+    """float(x) of a non-negative x, or inf past float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf
+
+
 def _histogram_m_power_stats(counts: dict[int, int], m: int, samples: int) -> tuple[float, float]:
     # exact integer accumulation over the histogram, floats only at the end
     total = sum(cnt * m**c for c, cnt in counts.items())
@@ -176,13 +171,7 @@ def _histogram_m_power_stats(counts: dict[int, int], m: int, samples: int) -> tu
         var = (Fraction(total_sq) - Fraction(total * total, samples)) / (samples - 1)
     else:
         var = Fraction(0)
-    try:
-        mean_f = float(mean)
-        hw = _Z99 * math.sqrt(float(var) / samples)
-    except OverflowError:
-        mean_f = math.inf
-        hw = math.inf
-    return mean_f, hw
+    return _float_or_inf(mean), _Z99 * math.sqrt(_float_or_inf(var) / samples)
 
 
 def estimate_m_power_C(
@@ -194,10 +183,9 @@ def estimate_m_power_C(
     estimate_component_distribution. Accumulation is exact over integer
     component counts, so no overflow before the final division; the normal
     CI is a fair approximation for small m but optimistic for large m,
-    where m^C is heavy-tailed.
+    where m^C is heavy-tailed. Either figure is inf past float range.
     """
-    if m < 2:
-        raise ValueError(f"need m >= 2, got {m}")
+    _check_sizes(n, k, m)
     hist = estimate_component_distribution(n, k, samples, seed, shards)
     return _histogram_m_power_stats(hist.counts, m, samples)
 
@@ -216,8 +204,7 @@ def exact_m_power_C(n: int, k: int, m: int) -> Fraction:
     EnumerationBudgetError when n^2 w^log2(3) + w^2 exceeds
     ENUMERATION_BUDGET.
     """
-    if n < 1 or k < 1 or m < 2:
-        raise ValueError(f"need n, k >= 1 and m >= 2, got n={n}, k={k}, m={m}")
+    _check_sizes(n, k, m)
     # n^2 alone bounds the work from below; testing it first keeps lgamma finite
     over = n * n > ENUMERATION_BUDGET
     if not over:

@@ -1,4 +1,4 @@
-"""Statistical helpers shared across the test suite."""
+"""Statistical and group helpers shared across the test suite."""
 
 from __future__ import annotations
 
@@ -8,6 +8,11 @@ from scipy import stats
 
 # significance for every goodness-of-fit assertion in the suite
 SIGNIFICANCE = 1e-6
+
+
+def group_sum(elements, mod) -> int:
+    """Sum of the elements in Z_m, by Python's unbounded ints; the empty sum is 0."""
+    return sum(elements) % mod.m
 
 
 def chisq_pvalue(observed: list[int], expected_probs: list[float]) -> float:

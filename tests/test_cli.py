@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from shufflesum import cli
 from shufflesum.cli import main
+from shufflesum.randgraph import exact_m_power_C
 
 
 @pytest.fixture
@@ -294,6 +296,30 @@ class TestVerify:
                 "--samples", str(samples), "--shards", str(shards), "--seed", "1"]
         res = run_cli(CliRunner(), args)
         assert res.exit_code in (0, 1, 2), res.output
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(17, 64),
+        k=st.integers(1, 4),
+        m_bits=st.integers(55, 63),
+        samples=st.integers(1, 20),
+    )
+    def test_chain_exit_code_past_float_range(self, n, k, m_bits, samples):
+        # exact E[m^C] here is often far past float range; every exact
+        # transcript law is over budget, so each example stays fast
+        args = ["verify", "chain", "--n", str(n), "--k", str(k), "--m-bits", str(m_bits),
+                "--samples", str(samples), "--seed", "1"]
+        res = run_cli(CliRunner(), args)
+        assert res.exit_code in (0, 1, 2), res.output
+
+    def test_chain_exact_m_power_c_past_float_range(self, runner):
+        args = ["verify", "chain", "--n", "19", "--k", "3", "--m-bits", "63",
+                "--samples", "2000", "--seed", "1", "--format", "json"]
+        res = run_cli(runner, args)
+        assert res.exit_code == 0, res.output
+        exact = json.loads(res.output)["exact_m_power_c"]
+        assert Fraction(exact["fraction"]) == exact_m_power_C(19, 3, 2**63)
+        assert exact["value"] == float("inf")
 
     def test_tv_exact_small_instance(self, runner):
         res = run_cli(runner, ["verify", "tv-exact", "--n", "3", "--k", "2", "--m", "2", "--format", "json"])

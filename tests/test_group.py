@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import SIGNIFICANCE, binomial_sigma, chisq_pvalue
-from shufflesum.group import MAX_MODULUS, Modulus, group_sum
-from shufflesum.protocol import _add, _sub, share_batch
+from shufflesum.protocol import MAX_MODULUS, Modulus, _add, _sub, share_batch
 
 moduli = st.sampled_from([2, 3, 5, 7, 64, 97, 2**32, 2**63 - 1, 2**63])
 
@@ -94,17 +93,6 @@ class TestArithmetic:
         assert add(a, 0, m) == a
         assert add(a, neg(a, m), m) == 0
 
-    def test_group_sum_examples(self):
-        m = Modulus(5)
-        assert group_sum([], m) == 0
-        assert group_sum([1, 2, 3], m) == 1
-
-    @given(mod_and_elements(6), st.randoms(use_true_random=False))
-    def test_group_sum_permutation_invariant(self, case, rnd):
-        m, xs = case
-        shuffled = list(xs)
-        rnd.shuffle(shuffled)
-        assert group_sum(shuffled, m) == group_sum(xs, m)
 
 
 class TestUniformElement:

@@ -1,4 +1,9 @@
+import ast
+from pathlib import Path
+
 import shufflesum
+
+PACKAGE = Path(shufflesum.__file__).parent
 
 
 def test_all_names_resolve():
@@ -8,3 +13,64 @@ def test_all_names_resolve():
 
 def test_all_has_no_duplicates():
     assert len(shufflesum.__all__) == len(set(shufflesum.__all__))
+
+
+def test_public_names_pinned():
+    assert sorted(shufflesum.__all__) == sorted([
+        "Modulus",
+        "share_batch",
+        "run_batch",
+        "aggregate_batch",
+        "PlanResult",
+        "sigma_for",
+        "plan_shuffled_k",
+        "baseline_k_lower_bound",
+        "validate_params",
+        "ComponentHistogram",
+        "EnumerationBudgetError",
+        "lemma4_probability_bound",
+        "expectation_bound",
+        "estimate_component_distribution",
+        "estimate_m_power_C",
+        "exact_m_power_C",
+        "__version__",
+    ])
+
+
+def _definitions(path: Path, tree: ast.Module):
+    # top-level functions and classes, and the methods of those classes
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            yield node
+            yield from (f for f in node.body if isinstance(f, ast.FunctionDef))
+        elif isinstance(node, ast.FunctionDef):
+            # click callbacks are reached through their decorators
+            if not (path.name == "cli.py" and node.decorator_list):
+                yield node
+
+
+def _references(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            yield from (e.value for e in node.value.elts)
+
+
+def test_no_definition_only_tests_use():
+    # helpers that only tests call belong in tests/, not in the package
+    trees = {path: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    used = {name for tree in trees.values() for name in _references(tree)}
+    unused = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path, tree in trees.items()
+        for node in _definitions(path, tree)
+        if not (node.name.startswith("__") and node.name.endswith("__")) and node.name not in used
+    ]
+    assert unused == []

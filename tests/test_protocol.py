@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import SIGNIFICANCE, binomial_sigma, chisq_pvalue, two_sample_chisq_pvalue
-from shufflesum.group import Modulus, group_sum
-from shufflesum.protocol import aggregate_batch, run_batch, share_batch, transcript_record
+from helpers import SIGNIFICANCE, binomial_sigma, chisq_pvalue, group_sum, two_sample_chisq_pvalue
+from shufflesum.protocol import Modulus, aggregate_batch, run_batch, share_batch, transcript_record
 from transcript_enumeration import exact_output_distribution
 
 

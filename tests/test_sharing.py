@@ -11,8 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import SIGNIFICANCE, binomial_sigma, chisq_pvalue, two_sample_chisq_pvalue
-from shufflesum.group import Modulus
-from shufflesum.protocol import aggregate_batch, share_batch
+from shufflesum.protocol import Modulus, aggregate_batch, share_batch
 
 
 def secrets(x: int, runs: int) -> np.ndarray:
