@@ -12,7 +12,7 @@ This package simulates and analyzes the protocol, it does not deploy it.
 
 __version__ = "0.1.0"
 
-from .planner import PlanResult, baseline_k_lower_bound, plan_shuffled_k, sigma_for, validate_params
+from .planner import PlanResult, baseline_k_lower_bound, plan_shuffled_k, sigma_for
 from .protocol import Modulus, aggregate_batch, run_batch, share_batch
 from .randgraph import (
     ComponentHistogram,
@@ -33,7 +33,6 @@ __all__ = [
     "sigma_for",
     "plan_shuffled_k",
     "baseline_k_lower_bound",
-    "validate_params",
     "ComponentHistogram",
     "EnumerationBudgetError",
     "lemma4_probability_bound",

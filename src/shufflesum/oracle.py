@@ -39,8 +39,11 @@ from .protocol import Modulus, run_batch, share_batch
 from .randgraph import (
     ENUMERATION_BUDGET,
     EnumerationBudgetError,
+    MEAN_CI_CONFIDENCE,
     _check_sizes,
     _float_or_inf,
+    _safe_exp,
+    _sqrt_or_inf,
     estimate_m_power_C,
     exact_m_power_C,
     expectation_bound,
@@ -287,18 +290,10 @@ class Lemma1Bound:
     provenance: str = "exact"  # or "monte-carlo": how the radicand was obtained
 
 
-def _safe_exp(x: float) -> float:
-    return math.inf if x > 709.0 else math.exp(x)
-
-
 def _bound_from_exact_radicand(rad: Fraction) -> Lemma1Bound:
     if rad < 0:
         return Lemma1Bound(None, "radicand-negative")
-    try:
-        return Lemma1Bound(math.sqrt(float(rad)), "ok")
-    except OverflowError:
-        log_rad = math.log(rad.numerator) - math.log(rad.denominator)
-        return Lemma1Bound(_safe_exp(log_rad / 2), "ok")
+    return Lemma1Bound(_sqrt_or_inf(rad), "ok")
 
 
 def _bound_from_log1p_arg(log_arg: float) -> Lemma1Bound:
@@ -336,8 +331,11 @@ def lemma1_bound(collision_prob, n: int, k: int, m: int) -> Lemma1Bound:
 
 
 def theorem_bound(n: int, k: int, m: int) -> float:
-    """Closed-form average-case distance sqrt(m (e/n)^(k-1)) = 2^-sigma."""
-    return 2.0 ** (-sigma_for(k, n, m))
+    """Closed-form distance sqrt(m (e/n)^(k-1)) = 2^-sigma; inf past float range (n < e)."""
+    try:
+        return 2.0 ** (-sigma_for(k, n, m))
+    except OverflowError:
+        return math.inf
 
 
 def _check(test, *inputs) -> str:
@@ -406,7 +404,7 @@ class SecurityReport:
         out["mc_m_power_c"] = {
             "value": self.mc_m_power_c,
             "ci_halfwidth": self.mc_m_power_c_halfwidth,
-            "confidence": 0.99,
+            "confidence": MEAN_CI_CONFIDENCE,
             "samples": self.samples,
             "provenance": "monte-carlo",
         }

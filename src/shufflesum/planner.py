@@ -84,28 +84,14 @@ def baseline_k_lower_bound(sigma: float) -> float:
     return 2.0 * sigma
 
 
-def regime_flags(n: int, k: int, sigma: float | None) -> dict[str, bool]:
-    """Which preconditions of the proved regime hold, by label: n >= 19,
-    k >= 3 and, unless sigma is None, sigma >= 1."""
+def regime_flags(n: int, k: int, sigma: float | None = None, m: int | None = None) -> dict[str, bool]:
+    """Which preconditions of the proved regime hold, by label: n >= 19, k >= 3,
+    with sigma the theorem's sigma >= 1, with m the E[m^C] bound's
+    m <= (1/2)(n/e)**(k-1). The one place that decides where a bound is proved."""
     flags = {"n>=19": n >= 19, "k>=3": k >= 3}
     if sigma is not None:
         flags["sigma>=1"] = sigma >= 1
+    if m is not None:
+        # compared in log2 space to avoid overflow
+        flags["m-bound"] = min(n, k, m) >= 1 and math.log2(m) <= -1.0 + (k - 1) * (math.log2(n) - LOG2_E)
     return flags
-
-
-def _m_bound_ok(n: int, k: int, m: int) -> bool:
-    # m <= (1/2) * (n/e)**(k-1), compared in log2 space to avoid overflow
-    if n < 1 or k < 1 or m < 1:
-        return False
-    return math.log2(m) <= -1.0 + (k - 1) * (math.log2(n) - LOG2_E)
-
-
-def validate_params(n: int, k: int, m: int) -> list[str]:
-    """Labels of the analysis preconditions violated by (n, k, m).
-
-    Checks n >= 19, k >= 3, m <= (1/2)(n/e)**(k-1) ("m-bound") and
-    sigma_for(k, n, m) >= 1. An empty list means the proved regime applies.
-    """
-    sigma = sigma_for(k, n, m) if n >= 2 and k >= 1 and m >= 2 else -math.inf
-    flags = {**regime_flags(n, k, sigma), "m-bound": _m_bound_ok(n, k, m)}
-    return [label for label, ok in flags.items() if not ok]

@@ -9,10 +9,11 @@ closed forms
     Pr[C = c]  <=  1.5^(c-1) / c! * (e/n)^((k-1)(c-1))
     E[m^C]     <=  m + m^2 * (n/e)^(1-k)      (needs m <= (1/2)(n/e)^(k-1))
 
-hold. This module evaluates the bounds, computes E[m^C] exactly by
-Dixon's recursion over connected permutation tuples, and estimates the
-distribution and the expectation by Monte Carlo: numpy samples whole
-batches of graphs and counts their components by label propagation.
+hold, where ``planner.regime_flags`` says so. This module evaluates the
+bounds, computes E[m^C] exactly by Dixon's recursion over connected
+permutation tuples, and estimates the distribution and the expectation by
+Monte Carlo: numpy samples batches of graphs and counts their components
+by label propagation.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .planner import validate_params
+from .planner import regime_flags
 from .rng import derive_seed
 
 ENUMERATION_BUDGET = 10**7
@@ -36,7 +37,8 @@ def _check_sizes(n: int, k: int, m: int) -> None:
         raise ValueError(f"need n, k >= 1 and m >= 2, got n={n}, k={k}, m={m}")
 
 
-# two-sided 99% normal quantile, for Monte Carlo mean confidence intervals
+# confidence of the Monte Carlo mean intervals, and its two-sided normal quantile
+MEAN_CI_CONFIDENCE = 0.99
 _Z99 = 2.5758293035489004
 
 # elements per batch of shard_batches, the one driver of both Monte Carlo
@@ -91,9 +93,10 @@ def lemma4_probability_bound(n: int, k: int, c: int) -> float:
 def expectation_bound(n: int, k: int, m: int) -> float:
     """Closed-form upper bound m + m^2 (n/e)^(1-k) on E[m^C].
 
-    Raises ValueError unless n >= 19, k >= 3 and m <= (1/2)(n/e)^(k-1).
+    Raises ValueError outside the regime where ``planner.regime_flags``
+    says it is proved, where the float power can overflow (n = 1, k = 800).
     """
-    violated = [v for v in validate_params(n, k, m) if v != "sigma>=1"]
+    violated = [label for label, ok in regime_flags(n, k, m=m).items() if not ok]
     if violated:
         raise ValueError(f"expectation bound preconditions violated: {', '.join(violated)}")
     return m + m * m * (math.e / n) ** (k - 1)
@@ -162,6 +165,19 @@ def _float_or_inf(x: Fraction) -> float:
         return math.inf
 
 
+def _safe_exp(x: float) -> float:
+    return math.inf if x > 709.0 else math.exp(x)
+
+
+def _sqrt_or_inf(x: Fraction, divisor: int = 1) -> float:
+    """sqrt(x / divisor) of a non-negative x, by logarithms when x is past
+    float range, or inf when the root is past it too."""
+    try:
+        return math.sqrt(float(x) / divisor)
+    except OverflowError:
+        return _safe_exp((math.log(x.numerator) - math.log(x.denominator * divisor)) / 2)
+
+
 def _histogram_m_power_stats(counts: dict[int, int], m: int, samples: int) -> tuple[float, float]:
     # exact integer accumulation over the histogram, floats only at the end
     total = sum(cnt * m**c for c, cnt in counts.items())
@@ -171,13 +187,13 @@ def _histogram_m_power_stats(counts: dict[int, int], m: int, samples: int) -> tu
         var = (Fraction(total_sq) - Fraction(total * total, samples)) / (samples - 1)
     else:
         var = Fraction(0)
-    return _float_or_inf(mean), _Z99 * math.sqrt(_float_or_inf(var) / samples)
+    return _float_or_inf(mean), _Z99 * _sqrt_or_inf(var, samples)
 
 
 def estimate_m_power_C(
     n: int, k: int, m: int, samples: int, seed: int, shards: int = 1
 ) -> tuple[float, float]:
-    """Monte Carlo (mean, 99% CI halfwidth) estimate of E[m^C].
+    """Monte Carlo (mean, MEAN_CI_CONFIDENCE CI halfwidth) estimate of E[m^C].
 
     The same (n, k, samples, seed, shards) sees the same graphs as
     estimate_component_distribution. Accumulation is exact over integer

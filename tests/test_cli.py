@@ -255,11 +255,44 @@ class TestVerify:
             ["verify", "graph-exp", "--n", "19", "--k", "3", "--m", "2", "--samples", "20000", "--seed", "8", "--format", "json"],
         )
         assert res.exit_code == 0
-        assert json.loads(res.output)["ok"] is True
+        report = json.loads(res.output)
+        assert report["ok"] is True
+        assert report["preconditions_ok"] == {"n>=19": True, "k>=3": True, "m-bound": True}
 
-    def test_graph_exp_bad_m_usage_error(self, runner):
-        res = run_cli(runner, ["verify", "graph-exp", "--n", "19", "--k", "3", "--m", "25", "--seed", "1"])
-        assert res.exit_code == 2
+    def test_graph_exp_outside_regime_not_checked(self, runner):
+        # the closed form is proved for n >= 19, k >= 3 and m <= (1/2)(n/e)^(k-1)
+        # only; outside, the estimate is reported and nothing is checked
+        for n, k, m, failed in ((19, 3, 25, "m-bound"), (18, 3, 2, "n>=19"), (19, 2, 2, "k>=3")):
+            res = run_cli(
+                runner,
+                ["verify", "graph-exp", "--n", str(n), "--k", str(k), "--m", str(m), "--samples", "2000",
+                 "--seed", "1", "--format", "json"],
+            )
+            assert res.exit_code == 0, (n, k, m)
+            report = json.loads(res.output)
+            assert report["ok"] is None and report["expectation_bound"] is None, (n, k, m)
+            assert report["preconditions_ok"][failed] is False, (n, k, m)
+            assert sum(not ok for ok in report["preconditions_ok"].values()) == 1, (n, k, m)
+            assert report["estimate"] >= m
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        k=st.integers(1, 5),
+        m=st.integers(2, 2**63),
+        samples=st.integers(1, 50),
+    )
+    def test_graph_exp_outside_regime_never_exits_1(self, n, k, m, samples):
+        args = ["verify", "graph-exp", "--n", str(n), "--k", str(k), "--m", str(m),
+                "--samples", str(samples), "--seed", "1", "--format", "json"]
+        res = run_cli(CliRunner(), args)
+        assert res.exit_code in (0, 1), res.output
+        report = json.loads(res.output)
+        flags = report["preconditions_ok"]
+        assert (flags["n>=19"], flags["k>=3"]) == (n >= 19, k >= 3)
+        if not all(flags.values()):
+            assert res.exit_code == 0, res.output
+            assert report["ok"] is None and report["expectation_bound"] is None
 
     @pytest.mark.parametrize("m", [["--m", "1"], ["--m-bits", "64"]])
     def test_graph_exp_modulus_out_of_range_exit_2(self, runner, m):
@@ -320,6 +353,16 @@ class TestVerify:
         exact = json.loads(res.output)["exact_m_power_c"]
         assert Fraction(exact["fraction"]) == exact_m_power_C(19, 3, 2**63)
         assert exact["value"] == float("inf")
+
+    def test_chain_theorem_bound_past_float_range(self, runner):
+        # at n = 2 < e, sigma falls without bound as k grows: 2^-sigma is past float range
+        args = ["verify", "chain", "--n", "2", "--k", "5000", "--m", "2",
+                "--samples", "10", "--seed", "1", "--format", "json"]
+        res = run_cli(runner, args)
+        assert res.exit_code == 0, res.output
+        report = json.loads(res.output)
+        assert report["theorem1_bound"] == float("inf")
+        assert report["checks"]["graph_route_le_theorem1"] == "not-applicable"
 
     def test_tv_exact_small_instance(self, runner):
         res = run_cli(runner, ["verify", "tv-exact", "--n", "3", "--k", "2", "--m", "2", "--format", "json"])

@@ -25,7 +25,6 @@ def test_public_names_pinned():
         "sigma_for",
         "plan_shuffled_k",
         "baseline_k_lower_bound",
-        "validate_params",
         "ComponentHistogram",
         "EnumerationBudgetError",
         "lemma4_probability_bound",
@@ -35,6 +34,23 @@ def test_public_names_pinned():
         "exact_m_power_C",
         "__version__",
     ])
+
+
+REGIME_LABELS = ("n>=19", "k>=3", "sigma>=1", "m-bound")
+
+
+def test_regime_labels_spelled_only_in_planner():
+    # planner.regime_flags is the one place that decides the proved regime
+    found = [
+        f"{path.name}:{node.lineno} {node.value!r}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "planner.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and any(label in node.value for label in REGIME_LABELS)
+    ]
+    assert found == []
 
 
 def _definitions(path: Path, tree: ast.Module):

@@ -6,8 +6,8 @@ import pytest
 from shufflesum.planner import (
     baseline_k_lower_bound,
     plan_shuffled_k,
+    regime_flags,
     sigma_for,
-    validate_params,
 )
 
 
@@ -134,27 +134,42 @@ class TestBaseline:
         assert plan_shuffled_k(40, 10**4, 2**32).total_messages < baseline_k_lower_bound(40)
 
 
+def violated(n, k, m, sigma=None):
+    # the labels regime_flags marks false, sigma from the formula where it is defined
+    if sigma is None:
+        sigma = sigma_for(k, n, m)
+    return [label for label, ok in regime_flags(n, k, sigma, m=m).items() if not ok]
+
+
 class TestValidateParams:
+    # regime_flags validates (n, k, sigma, m) against the proved regime, label by label
+
     def test_fully_valid(self):
-        assert validate_params(19, 3, 2) == []
+        assert violated(19, 3, 2) == []
+        assert regime_flags(19, 3, m=2) == {"n>=19": True, "k>=3": True, "m-bound": True}
 
     def test_small_n(self):
-        assert validate_params(18, 3, 2) == ["n>=19"]
+        assert violated(18, 3, 2) == ["n>=19"]
 
     def test_m_bound(self):
         # (1/2)(19/e)^2 is about 24.4, so m=24 passes and m=25 fails
-        assert "m-bound" not in validate_params(19, 3, 24)
-        violations = validate_params(19, 3, 25)
+        assert "m-bound" not in violated(19, 3, 24)
+        violations = violated(19, 3, 25)
         assert "m-bound" in violations
         assert "n>=19" not in violations and "k>=3" not in violations
+        assert regime_flags(19, 3, m=25) == {"n>=19": True, "k>=3": True, "m-bound": False}
 
     def test_small_k(self):
-        assert "k>=3" in validate_params(100, 2, 2)
+        assert "k>=3" in violated(100, 2, 2)
 
     def test_sigma_flag(self):
-        assert "sigma>=1" in validate_params(19, 3, 30)
-        assert "sigma>=1" not in validate_params(19, 3, 2)
+        assert "sigma>=1" in violated(19, 3, 30)
+        assert "sigma>=1" not in violated(19, 3, 2)
+        # each label only when its argument is given
+        assert set(regime_flags(19, 3)) == {"n>=19", "k>=3"}
+        assert set(regime_flags(19, 3, 2.0)) == {"n>=19", "k>=3", "sigma>=1"}
 
     def test_degenerate_inputs_flagged_not_raised(self):
-        violations = validate_params(1, 0, 1)
+        # sigma is undefined at n = 1, k = 0, m = 1
+        violations = violated(1, 0, 1, sigma=-math.inf)
         assert set(violations) == {"n>=19", "k>=3", "m-bound", "sigma>=1"}

@@ -2,15 +2,17 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import permutations, product
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 
 from shufflesum import oracle, randgraph
 from shufflesum.oracle import hoeffding_halfwidth
-from shufflesum.planner import validate_params
+from shufflesum.planner import regime_flags
 from shufflesum.randgraph import (
     ComponentHistogram,
     EnumerationBudgetError,
@@ -298,6 +300,22 @@ class TestEstimators:
             with pytest.raises(ValueError):
                 call()
 
+    def test_m_power_halfwidth_past_float_variance(self):
+        # at (300, 1, 2^63) the variance of m^C is past float range but the
+        # 99% halfwidth z sqrt(var / samples) is not
+        n, k, m, samples = 300, 1, 2**63, 2000
+        counts = estimate_component_distribution(n, k, samples, seed=1).counts
+        total = sum(cnt * m**c for c, cnt in counts.items())
+        total_sq = sum(cnt * m ** (2 * c) for c, cnt in counts.items())
+        var = (Fraction(total_sq) - Fraction(total * total, samples)) / (samples - 1)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            root = (Decimal(var.numerator) / Decimal(var.denominator) / samples).sqrt()
+        exact = NormalDist().inv_cdf(0.995) * float(root)
+        _, hw = estimate_m_power_C(n, k, m, samples, seed=1)
+        assert math.isclose(hw, exact, rel_tol=1e-9)
+        assert math.isclose(hw, 3.8303e281, rel_tol=1e-4)
+
     def test_m_power_deterministic(self):
         assert estimate_m_power_C(19, 3, 2, 5000, seed=7, shards=2) == estimate_m_power_C(
             19, 3, 2, 5000, seed=7, shards=2
@@ -362,11 +380,15 @@ class TestExactExpectation:
         assert abs(math.sqrt(got / 2 - 1) - 0.05297) < 1e-5
 
     def test_below_closed_form_expectation_bound(self):
+        checked = 0
         for n in (19, 30, 50, 100):
             for k in (3, 4, 5):
                 top = int((n / math.e) ** (k - 1) / 2)
                 for m in (2, 3, 5, top // 2, top):
-                    if validate_params(n, k, m):
+                    if not all(regime_flags(n, k, m=m).values()):
                         continue
                     assert exact_m_power_C(n, k, m) <= expectation_bound(n, k, m), (n, k, m)
+                    checked += 1
+        # the bound's own regime: 60 instances, 12 more than sigma >= 1 allows
+        assert checked == 60
 
