@@ -461,11 +461,17 @@ def verify_chain(
             lambda e, x: abs(e.value - float(x)) <= e.ci_halfwidth, est, exact
         )
     if all(preconditions.values()):
+        checks["expectation_bound_exact"] = _check(lambda e: e <= Fraction(expectation_bound(n, k, m)), emc)
         checks["expectation_bound_mc"] = _check(lambda: emc_est - emc_hw <= expectation_bound(n, k, m))
         checks["graph_route_le_theorem1"] = _check(lambda: (graph_lo.value or 0.0) <= thm)
         checks["theorem1_dominates_exact_tv"] = _check(lambda t: float(t) <= thm, tv)
     else:
-        for name in ("expectation_bound_mc", "graph_route_le_theorem1", "theorem1_dominates_exact_tv"):
+        for name in (
+            "expectation_bound_exact",
+            "expectation_bound_mc",
+            "graph_route_le_theorem1",
+            "theorem1_dominates_exact_tv",
+        ):
             checks[name] = "not-applicable"
 
     return SecurityReport(

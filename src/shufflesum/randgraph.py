@@ -42,12 +42,19 @@ MEAN_CI_CONFIDENCE = 0.99
 _Z99 = 2.5758293035489004
 
 # elements per batch of shard_batches, the one driver of both Monte Carlo
-# samplers (memory / speed knob). The component-count sampler does not
-# depend on it: rng.permuted shuffles row after row, so any split of a
-# shard draws the same stream. The collision sampler in oracle does: each
-# batch draws inputs, then shares, then permutations, so a different cap
-# gives a different stream.
+# samplers; it bounds the memory of one batch. The component-count sampler
+# does not depend on it: rng.permuted shuffles row after row, so any split
+# of a shard draws the same stream. The collision sampler in oracle does:
+# each batch draws inputs, then shares, then permutations, so a different
+# cap gives a different stream, and the cap stays fixed for that reason.
 _BATCH_ELEMENTS = 1 << 21
+
+# permutation entries per slice of _component_counts_from_perms: a slice's
+# flat permutations (1 MiB) and label arrays fit a 2 MiB L2 cache, where a
+# whole batch (17 MB of permutations alone) would not. 2^16 and 2^17
+# measured the same, 2^18 lost a third of the gain. The counts do not
+# depend on it.
+_SLICE_ELEMENTS = 1 << 17
 
 
 def shard_batches(
@@ -116,27 +123,45 @@ class ComponentHistogram:
 def _component_counts_from_perms(perms: np.ndarray) -> np.ndarray:
     """Component counts for a batch of graphs, perms shaped (batch, k, n).
 
-    Minimum-label propagation on one flat label array, where graph b's
-    vertex v is b*n + v. Each round pulls p(v)'s label into v, pushes v's
-    label to p(v) (one scatter: a permutation repeats no index), then jumps
-    every label to its label's label (Shiloach and Vishkin, J. Algorithms
-    1982). At the fixed point a vertex keeps its own index iff it is the
-    minimum of its component.
+    The batch is counted in slices of about _SLICE_ELEMENTS permutation
+    entries, so that one slice's arrays stay in cache. Each slice runs
+    minimum-label propagation on one flat label array, where graph b's
+    vertex v is b*n + v. Each round pulls p(v)'s label into v and pushes
+    v's label to p(v) (one scatter: a permutation repeats no index); then
+    it hooks each old label onto the least new label of the vertices that
+    held it, and jumps every label to its label's label (Shiloach and
+    Vishkin, J. Algorithms 1982). The hook moves a label along a whole
+    cycle of labels at once, so the rounds grow like log n even at k = 1,
+    where propagation alone moves a label one cycle step per round.
+
+    Invariant: a vertex's label is a vertex of its own component, and no
+    larger than the vertex itself. So a graph whose vertices all carry one
+    label is connected, and its label is its vertex 0: the loop stops once
+    every graph of the slice is like that, or at the fixed point. Either
+    way a vertex keeps its own index iff it is the minimum of its component.
     """
     batch, k, n = perms.shape
-    vertices = np.arange(batch * n)
-    flat = (perms + n * np.arange(batch)[:, None, None]).transpose(1, 0, 2).reshape(k, -1)
-    labels = vertices
-    while True:
-        new = labels.copy()
-        for p in flat:
-            np.minimum(new, new[p], out=new)
-            new[p] = np.minimum(new[p], new)
-        new = new[new]
-        if np.array_equal(new, labels):
-            break
-        labels = new
-    return (labels == vertices).reshape(batch, n).sum(axis=1)
+    step = max(1, _SLICE_ELEMENTS // (k * n))
+    counts = []
+    for start in range(0, batch, step):
+        part = perms[start : start + step]
+        size = len(part)
+        vertices = np.arange(size * n)
+        flat = (part + n * np.arange(size)[:, None, None]).transpose(1, 0, 2).reshape(k, -1)
+        labels = vertices
+        while True:
+            new = labels.copy()
+            for p in flat:
+                np.minimum(new, new[p], out=new)
+                new[p] = np.minimum(new[p], new)
+            np.minimum.at(new, labels, new)
+            new = new[new]
+            grid = new.reshape(size, n)
+            if (grid == grid[:, :1]).all() or np.array_equal(new, labels):
+                break
+            labels = new
+        counts.append((new == vertices).reshape(size, n).sum(axis=1))
+    return np.concatenate(counts)
 
 
 def estimate_component_distribution(

@@ -111,13 +111,14 @@ def test_criterion_07_component_distribution_bound():
 def test_criterion_08_expectation_bound():
     samples = 1_000_000
     for m in (2, 5, 24):
+        assert exact_m_power_C(19, 3, m) <= expectation_bound(19, 3, m), m
         est, hw = estimate_m_power_C(19, 3, m, samples, seed=808 + m)
         assert est - hw <= expectation_bound(19, 3, m), m
     # CI covers the exactly enumerable small cases
     for n, k, m in [(2, 3, 2), (3, 2, 2)]:
         est, hw = estimate_m_power_C(n, k, m, 200_000, seed=818)
         assert abs(est - float(exact_m_power_C(n, k, m))) <= hw, (n, k, m)
-    report(8, "E[m^C] estimates below closed-form bound; CI covers exact values")
+    report(8, "E[m^C], exact and estimated, below closed-form bound; CI covers exact values")
 
 
 def test_criterion_09_chain_at_reference_scale():

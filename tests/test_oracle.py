@@ -383,6 +383,7 @@ class TestVerifyChain:
 
     def test_out_of_regime_marked(self):
         rep = verify_chain(3, 2, 2, samples=1000, seed=43)
+        assert rep.checks["expectation_bound_exact"] == "not-applicable"
         assert rep.checks["expectation_bound_mc"] == "not-applicable"
         assert not rep.preconditions_ok["n>=19"]
 
@@ -395,8 +396,18 @@ class TestVerifyChain:
         assert rep.lemma3_bound.provenance == "exact"
         assert abs(rep.theorem1_bound - 0.2023) < 1e-4
         assert rep.preconditions_ok == {"n>=19": True, "k>=3": True, "sigma>=1": True}
+        assert rep.checks["expectation_bound_exact"] == "pass"
         assert rep.checks["expectation_bound_mc"] == "pass"
         assert rep.checks["graph_route_le_theorem1"] == "pass"
+
+    def test_exact_expectation_bound_unavailable_past_budget(self):
+        # in the regime, but E[2^C] at n = 1000 is past the recursion's budget:
+        # the exact check cannot decide, the Monte Carlo one still does
+        rep = verify_chain(1000, 3, 2, samples=200, seed=47)
+        assert all(rep.preconditions_ok.values())
+        assert rep.exact_m_power_c is None
+        assert rep.checks["expectation_bound_exact"] == "unavailable"
+        assert rep.checks["expectation_bound_mc"] == "pass"
 
     def test_deterministic_report(self):
         a = verify_chain(2, 2, 3, samples=3000, seed=45, shards=2)

@@ -171,15 +171,55 @@ class TestComponents:
             assert (connected_components(g) == g.n) == all_identity
 
 
+def union_find_counts(perms: np.ndarray) -> list[int]:
+    """connected_components of every graph of a (batch, k, n) array."""
+    n = perms.shape[-1]
+    return [
+        connected_components(PermutationMultigraph(n, tuple(tuple(int(v) for v in p) for p in g)))
+        for g in perms
+    ]
+
+
 class TestBatchCounts:
     def test_matches_union_find(self):
+        # k = 1 and 2 at large n: few edges, long label chains
         rng = np.random.default_rng(4)
-        for n, k in [(1, 1), (2, 3), (5, 2), (8, 3), (13, 4)]:
+        for n, k in [(1, 1), (2, 3), (5, 2), (8, 3), (13, 4), (100, 1), (1000, 1), (300, 2), (1000, 2)]:
             perms = rng.permuted(np.tile(np.arange(n), (64, k, 1)), axis=-1)
-            batch = _component_counts_from_perms(perms)
-            for row in range(64):
-                g = PermutationMultigraph(n, tuple(tuple(int(v) for v in p) for p in perms[row]))
-                assert batch[row] == connected_components(g)
+            assert _component_counts_from_perms(perms).tolist() == union_find_counts(perms), (n, k)
+
+    def test_counts_do_not_depend_on_slices(self, monkeypatch):
+        # four graphs a slice: one slice all connected (the early exit), one
+        # of identity graphs (C = n), one with mixed counts
+        n, k = 10, 2
+        cycle = np.tile(np.roll(np.arange(n), 1), (4, k, 1))
+        identity = np.tile(np.arange(n), (4, k, 1))
+        mixed = np.random.default_rng(6).permuted(np.tile(np.arange(n), (4, k, 1)), axis=-1)
+        mixed[0] = identity[0]
+        perms = np.concatenate([cycle, identity, mixed, mixed[:1]])
+        whole = _component_counts_from_perms(perms)
+        monkeypatch.setattr(randgraph, "_SLICE_ELEMENTS", 4 * k * n)
+        sliced = _component_counts_from_perms(perms)
+        assert sliced.tolist() == whole.tolist() == union_find_counts(perms)
+        assert sliced[:8].tolist() == [1] * 4 + [n] * 4
+        assert len(set(sliced[8:12].tolist())) > 1
+
+    def test_rounds_grow_like_log_n(self, monkeypatch):
+        # k = 1: each graph is one permutation's cycles, and propagation
+        # alone moves a label one cycle step a round (about 300 rounds here);
+        # np.array_equal runs once a round while some graph is unconnected
+        calls = []
+        array_equal = np.array_equal
+
+        def counted(a, b):
+            calls.append(1)
+            return array_equal(a, b)
+
+        n = 1000
+        perms = np.random.default_rng(7).permuted(np.tile(np.arange(n), (20, 1, 1)), axis=-1)
+        monkeypatch.setattr(np, "array_equal", counted)
+        assert _component_counts_from_perms(perms).tolist() == union_find_counts(perms)
+        assert 1 <= len(calls) <= 4 * math.ceil(math.log2(n))
 
     def test_single_cycle_worst_case(self):
         # k=1 cycle: slowest label propagation, still exact
@@ -198,11 +238,7 @@ class TestBatchCounts:
             randoms = rng.permuted(np.tile(np.arange(n), (4, k, 1)), axis=-1)
             rows = [identity, cycle, randoms[0], identity, randoms[1], randoms[2], cycle, randoms[3]]
             for perms in (np.stack(rows), np.stack(rows[:1]), np.stack(rows[1:2])):
-                expected = [
-                    connected_components(PermutationMultigraph(n, tuple(tuple(int(v) for v in p) for p in g)))
-                    for g in perms
-                ]
-                assert _component_counts_from_perms(perms).tolist() == expected
+                assert _component_counts_from_perms(perms).tolist() == union_find_counts(perms)
             assert _component_counts_from_perms(np.stack(rows))[[0, 1]].tolist() == [n, 1]
 
 
