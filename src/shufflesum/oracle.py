@@ -6,10 +6,10 @@ P(v) = P(h(v)) / prod_j multinomial(n; h_j). ``histogram_laws`` builds the
 exact integer law of the histograms as a convolution of the users' share
 rows, one law per input multiset, and the exact total-variation distance
 and collision probabilities are sums over histogram tuples, rationals
-that never touch floats. Their cost, counted in histogram updates by
-``exact_work``, is held to ``ENUMERATION_BUDGET``; beyond it Monte Carlo
-takes over. ``verify_chain`` assembles both sides next to the chain of
-closed-form bounds:
+that never touch floats. ``exact_work`` states their cost in histogram
+updates, and E[m^C]'s in word products, against ``ENUMERATION_BUDGET``;
+beyond it Monte Carlo takes over. ``verify_chain`` assembles both sides
+next to the chain of closed-form bounds:
 
     avg TV  <=  sqrt(m^(kn-1) * Pr[collision] - 1)          (lemma 1)
     Pr[two transcripts collide] = Pr[fresh sharing = shuffled sharing]
@@ -38,15 +38,16 @@ from .planner import regime_flags, sigma_for
 from .protocol import Modulus, run_batch, share_batch
 from .randgraph import (
     ENUMERATION_BUDGET,
-    EnumerationBudgetError,
     MEAN_CI_CONFIDENCE,
     _check_sizes,
     _float_or_inf,
+    _require_budget,
     _safe_exp,
     _sqrt_or_inf,
     estimate_m_power_C,
     exact_m_power_C,
     expectation_bound,
+    m_power_c_work,
     shard_batches,
 )
 
@@ -90,7 +91,7 @@ def _units(exact, *log2_terms: float) -> int | float:
 
 
 def exact_work(n: int, k: int, m: int) -> dict[str, int | float]:
-    """Histogram updates each exact quantity takes, against ENUMERATION_BUDGET.
+    """The work each exact quantity takes, against ENUMERATION_BUDGET.
 
     With L = C(n+m-1, n) input classes, S = L^k histogram tuples (each
     block's histogram is one of C(n+m-1, m-1) = L) and U = n m^(k-1)
@@ -100,9 +101,10 @@ def exact_work(n: int, k: int, m: int) -> dict[str, int | float]:
         exact_avg_tv        L U S + L^2 S             (class pairs)
         exact_collision_e   L U S + L m^((k-1)n)      (ordered sharings)
 
-    Counts are exact ints up to 2^64, and floats from logarithms past it
-    (math.inf past float range), so no huge integer is ever built. L is
+    in histogram updates: exact ints up to 2^64, floats from logarithms past
+    it (math.inf past float range), so no huge integer is ever built. L is
     estimated by Stirling's formula when min(n, m-1) > 128, where L > 2^128.
+    ``exact_m_power_c`` is randgraph's ``m_power_c_work``, in word products.
     """
     _check_sizes(n, k, m)
     r = min(n, m - 1)
@@ -123,16 +125,8 @@ def exact_work(n: int, k: int, m: int) -> dict[str, int | float]:
         "exact_collision_e": _units(
             lambda: conv() + classes * m ** ((k - 1) * n), log_conv, log_l + (k - 1) * n * math.log2(m)
         ),
+        "exact_m_power_c": m_power_c_work(n, k, m),
     }
-
-
-def _require_budget(n: int, k: int, m: int, quantity: str) -> None:
-    units = exact_work(n, k, m)[quantity]
-    if units > ENUMERATION_BUDGET:
-        raise EnumerationBudgetError(
-            f"{quantity} takes {units} histogram updates, over the budget "
-            f"{ENUMERATION_BUDGET}, for n={n}, k={k}, m={m}"
-        )
 
 
 def _share_rows(n: int, k: int, m: int) -> list[list[int]]:
@@ -181,7 +175,7 @@ def exact_avg_case_tv(n: int, k: int, m: int) -> Fraction:
     its sum) are grouped by input class. Raises EnumerationBudgetError when
     ``exact_work`` puts it over ENUMERATION_BUDGET.
     """
-    _require_budget(n, k, m, "exact_avg_tv")
+    _require_budget(exact_work(n, k, m)["exact_avg_tv"], "histogram updates", "exact_avg_tv", n, k, m)
     by_sum: defaultdict[int, list[tuple[int, dict[int, int]]]] = defaultdict(list)
     for xs, orderings, law in histogram_laws(n, k, m):
         by_sum[sum(xs) % m].append((orderings, law))
@@ -216,7 +210,7 @@ def exact_collision_probability(n: int, k: int, m: int, mode: CollisionMode) -> 
     EnumerationBudgetError when ``exact_work`` puts the mode over
     ENUMERATION_BUDGET.
     """
-    _require_budget(n, k, m, _WORK_KEY[mode])
+    _require_budget(exact_work(n, k, m)[_WORK_KEY[mode]], "histogram updates", _WORK_KEY[mode], n, k, m)
     rows = _share_rows(n, k, m)
     fact = [math.factorial(h) for h in range(n + 1)]
     cell_factorials: dict[int, int] = {}
@@ -365,11 +359,11 @@ class SecurityReport:
     """Every measured and derived quantity of one chain verification.
 
     Exact entries are rationals (None when the instance is beyond the
-    work budget; ``exact_work`` gives the histogram updates each would
-    take); Monte Carlo entries always carry their sample counts and
-    confidence halfwidths. ``checks`` records the status of every
-    inequality in the chain: "pass", "fail", "unavailable" (budget) or
-    "not-applicable" (outside the proved n/k/sigma regime).
+    work budget; ``exact_work`` gives the work each would take); Monte
+    Carlo entries always carry their sample counts and confidence
+    halfwidths. ``checks`` records the status of every inequality in the
+    chain: "pass", "fail", "unavailable" (budget) or "not-applicable"
+    (outside the proved n/k/sigma regime).
     """
 
     n: int
@@ -400,7 +394,8 @@ class SecurityReport:
         out = {f.name: json_value(getattr(self, f.name)) for f in fields(self)}
         del out["n"], out["k"], out["m"], out["mc_m_power_c_halfwidth"]
         out["params"] = {"n": self.n, "k": self.k, "m": self.m}
-        out["exact_work"] = {"budget": ENUMERATION_BUDGET, "unit": "histogram updates", **self.exact_work}
+        unit = "histogram updates; word products for exact_m_power_c"
+        out["exact_work"] = {"budget": ENUMERATION_BUDGET, "unit": unit, **self.exact_work}
         out["mc_m_power_c"] = {
             "value": self.mc_m_power_c,
             "ci_halfwidth": self.mc_m_power_c_halfwidth,
@@ -426,10 +421,7 @@ def verify_chain(
     tv = exact_avg_case_tv(n, k, m) if fits["exact_avg_tv"] else None
     cv = exact_collision_probability(n, k, m, CollisionMode.V_VS_V) if fits["exact_collision_v"] else None
     ce = exact_collision_probability(n, k, m, CollisionMode.E_EVENT) if fits["exact_collision_e"] else None
-    try:
-        emc = exact_m_power_C(n, k, m)
-    except EnumerationBudgetError:
-        emc = None
+    emc = exact_m_power_C(n, k, m) if fits["exact_m_power_c"] else None
 
     mc_v = collision_probability(n, k, m, samples, seed, CollisionMode.V_VS_V, shards)
     mc_e = collision_probability(n, k, m, samples, seed, CollisionMode.E_EVENT, shards)
@@ -460,19 +452,15 @@ def verify_chain(
         checks[f"mc_matches_exact_collision_{name}"] = _check(
             lambda e, x: abs(e.value - float(x)) <= e.ci_halfwidth, est, exact
         )
-    if all(preconditions.values()):
-        checks["expectation_bound_exact"] = _check(lambda e: e <= Fraction(expectation_bound(n, k, m)), emc)
-        checks["expectation_bound_mc"] = _check(lambda: emc_est - emc_hw <= expectation_bound(n, k, m))
-        checks["graph_route_le_theorem1"] = _check(lambda: (graph_lo.value or 0.0) <= thm)
-        checks["theorem1_dominates_exact_tv"] = _check(lambda t: float(t) <= thm, tv)
-    else:
-        for name in (
-            "expectation_bound_exact",
-            "expectation_bound_mc",
-            "graph_route_le_theorem1",
-            "theorem1_dominates_exact_tv",
-        ):
-            checks[name] = "not-applicable"
+    # the closed forms hold only in the proved regime, and expectation_bound raises outside it
+    in_regime = all(preconditions.values())
+    for name, test, *inputs in (
+        ("expectation_bound_exact", lambda e: e <= Fraction(expectation_bound(n, k, m)), emc),
+        ("expectation_bound_mc", lambda: emc_est - emc_hw <= expectation_bound(n, k, m)),
+        ("graph_route_le_theorem1", lambda: (graph_lo.value or 0.0) <= thm),
+        ("theorem1_dominates_exact_tv", lambda t: float(t) <= thm, tv),
+    ):
+        checks[name] = _check(test, *inputs) if in_regime else "not-applicable"
 
     return SecurityReport(
         n=n,

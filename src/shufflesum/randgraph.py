@@ -31,6 +31,18 @@ from .rng import derive_seed
 ENUMERATION_BUDGET = 10**7
 
 
+class EnumerationBudgetError(ValueError):
+    """Requested exact computation exceeds the fixed 10**7 work budget."""
+
+
+def _require_budget(units: int | float, unit: str, quantity: str, n: int, k: int, m: int) -> None:
+    """The one raise past ENUMERATION_BUDGET, in one format for every exact quantity."""
+    if units > ENUMERATION_BUDGET:
+        raise EnumerationBudgetError(
+            f"{quantity} takes {units} {unit}, over the budget {ENUMERATION_BUDGET}, for n={n}, k={k}, m={m}"
+        )
+
+
 def _check_sizes(n: int, k: int, m: int) -> None:
     """The one (n, k, m) check of every E[m^C], exact-law and bound entry point."""
     if n < 1 or k < 1 or m < 2:
@@ -75,10 +87,6 @@ def shard_batches(
         size = base + (s < extra)
         for done in range(0, size, cap):
             yield rng, min(cap, size - done)
-
-
-class EnumerationBudgetError(ValueError):
-    """Requested exact computation exceeds the fixed 10**7 work budget."""
 
 
 def lemma4_probability_bound(n: int, k: int, c: int) -> float:
@@ -231,6 +239,18 @@ def estimate_m_power_C(
     return _histogram_m_power_stats(hist.counts, m, samples)
 
 
+def m_power_c_work(n: int, k: int, m: int) -> float:
+    """Word products exact_m_power_C takes, inf past float range: about n^2
+    products of integers of up to w = ceil((k log2(n!) + n log2(m)) / 64)
+    words, each about w^log2(3) word products (Karatsuba), then one w-word
+    gcd, n^2 w^log2(3) + w^2 in all."""
+    try:
+        words = math.ceil((k * math.lgamma(n + 1) / math.log(2) + n * math.log2(m)) / 64)
+        return n * n * words ** math.log2(3) + words * words
+    except OverflowError:
+        return math.inf
+
+
 def exact_m_power_C(n: int, k: int, m: int) -> Fraction:
     """Exact E[m^C] by Dixon's recursion (Math. Z. 110, 1969), as a rational.
 
@@ -238,23 +258,11 @@ def exact_m_power_C(n: int, k: int, m: int) -> Fraction:
     off the component of point 1 gives t_j = a_j - sum_{i<j} C(j-1, i-1)
     t_i a_{j-i}, and B_j, the sum of m^C over all tuples, satisfies B_0 = 1
     and B_j = m sum_{i<=j} C(j-1, i-1) t_i B_{j-i}. E[m^C] = B_n / a_n.
-
-    That is about n^2 products of integers of up to w words, where
-    w = ceil((k log2(n!) + n log2(m)) / 64), each costing about
-    w^log2(3) word products (Karatsuba), then one w-word gcd. Raises
-    EnumerationBudgetError when n^2 w^log2(3) + w^2 exceeds
-    ENUMERATION_BUDGET.
+    Raises EnumerationBudgetError when its cost, ``m_power_c_work``,
+    exceeds ENUMERATION_BUDGET.
     """
     _check_sizes(n, k, m)
-    # n^2 alone bounds the work from below; testing it first keeps lgamma finite
-    over = n * n > ENUMERATION_BUDGET
-    if not over:
-        words = math.ceil((k * math.lgamma(n + 1) / math.log(2) + n * math.log2(m)) / 64)
-        over = n * n * words ** math.log2(3) + words * words > ENUMERATION_BUDGET
-    if over:
-        raise EnumerationBudgetError(
-            f"E[m^C] recursion exceeds the work budget {ENUMERATION_BUDGET} for n={n}, k={k}, m={m}"
-        )
+    _require_budget(m_power_c_work(n, k, m), "word products", "exact_m_power_c", n, k, m)
     a = [math.factorial(j) ** k for j in range(n + 1)]
     t = [0] * (n + 1)
     b = [1] + [0] * n

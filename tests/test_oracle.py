@@ -209,6 +209,9 @@ class TestHistogramLaw:
         assert p == Fraction(exact_m_power_C(n, k, m), m ** (k * n))
 
 
+TRANSCRIPT_SUMS = ("exact_avg_tv", "exact_collision_v", "exact_collision_e")
+
+
 class TestExactWork:
     def test_reference_point_counts(self):
         # L = 20 input classes, S = 20^3 histogram tuples, U = 19 * 2^2
@@ -217,13 +220,16 @@ class TestExactWork:
             "exact_avg_tv": conv + 20**2 * 8000,
             "exact_collision_v": conv,
             "exact_collision_e": conv + 20 * 2**38,
+            # n^2 w^log2(3) + w^2 word products, w = 3 words
+            "exact_m_power_c": 19 * 19 * 3 ** math.log2(3) + 3 * 3,
         }
         assert conv == 12_160_000
 
     @pytest.mark.parametrize("n,k,m", [(19, 3, 2), (9, 3, 4)])
     def test_over_budget(self, n, k, m):
         work = oracle.exact_work(n, k, m)
-        assert all(units > ENUMERATION_BUDGET for units in work.values())
+        assert all(work[name] > ENUMERATION_BUDGET for name in TRANSCRIPT_SUMS)
+        assert work["exact_m_power_c"] <= ENUMERATION_BUDGET
         with pytest.raises(EnumerationBudgetError, match=f"takes {work['exact_avg_tv']} histogram updates"):
             exact_avg_case_tv(n, k, m)
         with pytest.raises(EnumerationBudgetError, match=f"takes {work['exact_collision_v']} histogram"):
@@ -241,8 +247,33 @@ class TestExactWork:
         exact = math.comb(499, 200) ** 2 * 200
         approx = oracle.exact_work(200, 1, 300)["exact_collision_v"]
         assert isinstance(approx, float) and math.isclose(approx, exact, rel_tol=1e-2)
-        assert set(oracle.exact_work(10**4, 11, 2**32).values()) == {math.inf}
+        work = oracle.exact_work(10**4, 11, 2**32)
+        assert {work[name] for name in TRANSCRIPT_SUMS} == {math.inf}
+        assert ENUMERATION_BUDGET < work["exact_m_power_c"] < math.inf
         assert oracle.exact_work(10**9, 3, 2)["exact_collision_e"] == math.inf
+
+    @pytest.mark.parametrize("m", [2, 2**32, 2**63])
+    @pytest.mark.parametrize("k", [1, 3, 11])
+    @pytest.mark.parametrize("n", [1, 2, 19, 60, 154, 155, 400, 1000, 4000, 10**200])
+    def test_m_power_c_decision(self, n, k, m):
+        # the table decides exactly where exact_m_power_C raises, and that is
+        # where the recursion's own n^2 w^log2(3) + w^2 guard used to
+        over = oracle.exact_work(n, k, m)["exact_m_power_c"] > ENUMERATION_BUDGET
+        if n * n > ENUMERATION_BUDGET:
+            assert over
+        else:
+            words = math.ceil((k * math.lgamma(n + 1) / math.log(2) + n * math.log2(m)) / 64)
+            assert over == (n * n * words ** math.log2(3) + words * words > ENUMERATION_BUDGET)
+        if over:
+            with pytest.raises(EnumerationBudgetError, match="exact_m_power_c takes .* word products"):
+                exact_m_power_C(n, k, m)
+        else:
+            assert exact_m_power_C(n, k, m) >= 1
+
+    def test_m_power_c_budget_edge(self):
+        # about 24 ms at n = 154; n = 155 is the first n over budget at k = 3, m = 2
+        assert oracle.exact_work(154, 3, 2)["exact_m_power_c"] <= ENUMERATION_BUDGET
+        assert oracle.exact_work(155, 3, 2)["exact_m_power_c"] > ENUMERATION_BUDGET
 
 
 class TestMonteCarloCollision:
@@ -389,7 +420,7 @@ class TestVerifyChain:
 
     def test_large_instance_uses_monte_carlo(self):
         rep = verify_chain(19, 3, 2, samples=2000, seed=44)
-        assert rep.exact_avg_tv is None
+        assert (rep.exact_avg_tv, rep.exact_collision_v, rep.exact_collision_e) == (None, None, None)
         assert rep.lemma1_bound.provenance == "monte-carlo"
         # E[m^C] is exact at any n the recursion's budget allows
         assert rep.exact_m_power_c == Fraction(35051863075, 17476901442)
@@ -406,6 +437,9 @@ class TestVerifyChain:
         rep = verify_chain(1000, 3, 2, samples=200, seed=47)
         assert all(rep.preconditions_ok.values())
         assert rep.exact_m_power_c is None
+        # the report states why: the recursion's cost is past the budget
+        work = rep.to_dict()["exact_work"]
+        assert work["exact_m_power_c"] > work["budget"]
         assert rep.checks["expectation_bound_exact"] == "unavailable"
         assert rep.checks["expectation_bound_mc"] == "pass"
 
@@ -451,10 +485,11 @@ class TestVerifyChain:
         work = verify_chain(19, 3, 2, samples=100, seed=49).to_dict()["exact_work"]
         assert work == {
             "budget": ENUMERATION_BUDGET,
-            "unit": "histogram updates",
+            "unit": "histogram updates; word products for exact_m_power_c",
             **oracle.exact_work(19, 3, 2),
         }
         assert work["exact_collision_v"] == 12_160_000 > work["budget"]
+        assert work["exact_m_power_c"] <= work["budget"]
 
 
 def test_hoeffding_halfwidth_value():

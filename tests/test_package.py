@@ -53,6 +53,24 @@ def test_regime_labels_spelled_only_in_planner():
     assert found == []
 
 
+def _budget_error_sites(kind, part):
+    return [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, kind)
+        and getattr(node, part) is not None
+        and "EnumerationBudgetError" in ast.unparse(getattr(node, part))
+    ]
+
+
+def test_one_budget_raise_site():
+    # randgraph._require_budget alone decides past the budget; the library
+    # gates by exact_work instead of catching, only the CLI turns it into exit 2
+    assert _budget_error_sites(ast.Raise, "exc") == ["randgraph.py"]
+    assert _budget_error_sites(ast.ExceptHandler, "type") == ["cli.py"]
+
+
 def _definitions(path: Path, tree: ast.Module):
     # top-level functions and classes, and the methods of those classes
     for node in tree.body:
