@@ -256,8 +256,8 @@ class TestExactWork:
     @pytest.mark.parametrize("k", [1, 3, 11])
     @pytest.mark.parametrize("n", [1, 2, 19, 60, 154, 155, 400, 1000, 4000, 10**200])
     def test_m_power_c_decision(self, n, k, m):
-        # the table decides exactly where exact_m_power_C raises, and that is
-        # where the recursion's own n^2 w^log2(3) + w^2 guard used to
+        # the table decides exactly where exact_m_power_C raises, and decides it
+        # by n^2 w^log2(3) + w^2 word products, recomputed here independently
         over = oracle.exact_work(n, k, m)["exact_m_power_c"] > ENUMERATION_BUDGET
         if n * n > ENUMERATION_BUDGET:
             assert over
