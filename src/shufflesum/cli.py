@@ -11,9 +11,11 @@ generated once and recorded.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
+import os
 import secrets
 import sys
 import traceback
@@ -69,6 +71,17 @@ def _echo(text: str, err: bool = False, nl: bool = True) -> None:
     click.echo(text, file=sys.stderr if err else sys.stdout, nl=nl)
 
 
+@contextlib.contextmanager
+def _stdout_may_close():
+    """A reader closing stdout early (`| head`) is no crash: stdout then points at
+    os.devnull, so the final flush succeeds, and the exit code reports the checks made."""
+    try:
+        yield
+    except BrokenPipeError:
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+
+
 def _flatten(prefix: str, value, out: dict) -> None:
     if isinstance(value, dict):
         for key, sub in value.items():
@@ -107,7 +120,8 @@ def emit_report(report: dict, fmt: str) -> None:
 
 def _finish(report: dict, fmt: str, ok: bool) -> None:
     """Print the report with the program version; exit 1 unless ok."""
-    emit_report({"version": __version__, **report}, fmt)
+    with _stdout_may_close():
+        emit_report({"version": __version__, **report}, fmt)
     if not ok:
         sys.exit(EXIT_VIOLATION)
 
@@ -210,7 +224,7 @@ def simulate(n, k, m, m_bits, variant, seed, runs, out) -> None:
     failures = 0
     # each transcript is written as soon as it is made, so memory stays
     # at one run's worth whatever --runs is
-    with click.open_file(out or "-", "w", encoding="utf-8") as fh:
+    with _stdout_may_close(), click.open_file(out or "-", "w", encoding="utf-8") as fh:
         for r in range(runs):
             run_seed = derive_seed(seed, r)
             rng = np.random.default_rng(run_seed)
@@ -220,13 +234,13 @@ def simulate(n, k, m, m_bits, variant, seed, runs, out) -> None:
             got = int(aggregate_batch(blocks, clear_block, mod)[0])
             conserved = got == expected
             failures += not conserved
-            record = transcript_record(blocks, clear_block, 0, mod, run_seed)
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
             _echo(
                 f"run {r}: input_sum={expected} aggregate={got} "
                 f"conserved={'yes' if conserved else 'NO'}",
                 err=True,
             )
+            record = transcript_record(blocks, clear_block, 0, mod, run_seed)
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
     if out is not None:
         _echo(f"wrote {runs} transcript(s) to {out}", err=True)
     _echo(f"seed={seed}", err=True)

@@ -255,10 +255,10 @@ def collision_probability(
     a shuffled execution. Samples come from ``randgraph.shard_batches``,
     the one driver of both samplers: shard s draws from the numpy stream
     ``default_rng(derive_seed(seed, mode tag, s))``, in batches of at most
-    ``randgraph._BATCH_ELEMENTS`` residues per transcript. Integer hit
-    counts merge exactly, so results are bit-identical for fixed (seed,
-    shards) and cap. Each batch draws its inputs, shares and permutations
-    in turn, so the hits, unlike the component counts, depend on the cap.
+    ``randgraph._BATCH_ELEMENTS`` residues per transcript, which bounds its
+    memory. Integer hit counts merge exactly, so results are bit-identical
+    for fixed (seed, shards) and cap. Each batch draws inputs, shares and
+    permutations in turn, so hits, unlike component counts, follow the cap.
     m outside [2, 2**63], the engine's group sizes, raises ValueError.
     """
     mod = Modulus(m)

@@ -53,20 +53,13 @@ def _check_sizes(n: int, k: int, m: int) -> None:
 MEAN_CI_CONFIDENCE = 0.99
 _Z99 = 2.5758293035489004
 
-# elements per batch of shard_batches, the one driver of both Monte Carlo
-# samplers; it bounds the memory of one batch. The component-count sampler
-# does not depend on it: rng.permuted shuffles row after row, so any split
-# of a shard draws the same stream. The collision sampler in oracle does:
-# each batch draws inputs, then shares, then permutations, so a different
-# cap gives a different stream, and the cap stays fixed for that reason.
-_BATCH_ELEMENTS = 1 << 21
-
-# permutation entries per slice of _component_counts_from_perms: a slice's
-# flat permutations (1 MiB) and label arrays fit a 2 MiB L2 cache, where a
-# whole batch (17 MB of permutations alone) would not. 2^16 and 2^17
-# measured the same, 2^18 lost a third of the gain. The counts do not
-# depend on it.
-_SLICE_ELEMENTS = 1 << 17
+# elements per batch of shard_batches, the one driver and unit of work of
+# both Monte Carlo samplers, so it sets their peak memory. At 2^17 the
+# counter's flat permutations (1 MiB) and labels fit a 2 MiB L2 cache;
+# 2^16 measured the same, 2^18 lost a third of the gain. Component counts
+# do not depend on it (rng.permuted draws row after row), but collision
+# hits do: each batch draws inputs, shares, permutations, so it stays fixed.
+_BATCH_ELEMENTS = 1 << 17
 
 
 def shard_batches(
@@ -92,8 +85,8 @@ def shard_batches(
 def lemma4_probability_bound(n: int, k: int, c: int) -> float:
     """Closed-form upper bound on Pr[C = c], evaluated in log space.
 
-    Proved for n >= 19 and k >= 3 (``planner.regime_flags``), but the
-    expression is evaluated everywhere. c = 1 gives exactly 1.
+    Proved for n >= 19 and k >= 3 (``planner.regime_flags``), but evaluated
+    everywhere: c = 1 gives exactly 1, and past float range it is inf.
     """
     if c < 1 or c > n:
         raise ValueError(f"component count must satisfy 1 <= c <= n, got c={c}")
@@ -102,7 +95,7 @@ def lemma4_probability_bound(n: int, k: int, c: int) -> float:
         - math.lgamma(c + 1)
         + (k - 1) * (c - 1) * (1.0 - math.log(n))
     )
-    return math.exp(log_bound)
+    return _safe_exp(log_bound)
 
 
 def expectation_bound(n: int, k: int, m: int) -> float:
@@ -131,9 +124,7 @@ class ComponentHistogram:
 def _component_counts_from_perms(perms: np.ndarray) -> np.ndarray:
     """Component counts for a batch of graphs, perms shaped (batch, k, n).
 
-    The batch is counted in slices of about _SLICE_ELEMENTS permutation
-    entries, so that one slice's arrays stay in cache. Each slice runs
-    minimum-label propagation on one flat label array, where graph b's
+    Minimum-label propagation on one flat label array, where graph b's
     vertex v is b*n + v. Each round pulls p(v)'s label into v and pushes
     v's label to p(v) (one scatter: a permutation repeats no index); then
     it hooks each old label onto the least new label of the vertices that
@@ -145,31 +136,25 @@ def _component_counts_from_perms(perms: np.ndarray) -> np.ndarray:
     Invariant: a vertex's label is a vertex of its own component, and no
     larger than the vertex itself. So a graph whose vertices all carry one
     label is connected, and its label is its vertex 0: the loop stops once
-    every graph of the slice is like that, or at the fixed point. Either
+    every graph of the batch is like that, or at the fixed point. Either
     way a vertex keeps its own index iff it is the minimum of its component.
     """
     batch, k, n = perms.shape
-    step = max(1, _SLICE_ELEMENTS // (k * n))
-    counts = []
-    for start in range(0, batch, step):
-        part = perms[start : start + step]
-        size = len(part)
-        vertices = np.arange(size * n)
-        flat = (part + n * np.arange(size)[:, None, None]).transpose(1, 0, 2).reshape(k, -1)
-        labels = vertices
-        while True:
-            new = labels.copy()
-            for p in flat:
-                np.minimum(new, new[p], out=new)
-                new[p] = np.minimum(new[p], new)
-            np.minimum.at(new, labels, new)
-            new = new[new]
-            grid = new.reshape(size, n)
-            if (grid == grid[:, :1]).all() or np.array_equal(new, labels):
-                break
-            labels = new
-        counts.append((new == vertices).reshape(size, n).sum(axis=1))
-    return np.concatenate(counts)
+    vertices = np.arange(batch * n)
+    flat = (perms + n * np.arange(batch)[:, None, None]).transpose(1, 0, 2).reshape(k, -1)
+    labels = vertices
+    while True:
+        new = labels.copy()
+        for p in flat:
+            np.minimum(new, new[p], out=new)
+            new[p] = np.minimum(new[p], new)
+        np.minimum.at(new, labels, new)
+        new = new[new]
+        grid = new.reshape(batch, n)
+        if (grid == grid[:, :1]).all() or np.array_equal(new, labels):
+            break
+        labels = new
+    return (new == vertices).reshape(batch, n).sum(axis=1)
 
 
 def estimate_component_distribution(

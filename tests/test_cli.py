@@ -1,7 +1,11 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -414,6 +418,45 @@ def test_crash_exits_3_with_traceback(runner, monkeypatch):
     res = run_cli(runner, ["verify", "chain", "--n", "2", "--k", "2", "--m", "2", "--samples", "10", "--seed", "1"])
     assert res.exit_code == 3
     assert "Traceback" in res.stderr and "RuntimeError: boom" in res.stderr
+
+
+def close_after_first_bytes(args, prelude=""):
+    """Run the CLI in a process whose stdout reader closes the pipe after
+    100 bytes; return its exit code and stderr."""
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = f"from shufflesum import cli\n{prelude}\ncli.main()"
+    with subprocess.Popen(
+        [sys.executable, "-c", code, *args], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    ) as proc:
+        proc.stdout.read(100)
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        return proc.wait(timeout=120), stderr
+
+
+class TestClosedStdout:
+    def test_simulate_stops_at_the_closed_pipe(self):
+        # each transcript is over 1 MB, so the reader is gone before the
+        # first one is written; the second write at the latest ends the runs
+        args = ["simulate", "--n", "10000", "--k", "11", "--m-bits", "32", "--runs", "3", "--seed", "1"]
+        code, stderr = close_after_first_bytes(args)
+        assert code == 0, stderr
+        assert "Traceback" not in stderr and "Exception ignored" not in stderr
+        assert "run 0: " in stderr and "run 2: " not in stderr and "seed=1" in stderr
+
+    def test_failed_verify_still_exits_1(self):
+        # a zero lemma-4 bound fails every check; the report, written many
+        # times over, outlasts the reader
+        prelude = (
+            "cli.lemma4_probability_bound = lambda n, k, c: 0.0\n"
+            "emit = cli.emit_report\n"
+            "cli.emit_report = lambda report, fmt: [emit(report, fmt) for _ in range(10_000)]"
+        )
+        args = ["verify", "graph-dist", "--n", "19", "--k", "3", "--samples", "100", "--seed", "1"]
+        code, stderr = close_after_first_bytes(args, prelude)
+        assert code == 1, stderr
+        assert "Traceback" not in stderr and "Exception ignored" not in stderr
 
 
 def test_version_flag(runner):

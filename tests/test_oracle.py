@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,12 @@ from shufflesum.oracle import (
     theorem_bound,
     verify_chain,
 )
-from shufflesum.randgraph import ENUMERATION_BUDGET, EnumerationBudgetError, exact_m_power_C
+from shufflesum.randgraph import (
+    ENUMERATION_BUDGET,
+    EnumerationBudgetError,
+    estimate_component_distribution,
+    exact_m_power_C,
+)
 from transcript_enumeration import (
     avg_case_tv_by_enumeration,
     collision_probability_by_enumeration,
@@ -346,6 +352,21 @@ class TestMonteCarloCollision:
         monkeypatch.setattr(randgraph, "_BATCH_ELEMENTS", 64)
         est = collision_probability(2, 2, 2, 20_000, seed=1113, mode=CollisionMode.V_VS_V, shards=4)
         assert est.hits == 3127
+
+    def test_memory_follows_batch_cap_not_samples(self):
+        # tracemalloc sees numpy's buffers; the peak follows the batch cap,
+        # a few MB for either sampler, whatever the sample count
+        peaks = []
+        tracemalloc.start()
+        try:
+            estimate_component_distribution(1000, 3, 4000, seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            collision_probability(19, 3, 2, 200_000, 1, CollisionMode.V_VS_V)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert max(peaks) < 8 * 2**20, peaks
 
 
 class TestLemma1Bound:

@@ -188,21 +188,20 @@ class TestBatchCounts:
             perms = rng.permuted(np.tile(np.arange(n), (64, k, 1)), axis=-1)
             assert _component_counts_from_perms(perms).tolist() == union_find_counts(perms), (n, k)
 
-    def test_counts_do_not_depend_on_slices(self, monkeypatch):
-        # four graphs a slice: one slice all connected (the early exit), one
-        # of identity graphs (C = n), one with mixed counts
+    def test_connected_identity_and_mixed_batches(self):
+        # a batch all connected (the early exit), one of identity graphs
+        # (C = n), one with mixed counts
         n, k = 10, 2
         cycle = np.tile(np.roll(np.arange(n), 1), (4, k, 1))
         identity = np.tile(np.arange(n), (4, k, 1))
         mixed = np.random.default_rng(6).permuted(np.tile(np.arange(n), (4, k, 1)), axis=-1)
         mixed[0] = identity[0]
-        perms = np.concatenate([cycle, identity, mixed, mixed[:1]])
-        whole = _component_counts_from_perms(perms)
-        monkeypatch.setattr(randgraph, "_SLICE_ELEMENTS", 4 * k * n)
-        sliced = _component_counts_from_perms(perms)
-        assert sliced.tolist() == whole.tolist() == union_find_counts(perms)
-        assert sliced[:8].tolist() == [1] * 4 + [n] * 4
-        assert len(set(sliced[8:12].tolist())) > 1
+        counts = {}
+        for name, perms in [("cycle", cycle), ("identity", identity), ("mixed", mixed)]:
+            counts[name] = _component_counts_from_perms(perms).tolist()
+            assert counts[name] == union_find_counts(perms), name
+        assert counts["cycle"] == [1] * 4 and counts["identity"] == [n] * 4
+        assert len(set(counts["mixed"])) > 1
 
     def test_rounds_grow_like_log_n(self, monkeypatch):
         # k = 1: each graph is one permutation's cycles, and propagation
@@ -262,6 +261,11 @@ class TestClosedFormBounds:
             lemma4_probability_bound(19, 3, 0)
         with pytest.raises(ValueError):
             lemma4_probability_bound(19, 3, 20)
+
+    def test_past_float_range_is_inf(self):
+        # n = 2 < e: the bound grows with k, here past float range
+        assert lemma4_probability_bound(2, 5000, 2) == math.inf
+        assert lemma4_probability_bound(2, 2400, 2) == math.inf
 
     def test_expectation_bound_value(self):
         got = expectation_bound(19, 3, 2)
