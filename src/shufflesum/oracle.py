@@ -40,9 +40,8 @@ from .randgraph import (
     ENUMERATION_BUDGET,
     MEAN_CI_CONFIDENCE,
     _check_sizes,
-    _float_or_inf,
+    _inf_past_range,
     _require_budget,
-    _safe_exp,
     _sqrt_or_inf,
     estimate_m_power_C,
     exact_m_power_C,
@@ -84,10 +83,12 @@ _WORK_KEY = {CollisionMode.V_VS_V: "exact_collision_v", CollisionMode.E_EVENT: "
 def _units(exact, *log2_terms: float) -> int | float:
     # the exact count below 2^64, a float from its terms' logarithms past it
     top = max(log2_terms)
+    if top == math.inf:
+        return math.inf
     log2 = top + math.log2(sum(2.0 ** (t - top) for t in log2_terms))
     if log2 <= 64:
         return exact()
-    return math.inf if log2 >= 1024 else 2.0**log2
+    return _inf_past_range(pow, 2.0, log2)
 
 
 def exact_work(n: int, k: int, m: int) -> dict[str, int | float]:
@@ -102,7 +103,8 @@ def exact_work(n: int, k: int, m: int) -> dict[str, int | float]:
         exact_collision_e   L U S + L m^((k-1)n)      (ordered sharings)
 
     in histogram updates: exact ints up to 2^64, floats from logarithms past
-    it (math.inf past float range), so no huge integer is ever built. L is
+    it, so no huge integer is ever built, and math.inf past float range (as
+    ``_inf_past_range`` decides, for a count or its logarithm). L is
     estimated by Stirling's formula when min(n, m-1) > 128, where L > 2^128.
     ``exact_m_power_c`` is randgraph's ``m_power_c_work``, in word products.
     """
@@ -123,7 +125,8 @@ def exact_work(n: int, k: int, m: int) -> dict[str, int | float]:
         "exact_avg_tv": _units(lambda: conv() + classes ** (k + 2), log_conv, (k + 2) * log_l),
         "exact_collision_v": _units(conv, log_conv),
         "exact_collision_e": _units(
-            lambda: conv() + classes * m ** ((k - 1) * n), log_conv, log_l + (k - 1) * n * math.log2(m)
+            lambda: conv() + classes * m ** ((k - 1) * n), log_conv,
+            log_l + _inf_past_range(float, (k - 1) * n) * math.log2(m),
         ),
         "exact_m_power_c": m_power_c_work(n, k, m),
     }
@@ -295,7 +298,7 @@ def _bound_from_log1p_arg(log_arg: float) -> Lemma1Bound:
     if log_arg < 0:
         return Lemma1Bound(None, "radicand-negative", "monte-carlo")
     if log_arg > 700:
-        return Lemma1Bound(_safe_exp(log_arg / 2), "ok", "monte-carlo")
+        return Lemma1Bound(_inf_past_range(math.exp, log_arg / 2), "ok", "monte-carlo")
     return Lemma1Bound(math.sqrt(math.expm1(log_arg)), "ok", "monte-carlo")
 
 
@@ -321,15 +324,12 @@ def lemma1_bound(collision_prob, n: int, k: int, m: int) -> Lemma1Bound:
         raise ValueError(f"collision probability must be in [0, 1], got {p}")
     if p == 0.0:
         return Lemma1Bound(None, "radicand-negative", "monte-carlo")
-    return _bound_from_log1p_arg((kn - 1) * math.log(m) + math.log(p))
+    return _bound_from_log1p_arg(_inf_past_range(float, kn - 1) * math.log(m) + math.log(p))
 
 
 def theorem_bound(n: int, k: int, m: int) -> float:
     """Closed-form distance sqrt(m (e/n)^(k-1)) = 2^-sigma; inf past float range (n < e)."""
-    try:
-        return 2.0 ** (-sigma_for(k, n, m))
-    except OverflowError:
-        return math.inf
+    return _inf_past_range(pow, 2.0, -sigma_for(k, n, m))
 
 
 def _check(test, *inputs) -> str:
@@ -344,7 +344,7 @@ def json_value(value):
     estimates state their provenance, bounds carry their own."""
     if isinstance(value, Fraction):
         fraction = f"{value.numerator}/{value.denominator}"
-        return {"fraction": fraction, "value": _float_or_inf(value), "provenance": "exact"}
+        return {"fraction": fraction, "value": _inf_past_range(float, value), "provenance": "exact"}
     if isinstance(value, Estimate):
         return {**asdict(value), "confidence": HOEFFDING_CONFIDENCE, "provenance": "monte-carlo"}
     if isinstance(value, Lemma1Bound):

@@ -49,6 +49,16 @@ def _check_sizes(n: int, k: int, m: int) -> None:
         raise ValueError(f"need n, k >= 1 and m >= 2, got n={n}, k={k}, m={m}")
 
 
+def _inf_past_range(convert, *args) -> float:
+    """convert(*args), a float conversion of a non-negative value (float(x),
+    math.exp(x), pow(2.0, x), ...), or inf where it raises OverflowError: the
+    package's one decision on the edge of float range, which no constant states."""
+    try:
+        return convert(*args)
+    except OverflowError:
+        return math.inf
+
+
 # confidence of the Monte Carlo mean intervals, and its two-sided normal quantile
 MEAN_CI_CONFIDENCE = 0.99
 _Z99 = 2.5758293035489004
@@ -95,7 +105,7 @@ def lemma4_probability_bound(n: int, k: int, c: int) -> float:
         - math.lgamma(c + 1)
         + (k - 1) * (c - 1) * (1.0 - math.log(n))
     )
-    return _safe_exp(log_bound)
+    return _inf_past_range(math.exp, log_bound)
 
 
 def expectation_bound(n: int, k: int, m: int) -> float:
@@ -175,25 +185,13 @@ def estimate_component_distribution(
     return ComponentHistogram(n, k, counts, samples, seed)
 
 
-def _float_or_inf(x: Fraction) -> float:
-    """float(x) of a non-negative x, or inf past float range."""
-    try:
-        return float(x)
-    except OverflowError:
-        return math.inf
-
-
-def _safe_exp(x: float) -> float:
-    return math.inf if x > 709.0 else math.exp(x)
-
-
 def _sqrt_or_inf(x: Fraction, divisor: int = 1) -> float:
-    """sqrt(x / divisor) of a non-negative x, by logarithms when x is past
-    float range, or inf when the root is past it too."""
-    try:
-        return math.sqrt(float(x) / divisor)
-    except OverflowError:
-        return _safe_exp((math.log(x.numerator) - math.log(x.denominator * divisor)) / 2)
+    """sqrt(x / divisor) of a non-negative x; by logarithms when x itself is
+    past float range, and inf only when the root is past it too."""
+    value = _inf_past_range(float, x)
+    if value < math.inf:
+        return math.sqrt(value / divisor)
+    return _inf_past_range(math.exp, (math.log(x.numerator) - math.log(x.denominator * divisor)) / 2)
 
 
 def _histogram_m_power_stats(counts: dict[int, int], m: int, samples: int) -> tuple[float, float]:
@@ -205,7 +203,7 @@ def _histogram_m_power_stats(counts: dict[int, int], m: int, samples: int) -> tu
         var = (Fraction(total_sq) - Fraction(total * total, samples)) / (samples - 1)
     else:
         var = Fraction(0)
-    return _float_or_inf(mean), _Z99 * _sqrt_or_inf(var, samples)
+    return _inf_past_range(float, mean), _Z99 * _sqrt_or_inf(var, samples)
 
 
 def estimate_m_power_C(
@@ -229,11 +227,11 @@ def m_power_c_work(n: int, k: int, m: int) -> float:
     products of integers of up to w = ceil((k log2(n!) + n log2(m)) / 64)
     words, each about w^log2(3) word products (Karatsuba), then one w-word
     gcd, n^2 w^log2(3) + w^2 in all."""
-    try:
+    def work() -> float:
         words = math.ceil((k * math.lgamma(n + 1) / math.log(2) + n * math.log2(m)) / 64)
         return n * n * words ** math.log2(3) + words * words
-    except OverflowError:
-        return math.inf
+
+    return _inf_past_range(work)
 
 
 def exact_m_power_C(n: int, k: int, m: int) -> Fraction:

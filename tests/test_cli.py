@@ -309,6 +309,11 @@ class TestVerify:
         res = run_cli(runner, ["verify", "tv-exact", "--n", "2", "--k", "2", *m])
         assert res.exit_code == 2
 
+    def test_tv_exact_past_float_range_exit_2(self, runner):
+        # at n = 2^1023 the work reads inf, over the budget: exit 2, not a crash
+        res = run_cli(runner, ["verify", "tv-exact", "--n", str(2**1023), "--k", "3", "--m", "2"])
+        assert res.exit_code == 2 and "takes inf histogram updates" in res.output
+
     @settings(max_examples=40, deadline=None)
     @given(
         n=st.integers(-1, 6),

@@ -258,6 +258,16 @@ class TestExactWork:
         assert ENUMERATION_BUDGET < work["exact_m_power_c"] < math.inf
         assert oracle.exact_work(10**9, 3, 2)["exact_collision_e"] == math.inf
 
+    def test_log_space_product_past_float_range(self):
+        # n = 2^1023 is a float, (k-1) n log2(m) is not: every count reads
+        # inf, so the exact quantities are over the budget, not an OverflowError
+        n = 2**1023
+        assert set(oracle.exact_work(n, 3, 2).values()) == {math.inf}
+        with pytest.raises(EnumerationBudgetError, match="takes inf histogram updates"):
+            exact_avg_case_tv(n, 3, 2)
+        with pytest.raises(EnumerationBudgetError, match="takes inf histogram updates"):
+            exact_collision_probability(n, 3, 2, CollisionMode.V_VS_V)
+
     @pytest.mark.parametrize("m", [2, 2**32, 2**63])
     @pytest.mark.parametrize("k", [1, 3, 11])
     @pytest.mark.parametrize("n", [1, 2, 19, 60, 154, 155, 400, 1000, 4000, 10**200])
@@ -392,6 +402,20 @@ class TestLemma1Bound:
     def test_log_space_large_instance(self):
         b = lemma1_bound(1.0, 100, 3, 2**32)
         assert b.status == "ok" and b.value == math.inf
+
+    def test_exact_root_near_float_max(self):
+        # the radicand 10^616 - 1 is past float range, its root 1.0e308 is not
+        b = lemma1_bound(Fraction(10**616, 2**2079), 2, 17, 2**63)
+        assert b.status == "ok" and math.isclose(b.value, 1e308, rel_tol=1e-12)
+
+    def test_monte_carlo_root_near_float_max(self):
+        # log(radicand + 1) is about 1419.05, and exp of its half is a float
+        b = lemma1_bound(math.exp(-22), 2, 17, 2**63)
+        assert b.provenance == "monte-carlo" and math.isclose(b.value, 1.3914e308, rel_tol=1e-4)
+
+    def test_log_space_product_past_float_range(self):
+        # k n = 3 * 2^1023, so (kn - 1) ln(m) is past float range
+        assert lemma1_bound(0.5, 2**1023, 3, 2) == Lemma1Bound(math.inf, "ok", "monte-carlo")
 
     def test_moderate_value(self):
         # collision 3/4 at (n=2, k=1, m=2): sqrt(2 * 3/4 - 1) = sqrt(1/2)

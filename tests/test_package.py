@@ -53,22 +53,37 @@ def test_regime_labels_spelled_only_in_planner():
     assert found == []
 
 
-def _budget_error_sites(kind, part):
+def _error_sites(kind, part, error):
     return [
         path.name
         for path in sorted(PACKAGE.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, kind)
         and getattr(node, part) is not None
-        and "EnumerationBudgetError" in ast.unparse(getattr(node, part))
+        and error in ast.unparse(getattr(node, part))
     ]
 
 
 def test_one_budget_raise_site():
     # randgraph._require_budget alone decides past the budget; the library
     # gates by exact_work instead of catching, only the CLI turns it into exit 2
-    assert _budget_error_sites(ast.Raise, "exc") == ["randgraph.py"]
-    assert _budget_error_sites(ast.ExceptHandler, "type") == ["cli.py"]
+    assert _error_sites(ast.Raise, "exc", "EnumerationBudgetError") == ["randgraph.py"]
+    assert _error_sites(ast.ExceptHandler, "type", "EnumerationBudgetError") == ["cli.py"]
+
+
+def test_one_float_range_site():
+    # randgraph._inf_past_range alone decides past float range: one handler,
+    # and no constant says where the range ends (exp's 709.78, 2^1024)
+    assert _error_sites(ast.ExceptHandler, "type", "OverflowError") == ["randgraph.py"]
+    edges = [
+        f"{path.name}:{node.lineno} {node.value!r}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Constant)
+        and type(node.value) in (int, float)
+        and node.value in (709.0, 1024)
+    ]
+    assert edges == []
 
 
 def _definitions(path: Path, tree: ast.Module):

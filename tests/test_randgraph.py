@@ -267,6 +267,12 @@ class TestClosedFormBounds:
         assert lemma4_probability_bound(2, 5000, 2) == math.inf
         assert lemma4_probability_bound(2, 2400, 2) == math.inf
 
+    def test_finite_up_to_float_range(self):
+        # the log bound, 709.54, is past 709 but its exp is still a float
+        log_bound = math.log(1.5) - math.lgamma(3) + 2313 * (1.0 - math.log(2))
+        assert lemma4_probability_bound(2, 2314, 2) == math.exp(log_bound)
+        assert math.isclose(lemma4_probability_bound(2, 2314, 2), 1.3056e308, rel_tol=1e-4)
+
     def test_expectation_bound_value(self):
         got = expectation_bound(19, 3, 2)
         assert abs(got - (2 + 4 * (math.e / 19) ** 2)) < 1e-12
