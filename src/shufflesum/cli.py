@@ -41,6 +41,7 @@ from .randgraph import (
     estimate_m_power_C,
     expectation_bound,
     lemma4_probability_bound,
+    shard_batches,
 )
 from .rng import derive_seed
 
@@ -161,14 +162,16 @@ _N_K = _options(
 
 
 class _Group(click.Group):
-    """Exits 3, with the traceback on stderr, on an exception that is not
-    click's own, so that a crash never reads as a violated bound (1)."""
+    """Exits 2 on work over the budget, and 3, with the traceback on stderr, on
+    any other exception not click's own: a crash never reads as a violated bound (1)."""
 
     def invoke(self, ctx: click.Context):
         try:
             return super().invoke(ctx)
         except (click.ClickException, click.exceptions.Exit, click.Abort):
             raise
+        except EnumerationBudgetError as exc:
+            raise click.UsageError(str(exc)) from exc
         except Exception:
             traceback.print_exc()
             sys.exit(3)
@@ -222,13 +225,11 @@ def simulate(n, k, m, m_bits, variant, seed, runs, out) -> None:
     seed = _resolve_seed(seed)
     clear = variant == "randomized"
     failures = 0
-    # each transcript is written as soon as it is made, so memory stays
-    # at one run's worth whatever --runs is
+    # run r is shard r's one draw, written as soon as it is made: memory stays at one run's worth
+    draws = enumerate(shard_batches(runs, runs, n, k, seed))
     with _stdout_may_close(), click.open_file(out or "-", "w", encoding="utf-8") as fh:
-        for r in range(runs):
-            run_seed = derive_seed(seed, r)
-            rng = np.random.default_rng(run_seed)
-            inputs = rng.integers(0, mod.m, size=(1, n), dtype=np.uint64)
+        for r, (rng, size) in draws:
+            inputs = rng.integers(0, mod.m, size=(size, n), dtype=np.uint64)
             blocks, clear_block = run_batch(inputs, k, mod, rng, clear)
             expected = sum(inputs[0].tolist()) % mod.m
             got = int(aggregate_batch(blocks, clear_block, mod)[0])
@@ -239,7 +240,7 @@ def simulate(n, k, m, m_bits, variant, seed, runs, out) -> None:
                 f"conserved={'yes' if conserved else 'NO'}",
                 err=True,
             )
-            record = transcript_record(blocks, clear_block, 0, mod, run_seed)
+            record = transcript_record(blocks, clear_block, 0, mod, derive_seed(seed, r))
             fh.write(json.dumps(record, sort_keys=True) + "\n")
     if out is not None:
         _echo(f"wrote {runs} transcript(s) to {out}", err=True)
@@ -322,11 +323,8 @@ def verify_tv_exact(n, k, m, m_bits, fmt) -> None:
     """Exact average TV vs the exact collision-probability bound, both
     summed over block histograms; exit 2 past the work budget."""
     m_val = _resolve_m(m, m_bits).m
-    try:
-        tv = exact_avg_case_tv(n, k, m_val)
-        collision = exact_collision_probability(n, k, m_val, CollisionMode.V_VS_V)
-    except EnumerationBudgetError as exc:
-        raise click.UsageError(str(exc)) from exc
+    tv = exact_avg_case_tv(n, k, m_val)
+    collision = exact_collision_probability(n, k, m_val, CollisionMode.V_VS_V)
     sound = tv * tv <= collision * m_val ** (k * n - 1) - 1
     report = {
         "params": {"n": n, "k": k, "m": m_val},

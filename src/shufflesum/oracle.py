@@ -55,8 +55,6 @@ HOEFFDING_CONFIDENCE = 0.999
 
 def hoeffding_halfwidth(samples: int) -> float:
     """Two-sided Hoeffding halfwidth at HOEFFDING_CONFIDENCE for a [0,1]-bounded sample mean."""
-    if samples < 1:
-        raise ValueError(f"need samples >= 1, got {samples}")
     return math.sqrt(math.log(2.0 / (1.0 - HOEFFDING_CONFIDENCE)) / (2.0 * samples))
 
 
@@ -113,16 +111,18 @@ def exact_work(n: int, k: int, m: int) -> dict[str, int | float]:
     if r <= 128:
         classes = math.comb(n + m - 1, r)
         log_l = math.log2(classes)
-    else:  # log C(r+s, r) without the cancellation of lgamma(n+m) - lgamma(m)
+    else:  # log C(r+s, r) without the cancellation of lgamma(n+m) - lgamma(m); inf once s is past float range
         s = n + m - 1 - r
-        log_l = ((s + 0.5) * math.log1p(r / s) + r * math.log(s + r) - r - math.lgamma(r + 1)) / math.log(2)
-    log_conv = (k + 1) * log_l + math.log2(n) + (k - 1) * math.log2(m)
+        head = _inf_past_range(lambda: (s + 0.5) * math.log1p(r / s))
+        log_l = (head + r * math.log(s + r) - r - math.lgamma(r + 1)) / math.log(2)
+    k_float = _inf_past_range(float, k)
+    log_conv = (k_float + 1) * log_l + math.log2(n) + (k_float - 1) * math.log2(m)
 
     def conv() -> int:
         return classes ** (k + 1) * n * m ** (k - 1)
 
     return {
-        "exact_avg_tv": _units(lambda: conv() + classes ** (k + 2), log_conv, (k + 2) * log_l),
+        "exact_avg_tv": _units(lambda: conv() + classes ** (k + 2), log_conv, (k_float + 2) * log_l),
         "exact_collision_v": _units(conv, log_conv),
         "exact_collision_e": _units(
             lambda: conv() + classes * m ** ((k - 1) * n), log_conv,
@@ -178,7 +178,7 @@ def exact_avg_case_tv(n: int, k: int, m: int) -> Fraction:
     its sum) are grouped by input class. Raises EnumerationBudgetError when
     ``exact_work`` puts it over ENUMERATION_BUDGET.
     """
-    _require_budget(exact_work(n, k, m)["exact_avg_tv"], "histogram updates", "exact_avg_tv", n, k, m)
+    _require_budget(exact_work(n, k, m)["exact_avg_tv"], "histogram updates", "exact_avg_tv", n=n, k=k, m=m)
     by_sum: defaultdict[int, list[tuple[int, dict[int, int]]]] = defaultdict(list)
     for xs, orderings, law in histogram_laws(n, k, m):
         by_sum[sum(xs) % m].append((orderings, law))
@@ -213,7 +213,7 @@ def exact_collision_probability(n: int, k: int, m: int, mode: CollisionMode) -> 
     EnumerationBudgetError when ``exact_work`` puts the mode over
     ENUMERATION_BUDGET.
     """
-    _require_budget(exact_work(n, k, m)[_WORK_KEY[mode]], "histogram updates", _WORK_KEY[mode], n, k, m)
+    _require_budget(exact_work(n, k, m)[_WORK_KEY[mode]], "histogram updates", _WORK_KEY[mode], n=n, k=k, m=m)
     rows = _share_rows(n, k, m)
     fact = [math.factorial(h) for h in range(n + 1)]
     cell_factorials: dict[int, int] = {}
@@ -255,8 +255,8 @@ def collision_probability(
     Each sample draws a uniform input and runs the protocol engine on it
     (``protocol.run_batch``): V_VS_V compares two shuffled executions on
     the shared input, E_EVENT an unshuffled sharing (``share_batch``) with
-    a shuffled execution. Samples come from ``randgraph.shard_batches``,
-    the one driver of both samplers: shard s draws from the numpy stream
+    a shuffled execution. ``randgraph.shard_batches`` admits the draws
+    (sizes, budget) and seeds them: shard s draws from the numpy stream
     ``default_rng(derive_seed(seed, mode tag, s))``, in batches of at most
     ``randgraph._BATCH_ELEMENTS`` residues per transcript, which bounds its
     memory. Integer hit counts merge exactly, so results are bit-identical
@@ -265,9 +265,8 @@ def collision_probability(
     m outside [2, 2**63], the engine's group sizes, raises ValueError.
     """
     mod = Modulus(m)
-    _check_sizes(n, k, m)
     hits = 0
-    for rng, size in shard_batches(samples, shards, k * n, seed, _MODE_TAG[mode]):
+    for rng, size in shard_batches(samples, shards, n, k, seed, _MODE_TAG[mode]):
         x = rng.integers(0, m, size=(size, n), dtype=np.uint64)
         if mode is CollisionMode.V_VS_V:
             first, _ = run_batch(x, k, mod, rng)

@@ -32,15 +32,14 @@ ENUMERATION_BUDGET = 10**7
 
 
 class EnumerationBudgetError(ValueError):
-    """Requested exact computation exceeds the fixed 10**7 work budget."""
+    """Requested exact computation or one draw exceeds the fixed 10**7 work budget."""
 
 
-def _require_budget(units: int | float, unit: str, quantity: str, n: int, k: int, m: int) -> None:
-    """The one raise past ENUMERATION_BUDGET, in one format for every exact quantity."""
+def _require_budget(units: int | float, unit: str, quantity: str, **sizes: int) -> None:
+    """The one raise past ENUMERATION_BUDGET, in one format for every exact quantity and draw."""
     if units > ENUMERATION_BUDGET:
-        raise EnumerationBudgetError(
-            f"{quantity} takes {units} {unit}, over the budget {ENUMERATION_BUDGET}, for n={n}, k={k}, m={m}"
-        )
+        given = ", ".join(f"{name}={value}" for name, value in sizes.items())
+        raise EnumerationBudgetError(f"{quantity} takes {units} {unit}, over the budget {ENUMERATION_BUDGET}, for {given}")
 
 
 def _check_sizes(n: int, k: int, m: int) -> None:
@@ -73,23 +72,27 @@ _BATCH_ELEMENTS = 1 << 17
 
 
 def shard_batches(
-    samples: int, shards: int, elements: int, seed: int, *tag: int
+    samples: int, shards: int, n: int, k: int, seed: int, *tag: int
 ) -> Iterator[tuple[np.random.Generator, int]]:
-    """Yield (rng, size) for each batch of `samples` draws of `elements` numbers.
-
-    Shard s takes samples // shards draws, one more if s < samples % shards,
-    from default_rng(derive_seed(seed, *tag, s)), in batches of at most
-    _BATCH_ELEMENTS // elements draws (the cap is read at call time).
-    """
-    if samples < 1 or shards < 1:
-        raise ValueError(f"need samples >= 1 and shards >= 1, got {samples}, {shards}")
-    cap = max(1, _BATCH_ELEMENTS // elements)
+    """Yield (rng, size) for each batch of `samples` draws of k * n numbers; the one
+    admission of a draw, which refuses sizes below 1 and k * n over ENUMERATION_BUDGET
+    when called. Shard s < samples takes samples // shards draws, one more if s <
+    samples % shards, from default_rng(derive_seed(seed, *tag, s)), in batches of
+    at most _BATCH_ELEMENTS // (k * n) draws."""
+    if min(samples, shards, n, k) < 1:
+        raise ValueError(f"need samples, shards, n, k >= 1, got {samples}, {shards}, {n}, {k}")
+    _require_budget(k * n, "entries", "one draw", n=n, k=k)
+    cap = max(1, _BATCH_ELEMENTS // (k * n))
     base, extra = divmod(samples, shards)
-    for s in range(shards):
-        rng = np.random.default_rng(derive_seed(seed, *tag, s))
-        size = base + (s < extra)
-        for done in range(0, size, cap):
-            yield rng, min(cap, size - done)
+
+    def batches():
+        for s in range(min(shards, samples)):
+            rng = np.random.default_rng(derive_seed(seed, *tag, s))
+            size = base + (s < extra)
+            for done in range(0, size, cap):
+                yield rng, min(cap, size - done)
+
+    return batches()
 
 
 def lemma4_probability_bound(n: int, k: int, c: int) -> float:
@@ -172,13 +175,12 @@ def estimate_component_distribution(
 ) -> ComponentHistogram:
     """Monte Carlo histogram of the component count C.
 
-    Shard s draws from the stream derived from (seed, s); the merged counts
-    are integers, so the result is bit-identical for a fixed (seed, shards).
+    ``shard_batches`` admits and seeds the draws; the merged counts are
+    integers, so the result is bit-identical for a fixed (seed, shards).
     """
-    if n < 1 or k < 1:
-        raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
+    batches = shard_batches(samples, shards, n, k, seed)
     totals = np.zeros(n + 1, dtype=np.int64)
-    for rng, size in shard_batches(samples, shards, k * n, seed):
+    for rng, size in batches:
         perms = rng.permuted(np.tile(np.arange(n), (size, k, 1)), axis=-1)
         totals += np.bincount(_component_counts_from_perms(perms), minlength=n + 1)
     counts = {c: int(count) for c, count in enumerate(totals) if count}
@@ -245,7 +247,7 @@ def exact_m_power_C(n: int, k: int, m: int) -> Fraction:
     exceeds ENUMERATION_BUDGET.
     """
     _check_sizes(n, k, m)
-    _require_budget(m_power_c_work(n, k, m), "word products", "exact_m_power_c", n, k, m)
+    _require_budget(m_power_c_work(n, k, m), "word products", "exact_m_power_c", n=n, k=k, m=m)
     a = [math.factorial(j) ** k for j in range(n + 1)]
     t = [0] * (n + 1)
     b = [1] + [0] * n

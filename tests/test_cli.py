@@ -29,6 +29,15 @@ M_OPTION = st.one_of(
 )
 
 
+# n or k past the one-draw budget of 10^7 entries, up past float range: each
+# such example is refused at once, so the exit-code fuzz tests stay fast
+EDGE_SIZES = st.sampled_from([10**7 + 1, 10**11, 2**63, 2**1023, 2**1100])
+
+
+def sizes(low, high):
+    return st.one_of(st.integers(low, high), EDGE_SIZES)
+
+
 def run_cli(runner, args):
     return runner.invoke(main, args, catch_exceptions=False)
 
@@ -181,10 +190,18 @@ class TestSimulate:
         assert run_cli(runner, ["simulate", "--n", "0", "--k", "1", "--m", "3"]).exit_code == 2
         assert run_cli(runner, ["simulate", "--n", "2", "--k", "1", "--m", "1"]).exit_code == 2
 
+    def test_over_budget_writes_no_file(self, runner, tmp_path):
+        # the draw is refused before --out is opened
+        out = tmp_path / "t.jsonl"
+        args = ["simulate", "--n", str(2**1023), "--k", "3", "--m", "2", "--seed", "1", "--out", str(out)]
+        res = run_cli(runner, args)
+        assert res.exit_code == 2 and "one draw takes" in res.output
+        assert not out.exists()
+
     @settings(max_examples=40, deadline=None)
     @given(
-        n=st.integers(-1, 6),
-        k=st.integers(-1, 4),
+        n=sizes(-1, 6),
+        k=sizes(-1, 4),
         m=M_OPTION,
         runs=st.integers(-1, 3),
         variant=st.sampled_from(["plain", "randomized"]),
@@ -226,8 +243,8 @@ class TestVerify:
 
     @settings(max_examples=40, deadline=None)
     @given(
-        n=st.integers(-1, 25),
-        k=st.integers(-1, 4),
+        n=sizes(-1, 25),
+        k=sizes(-1, 4),
         samples=st.integers(-1, 50),
         shards=st.integers(-1, 3),
     )
@@ -241,8 +258,8 @@ class TestVerify:
 
     @settings(max_examples=40, deadline=None)
     @given(
-        n=st.integers(-1, 25),
-        k=st.integers(-1, 4),
+        n=sizes(-1, 25),
+        k=sizes(-1, 4),
         m=M_OPTION,
         samples=st.integers(-1, 50),
         shards=st.integers(-1, 3),
@@ -316,8 +333,8 @@ class TestVerify:
 
     @settings(max_examples=40, deadline=None)
     @given(
-        n=st.integers(-1, 6),
-        k=st.integers(-1, 4),
+        n=sizes(-1, 6),
+        k=sizes(-1, 4),
         m=M_OPTION,
     )
     def test_tv_exact_exit_code_in_contract(self, n, k, m):
@@ -327,8 +344,8 @@ class TestVerify:
 
     @settings(max_examples=40, deadline=None)
     @given(
-        n=st.integers(-1, 6),
-        k=st.integers(-1, 4),
+        n=sizes(-1, 6),
+        k=sizes(-1, 4),
         m=M_OPTION,
         samples=st.integers(-1, 50),
         shards=st.integers(-1, 3),
@@ -412,6 +429,29 @@ class TestVerify:
         res = run_cli(runner, args)
         assert res.exit_code == 2
         assert "modulus must be <= 2**63" in res.output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "chain", "--n", str(2**1023), "--k", "3", "--m", "2", "--samples", "1", "--seed", "1"],
+        ["verify", "chain", "--n", "2", "--k", str(2**1100), "--m", "2", "--samples", "1", "--seed", "1"],
+        ["verify", "tv-exact", "--n", "2", "--k", str(2**1100), "--m", "2"],
+        ["verify", "tv-exact", "--n", str(2**1100), "--k", "3", "--m-bits", "63"],
+        ["verify", "graph-dist", "--n", "100000000000", "--k", "3", "--samples", "1", "--seed", "1"],
+        ["verify", "graph-dist", "--n", "19", "--k", "20000000", "--samples", "1", "--seed", "1"],
+        ["verify", "graph-exp", "--n", "19", "--k", str(2**1100), "--m", "2", "--samples", "1", "--seed", "1"],
+        ["simulate", "--n", str(2**1023), "--k", "3", "--m", "2", "--seed", "1"],
+    ],
+    ids=["chain-n", "chain-k", "tv-exact-k", "tv-exact-n", "graph-dist-n", "graph-dist-k", "graph-exp-k", "simulate-n"],
+)
+def test_over_budget_exit_2(runner, args):
+    # a draw of more than 10^7 entries, or an exact quantity whose work reads
+    # inf, is refused with click's error line; no numpy traceback, no long run
+    res = run_cli(runner, args)
+    assert res.exit_code == 2, res.output
+    assert "Error: " in res.output and "over the budget" in res.output
+    assert "Traceback" not in res.output
 
 
 def test_crash_exits_3_with_traceback(runner, monkeypatch):

@@ -268,6 +268,16 @@ class TestExactWork:
         with pytest.raises(EnumerationBudgetError, match="takes inf histogram updates"):
             exact_collision_probability(n, 3, 2, CollisionMode.V_VS_V)
 
+    @pytest.mark.parametrize(
+        "n, k, m", [(2, 2**1100, 2), (1, 2**1100, 2**63), (2**1100, 3, 2**63)], ids=["k", "k-m63", "n-m63"]
+    )
+    def test_sizes_past_float_range(self, n, k, m):
+        # k or n past float range (n through the Stirling branch at m = 2^63):
+        # every count reads inf, so the exact quantities are over the budget
+        assert set(oracle.exact_work(n, k, m).values()) == {math.inf}
+        with pytest.raises(EnumerationBudgetError, match="takes inf histogram updates"):
+            exact_avg_case_tv(n, k, m)
+
     @pytest.mark.parametrize("m", [2, 2**32, 2**63])
     @pytest.mark.parametrize("k", [1, 3, 11])
     @pytest.mark.parametrize("n", [1, 2, 19, 60, 154, 155, 400, 1000, 4000, 10**200])
@@ -309,6 +319,14 @@ class TestMonteCarloCollision:
         # m = 1 is rejected by Modulus, as at every other engine entry point
         with pytest.raises(ValueError, match="modulus must be >= 2"):
             collision_probability(3, 2, 1, 1000, seed=33, mode=CollisionMode.V_VS_V)
+
+    @pytest.mark.parametrize("n, k", [(2**1023, 3), (2, 2**1100), (10**7 + 1, 1)], ids=["n", "k", "edge"])
+    def test_draw_over_budget(self, n, k):
+        # randgraph.shard_batches admits every draw: one transcript of more
+        # than ENUMERATION_BUDGET residues is refused before anything is drawn
+        for mode in CollisionMode:
+            with pytest.raises(EnumerationBudgetError, match=f"one draw takes {k * n} entries"):
+                collision_probability(n, k, 2, 1, seed=35, mode=mode)
 
     def test_deterministic(self):
         kwargs = dict(samples=5000, seed=34, mode=CollisionMode.E_EVENT, shards=2)

@@ -53,28 +53,45 @@ def test_regime_labels_spelled_only_in_planner():
     assert found == []
 
 
-def _error_sites(kind, part, error):
-    return [
-        path.name
-        for path in sorted(PACKAGE.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, kind)
-        and getattr(node, part) is not None
-        and error in ast.unparse(getattr(node, part))
-    ]
+def _sites(kind, part, name):
+    # "module.py:owner" of each `kind` node whose `part` mentions `name`, the
+    # owner being the top-level function or Class.method that holds it
+    sites = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            if isinstance(top, ast.ClassDef):
+                owners = [(f"{top.name}.{getattr(node, 'name', '')}", node) for node in top.body]
+            else:
+                owners = [(getattr(top, "name", ""), top)]
+            sites += [
+                f"{path.name}:{owner}"
+                for owner, scope in owners
+                for node in ast.walk(scope)
+                if isinstance(node, kind)
+                and getattr(node, part) is not None
+                and name in ast.unparse(getattr(node, part))
+            ]
+    return sites
 
 
 def test_one_budget_raise_site():
     # randgraph._require_budget alone decides past the budget; the library
-    # gates by exact_work instead of catching, only the CLI turns it into exit 2
-    assert _error_sites(ast.Raise, "exc", "EnumerationBudgetError") == ["randgraph.py"]
-    assert _error_sites(ast.ExceptHandler, "type", "EnumerationBudgetError") == ["cli.py"]
+    # gates by exact_work instead of catching, and the CLI's one handler, around
+    # every command, turns it into exit 2
+    assert _sites(ast.Raise, "exc", "EnumerationBudgetError") == ["randgraph.py:_require_budget"]
+    assert _sites(ast.ExceptHandler, "type", "EnumerationBudgetError") == ["cli.py:_Group.invoke"]
+
+
+def test_one_stream_site():
+    # randgraph.shard_batches alone seeds numpy streams, so every draw passes
+    # its size and budget checks
+    assert _sites(ast.Call, "func", "default_rng") == ["randgraph.py:shard_batches"]
 
 
 def test_one_float_range_site():
     # randgraph._inf_past_range alone decides past float range: one handler,
     # and no constant says where the range ends (exp's 709.78, 2^1024)
-    assert _error_sites(ast.ExceptHandler, "type", "OverflowError") == ["randgraph.py"]
+    assert _sites(ast.ExceptHandler, "type", "OverflowError") == ["randgraph.py:_inf_past_range"]
     edges = [
         f"{path.name}:{node.lineno} {node.value!r}"
         for path in sorted(PACKAGE.glob("*.py"))

@@ -22,6 +22,7 @@ from shufflesum.randgraph import (
     exact_m_power_C,
     expectation_bound,
     lemma4_probability_bound,
+    shard_batches,
 )
 
 
@@ -314,6 +315,31 @@ class TestEstimators:
         full = estimate_component_distribution(8, 3, 2000, seed=9, shards=2)
         monkeypatch.setattr(randgraph, "_BATCH_ELEMENTS", 100)
         assert estimate_component_distribution(8, 3, 2000, seed=9, shards=2) == full
+
+    def test_empty_shards_are_not_seeded(self, monkeypatch):
+        # shards s >= samples draw nothing, so their streams are never made
+        seeds = []
+        monkeypatch.setattr(randgraph, "derive_seed", lambda *path: seeds.append(path) or len(seeds))
+        assert [size for _, size in shard_batches(3, 10_000, 2, 2, 7)] == [1, 1, 1]
+        assert seeds == [(7, 0), (7, 1), (7, 2)]
+
+    def test_draw_admitted_when_called(self):
+        # both checks run at the call, before a batch is asked for, so
+        # nothing sized by n or k is allocated for a refused draw
+        for sizes in [(0, 1, 2, 2), (1, 0, 2, 2), (1, 1, 0, 2), (1, 1, 2, 0)]:
+            with pytest.raises(ValueError, match="need samples, shards, n, k >= 1"):
+                shard_batches(*sizes, 1)
+        message = "one draw takes 10000001 entries, over the budget 10000000, for n=10000001, k=1"
+        with pytest.raises(EnumerationBudgetError, match=message):
+            shard_batches(1, 1, 10**7 + 1, 1, 1)
+        shard_batches(1, 1, 10**7, 1, 1)  # at the budget: admitted, and nothing drawn yet
+
+    @pytest.mark.parametrize("n, k", [(2**1023, 3), (19, 2**1100), (10**11, 3)], ids=["n", "k", "n-int"])
+    def test_estimators_refuse_draws_over_budget(self, n, k):
+        with pytest.raises(EnumerationBudgetError, match="one draw takes"):
+            estimate_component_distribution(n, k, 1, seed=1)
+        with pytest.raises(EnumerationBudgetError, match="one draw takes"):
+            estimate_m_power_C(n, k, 2, 1, seed=1)
 
     def test_numpy_stream_pin(self):
         # Deliberate pin of the numpy Generator stream (NEP 19 allows it to
