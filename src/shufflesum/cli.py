@@ -34,7 +34,7 @@ from .oracle import (
     verify_chain,
 )
 from .planner import baseline_k_lower_bound, plan_shuffled_k, regime_flags
-from .protocol import Modulus, aggregate_batch, run_batch, transcript_record
+from .protocol import Modulus, aggregate_batch, run_batch, transcript_line
 from .randgraph import (
     EnumerationBudgetError,
     estimate_component_distribution,
@@ -240,8 +240,7 @@ def simulate(n, k, m, m_bits, variant, seed, runs, out) -> None:
                 f"conserved={'yes' if conserved else 'NO'}",
                 err=True,
             )
-            record = transcript_record(blocks, clear_block, 0, mod, derive_seed(seed, r))
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+            print(transcript_line(blocks, clear_block, 0, mod, derive_seed(seed, r)), file=fh)
     if out is not None:
         _echo(f"wrote {runs} transcript(s) to {out}", err=True)
     _echo(f"seed={seed}", err=True)

@@ -11,12 +11,15 @@ One engine runs the protocol on a whole batch of executions at once.
 ``(runs, k, n)`` shuffled blocks, plus the ``(runs, n)`` clear block of
 the randomized-inputs variant. Group elements of Z_m are residues
 0 <= x < m, and ``Modulus`` is the group order m. Residues stay in uint64
-and every sum is taken one pair at a time, reduced mod m after each add:
-both operands are below m, so no intermediate reaches 2m <= 2**64, which
-is why ``Modulus`` caps m at ``MAX_MODULUS`` = 2**63. A plain ``.sum()``
-over a row would wrap around.
-``transcript_record`` turns run r of a result into the JSON record that
-``simulate`` writes.
+and every share is solved one pair at a time, reduced mod m after each
+subtraction: both operands are below m, so no intermediate reaches
+2m <= 2**64, which is why ``Modulus`` caps m at ``MAX_MODULUS`` = 2**63.
+``aggregate_batch`` sums a run exactly, over the 32-bit halves of its
+residues.
+``transcript_line`` writes run r of a result as the JSON line that
+``simulate`` prints. Numpy formats the residues, with no Python int per
+residue, and the text is byte-identical to ``json.dumps`` of the record
+{n, k, m, variant, blocks, clear_block, seed} with ``sort_keys=True``.
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import randgraph
 
 MAX_MODULUS = 2**63
 
@@ -41,11 +46,6 @@ class Modulus:
             raise ValueError(f"modulus must be >= 2, got {self.m}")
         if self.m > MAX_MODULUS:
             raise ValueError(f"modulus must be <= 2**63, got {self.m}")
-
-
-def _add(a: np.ndarray, b: np.ndarray, m: np.uint64) -> np.ndarray:
-    # a, b < m <= 2**63, so a + b < 2**64 never wraps
-    return (a + b) % m
 
 
 def _sub(a: np.ndarray, b: np.ndarray, m: np.uint64) -> np.ndarray:
@@ -100,41 +100,72 @@ def run_batch(
     return rng.permuted(shares, axis=-1, out=shares), masks
 
 
-def _sum_mod(values: np.ndarray, m: Modulus) -> np.ndarray:
-    """Sum in Z_m over the last axis of a uint64 array of residues, by
-    pairwise adds that halve the axis each round."""
-    mm = np.uint64(m.m)
-    while values.shape[-1] > 1:
-        half = values.shape[-1] // 2
-        folded = _add(values[..., :half], values[..., half : 2 * half], mm)
-        if values.shape[-1] % 2:
-            folded[..., 0] = _add(folded[..., 0], values[..., -1], mm)
-        values = folded
-    return values[..., 0]
-
-
 def aggregate_batch(blocks: np.ndarray, clear: np.ndarray | None, m: Modulus) -> np.ndarray:
     """Per-run server output: the sum in Z_m of every block and clear
     residue of a ``run_batch`` result, shape ``(runs,)``. It equals the
-    input sum because the blocks are a rearranged set of all shares."""
+    input sum because the blocks are a rearranged set of all shares.
+
+    Numpy sums the low and the high 32 bits of the residues apart, and
+    Python ints join the two sums and reduce them mod m. Each half is
+    below 2**32, so neither uint64 sum wraps while a run holds fewer than
+    2**32 residues: ``shard_batches`` admits k * n <= 10**7, so a run
+    holds at most (k + 1) * n <= 2 * 10**7."""
     flat = blocks.reshape(len(blocks), -1)
     if clear is not None:
         flat = np.concatenate((flat, clear), axis=1)
-    return _sum_mod(flat, m)
+    lo = (flat & np.uint64(0xFFFFFFFF)).sum(axis=1, dtype=np.uint64)
+    hi = (flat >> np.uint64(32)).sum(axis=1, dtype=np.uint64)
+    sums = [((h << 32) + l) % m.m for h, l in zip(hi.tolist(), lo.tolist())]
+    return np.array(sums, dtype=np.uint64)
 
 
-def transcript_record(
-    blocks: np.ndarray, clear: np.ndarray | None, r: int, m: Modulus, seed: int
-) -> dict:
-    """Run r of a ``run_batch`` result as a JSON-shaped record
-    {n, k, m, variant, blocks, clear_block, seed} of Python ints."""
+def _row_text(row: np.ndarray) -> str:
+    """The residues of a non-empty 1-D uint64 array as JSON does, "a, b, c".
+
+    Each chunk of at most ``randgraph._BATCH_ELEMENTS`` values becomes a
+    ``(values, d + 2)`` byte table: the d decimal digits of the row's
+    largest value, then ", ". One mask drops leading zeros (a value keeps
+    its digits from its first nonzero one, and its last digit always) and
+    the separator after the row's last value."""
+    d = len(str(int(row.max())))
+    size = min(len(row), randgraph._BATCH_ELEMENTS)
+    q, t, r = (np.empty(size, dtype=np.uint64) for _ in range(3))
+    text = np.empty((size, d + 2), dtype=np.uint8)
+    text[:, d:] = np.frombuffer(b", ", dtype=np.uint8)
+    keep = np.ones((size, d + 2), dtype=bool)
+    parts = []
+    for start in range(0, len(row), size):
+        chunk = row[start : start + size]
+        used = len(chunk)
+        q_, t_, r_, text_, keep_ = q[:used], t[:used], r[:used], text[:used], keep[:used]
+        q_[:] = chunk
+        # digit j from the right: q_ holds value // 10**(d-1-j), which is 0
+        # exactly where digit j is a leading zero
+        for j in range(d - 1, -1, -1):
+            if j < d - 1:
+                np.not_equal(q_, 0, out=keep_[:, j])
+            np.floor_divide(q_, 10, out=t_)
+            np.multiply(t_, 10, out=r_)
+            np.subtract(q_, r_, out=r_)
+            np.add(r_, ord("0"), out=text_[:, j], casting="unsafe")
+            q_, t_ = t_, q_
+        keep_[-1, d:] = start + used < len(row)
+        parts.append(text_[keep_].tobytes())
+        keep_[-1, d:] = True
+    return b"".join(parts).decode("ascii")
+
+
+def transcript_line(blocks: np.ndarray, clear: np.ndarray | None, r: int, m: Modulus, seed: int) -> str:
+    """Run r of a ``run_batch`` result as one JSON object, without a newline:
+    {"blocks", "clear_block", "k", "m", "n", "seed", "variant"}, byte for
+    byte what ``json.dumps(record, sort_keys=True)`` prints for the record
+    of those keys, its blocks and clear block as lists of ints (null in the
+    plain variant)."""
     _, k, n = blocks.shape
-    return {
-        "n": n,
-        "k": k,
-        "m": m.m,
-        "variant": "plain" if clear is None else "randomized",
-        "blocks": blocks[r].tolist(),
-        "clear_block": None if clear is None else clear[r].tolist(),
-        "seed": seed,
-    }
+    rows = ", ".join(f"[{_row_text(row)}]" for row in blocks[r])
+    clear_block = "null" if clear is None else f"[{_row_text(clear[r])}]"
+    variant = "plain" if clear is None else "randomized"
+    return (
+        f'{{"blocks": [{rows}], "clear_block": {clear_block}, "k": {k}, "m": {m.m}, '
+        f'"n": {n}, "seed": {seed}, "variant": "{variant}"}}'
+    )

@@ -35,11 +35,19 @@ class EnumerationBudgetError(ValueError):
     """Requested exact computation or one draw exceeds the fixed 10**7 work budget."""
 
 
+def _figure(value: int | float) -> str:
+    """value as a refusal prints it: an integer of 2**64 or more as its log2,
+    "2^1024.6", so that the message stays one line at any size."""
+    return f"2^{math.log2(value):.1f}" if isinstance(value, int) and value >= 2**64 else str(value)
+
+
 def _require_budget(units: int | float, unit: str, quantity: str, **sizes: int) -> None:
     """The one raise past ENUMERATION_BUDGET, in one format for every exact quantity and draw."""
     if units > ENUMERATION_BUDGET:
-        given = ", ".join(f"{name}={value}" for name, value in sizes.items())
-        raise EnumerationBudgetError(f"{quantity} takes {units} {unit}, over the budget {ENUMERATION_BUDGET}, for {given}")
+        given = ", ".join(f"{name}={_figure(value)}" for name, value in sizes.items())
+        raise EnumerationBudgetError(
+            f"{quantity} takes {_figure(units)} {unit}, over the budget {ENUMERATION_BUDGET}, for {given}"
+        )
 
 
 def _check_sizes(n: int, k: int, m: int) -> None:

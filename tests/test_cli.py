@@ -1,9 +1,11 @@
 import csv
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -167,6 +169,36 @@ class TestSimulate:
         res = runner.invoke(main, args)
         assert res.exit_code == 0
         assert res.stdout == out.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize(
+        "variant, digest",
+        [
+            ("randomized", "01f69e8f288d18d3e34d8970ce216d588160bdaf9247aa9273fb2fa96e7bfe6e"),
+            ("plain", "368fe20f019a1548c37338386e76832f123200d4ddddea0998e74dfafe29fc1b"),
+        ],
+    )
+    def test_paper_point_bytes_pin(self, runner, variant, digest):
+        # the transcripts at the paper's point (n = 10^4, 12 messages, m = 2^32),
+        # pinned byte for byte: a change of writer must not move a byte
+        args = ["simulate", "--n", "10000", "--k", "11", "--m-bits", "32", "--seed", "5",
+                "--runs", "3", "--variant", variant]
+        res = run_cli(runner, args)
+        assert res.exit_code == 0
+        assert hashlib.sha256(res.stdout_bytes).hexdigest() == digest
+
+    def test_paper_point_memory(self, runner, tmp_path):
+        # tracemalloc sees numpy's buffers: numpy formats the residues, so the
+        # peak is a few share blocks, not a Python int and a str per residue
+        args = ["simulate", "--n", "10000", "--k", "11", "--m-bits", "32", "--seed", "5",
+                "--runs", "3", "--variant", "randomized", "--out", str(tmp_path / "t.jsonl")]
+        tracemalloc.start()
+        try:
+            res = run_cli(runner, args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.exit_code == 0
+        assert peak < 6 * 2**20, peak
 
     def test_randomized_variant_has_clear_block(self, runner, tmp_path):
         out = tmp_path / "r.jsonl"
@@ -447,10 +479,12 @@ class TestVerify:
 )
 def test_over_budget_exit_2(runner, args):
     # a draw of more than 10^7 entries, or an exact quantity whose work reads
-    # inf, is refused with click's error line; no numpy traceback, no long run
+    # inf, is refused with click's error line; no numpy traceback, no long run.
+    # Sizes from 2^64 print as log2 figures, so the line stays short
     res = run_cli(runner, args)
     assert res.exit_code == 2, res.output
-    assert "Error: " in res.output and "over the budget" in res.output
+    (line,) = [line for line in res.output.splitlines() if line.startswith("Error: ")]
+    assert "over the budget" in line and len(line) < 200, line
     assert "Traceback" not in res.output
 
 

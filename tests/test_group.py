@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import SIGNIFICANCE, binomial_sigma, chisq_pvalue
-from shufflesum.protocol import MAX_MODULUS, Modulus, _add, _sub, share_batch
+from shufflesum.protocol import MAX_MODULUS, Modulus, _sub, aggregate_batch, share_batch
 
 moduli = st.sampled_from([2, 3, 5, 7, 64, 97, 2**32, 2**63 - 1, 2**63])
 
@@ -17,8 +17,8 @@ def mod_and_elements(draw, count):
 
 
 def add(a: int, b: int, m: Modulus) -> int:
-    """The protocol engine's uint64 add in Z_m, on one pair of residues."""
-    return int(_add(np.array([a], np.uint64), np.array([b], np.uint64), np.uint64(m.m))[0])
+    """The protocol engine's sum in Z_m (``aggregate_batch``), on one pair of residues."""
+    return int(aggregate_batch(np.array([[[a, b]]], np.uint64), None, m)[0])
 
 
 def neg(a: int, m: Modulus) -> int:

@@ -88,6 +88,13 @@ def test_one_stream_site():
     assert _sites(ast.Call, "func", "default_rng") == ["randgraph.py:shard_batches"]
 
 
+def test_one_transcript_writer():
+    # protocol.transcript_line alone formats a transcript: simulate calls it
+    # and makes no json.dumps call of its own
+    assert _sites(ast.Call, "func", "transcript_line") == ["cli.py:simulate"]
+    assert "cli.py:simulate" not in _sites(ast.Call, "func", "dumps")
+
+
 def test_one_float_range_site():
     # randgraph._inf_past_range alone decides past float range: one handler,
     # and no constant says where the range ends (exp's 709.78, 2^1024)

@@ -4,11 +4,12 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import SIGNIFICANCE, binomial_sigma, chisq_pvalue, group_sum, two_sample_chisq_pvalue
-from shufflesum.protocol import Modulus, aggregate_batch, run_batch, share_batch, transcript_record
+from shufflesum import randgraph
+from shufflesum.protocol import Modulus, aggregate_batch, run_batch, share_batch, transcript_line
 from transcript_enumeration import exact_output_distribution
 
 
@@ -196,21 +197,111 @@ class TestAggregate:
         scrambled = rng.permuted(blocks, axis=-1)
         assert aggregate_batch(scrambled, None, m).tolist() == aggregate_batch(blocks, None, m).tolist()
 
+    @pytest.mark.parametrize("m", [97, 2**32, 2**63 - 25, 2**63])
+    def test_exact_at_the_largest_residues(self, m):
+        # every residue m - 1: each half-sum is as large as it gets, and
+        # Python ints give the reference sum
+        blocks = np.full((2, 11, 10_000), m - 1, dtype=np.uint64)
+        clear = np.full((2, 10_000), m - 1, dtype=np.uint64)
+        expected = group_sum([m - 1] * 12 * 10_000, Modulus(m))
+        assert aggregate_batch(blocks, clear, Modulus(m)).tolist() == [expected, expected]
+
+    @given(st.integers(2, 2**63), st.integers(1, 30), st.integers(1, 4), st.booleans(), st.integers(0, 2**32))
+    def test_equals_python_sum(self, m, n, k, clear, seed):
+        rng = np.random.default_rng(seed)
+        blocks = rng.integers(0, m, size=(3, k, n), dtype=np.uint64)
+        clear_block = rng.integers(0, m, size=(3, n), dtype=np.uint64) if clear else None
+        expected = [
+            group_sum(blocks[r].ravel().tolist() + ([] if clear_block is None else clear_block[r].tolist()), Modulus(m))
+            for r in range(3)
+        ]
+        assert aggregate_batch(blocks, clear_block, Modulus(m)).tolist() == expected
+
+
+def transcript_record(blocks: np.ndarray, clear: np.ndarray | None, r: int, m: Modulus, seed: int) -> dict:
+    """Run r of a ``run_batch`` result as a JSON-shaped record of Python
+    ints: the reference that ``transcript_line`` must print byte for byte."""
+    _, k, n = blocks.shape
+    return {
+        "n": n,
+        "k": k,
+        "m": m.m,
+        "variant": "plain" if clear is None else "randomized",
+        "blocks": blocks[r].tolist(),
+        "clear_block": None if clear is None else clear[r].tolist(),
+        "seed": seed,
+    }
+
+
+def assert_line_is_record(blocks, clear, r, m, seed):
+    line = transcript_line(blocks, clear, r, m, seed)
+    expected = json.dumps(transcript_record(blocks, clear, r, m, seed), sort_keys=True)
+    if line != expected:
+        # where the lines part, rather than pytest's diff of two strings of up to megabytes
+        at = next((i for i, (a, b) in enumerate(zip(line, expected)) if a != b), min(len(line), len(expected)))
+        pytest.fail(f"lines part at {at}: {line[at - 20 : at + 20]!r} != {expected[at - 20 : at + 20]!r}")
+
+
+# values on each side of a change of digit count, the largest power of ten below 2^63, and the largest residue
+EDGE_RESIDUES = [0, 9, 10, 99, 100, 10**18, 2**63 - 1]
+
 
 class TestSerialization:
     def test_schema_and_roundtrip(self):
         m = Modulus(7)
         blocks, clear = run_batch(tiled([1, 2, 3], 2), 2, m, np.random.default_rng(19), clear=True)
-        d = transcript_record(blocks, clear, 1, m, seed=123)
+        d = json.loads(transcript_line(blocks, clear, 1, m, seed=123))
         assert set(d) == {"n", "k", "m", "variant", "blocks", "clear_block", "seed"}
         assert d["variant"] == "randomized" and d["seed"] == 123
         assert (d["n"], d["k"], d["m"]) == (3, 2, 7)
-        parsed = json.loads(json.dumps(d))
-        assert parsed["blocks"] == blocks[1].tolist()
-        assert parsed["clear_block"] == clear[1].tolist()
+        assert d["blocks"] == blocks[1].tolist()
+        assert d["clear_block"] == clear[1].tolist()
 
     def test_plain_has_null_clear_block(self):
         m = Modulus(7)
         blocks, clear = run_batch(tiled([1, 2], 1), 3, m, np.random.default_rng(20))
-        d = transcript_record(blocks, clear, 0, m, seed=0)
+        d = json.loads(transcript_line(blocks, clear, 0, m, seed=0))
         assert d["clear_block"] is None and d["variant"] == "plain"
+
+    @pytest.mark.parametrize("m", [2, 10, 97, 2**32, 2**63])
+    @pytest.mark.parametrize("n, k", [(1, 1), (1, 4), (6, 1), (50, 3)])
+    @pytest.mark.parametrize("clear", [False, True], ids=["plain", "randomized"])
+    def test_line_is_the_json_record(self, m, n, k, clear):
+        rng = np.random.default_rng(21)
+        blocks, clear_block = run_batch(rng.integers(0, m, size=(2, n), dtype=np.uint64), k, Modulus(m), rng, clear)
+        assert_line_is_record(blocks, clear_block, 1, Modulus(m), seed=2**64 - 1)
+
+    @pytest.mark.parametrize("value", EDGE_RESIDUES)
+    def test_edge_residues(self, value):
+        # one value alone, and beside 0 and 2^63 - 1 so that the row's width differs from its own
+        m = Modulus(2**63)
+        row = np.array([value], dtype=np.uint64)
+        assert_line_is_record(row[None, None], row[None], 0, m, seed=0)
+        mixed = np.array([[[value, 0, 2**63 - 1, value]]], dtype=np.uint64)
+        assert_line_is_record(mixed, None, 0, m, seed=1)
+
+    def test_row_longer_than_a_chunk(self):
+        # a row crosses the chunk seam at _BATCH_ELEMENTS values, with a
+        # narrow value on each side of it
+        n = randgraph._BATCH_ELEMENTS + 3
+        rng = np.random.default_rng(22)
+        row = rng.integers(0, 10**12, size=n, dtype=np.uint64)
+        row[randgraph._BATCH_ELEMENTS - 1 : randgraph._BATCH_ELEMENTS + 1] = [7, 0]
+        assert_line_is_record(row[None, None], row[None], 0, Modulus(10**12), seed=3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        k=st.integers(1, 4),
+        m=st.one_of(st.integers(2, 1000), st.integers(2, 2**63), st.sampled_from([2**32, 2**63])),
+        seed=st.integers(0, 2**64 - 1),
+        clear=st.booleans(),
+        chunk=st.sampled_from([1, 2, 7, randgraph._BATCH_ELEMENTS]),
+    )
+    def test_line_is_the_json_record_fuzz(self, n, k, m, seed, clear, chunk):
+        # chunks of 1, 2 and 7 values put seams inside every row
+        rng = np.random.default_rng(seed)
+        blocks, clear_block = run_batch(rng.integers(0, m, size=(1, n), dtype=np.uint64), k, Modulus(m), rng, clear)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(randgraph, "_BATCH_ELEMENTS", chunk)
+            assert_line_is_record(blocks, clear_block, 0, Modulus(m), seed)

@@ -334,6 +334,13 @@ class TestEstimators:
             shard_batches(1, 1, 10**7 + 1, 1, 1)
         shard_batches(1, 1, 10**7, 1, 1)  # at the budget: admitted, and nothing drawn yet
 
+    def test_budget_message_prints_sizes_from_2_64_as_log2(self):
+        # below 2^64 every integer prints in full; from 2^64 as its log2, so the line stays short
+        with pytest.raises(EnumerationBudgetError, match=r"takes 18446744073709551615 entries, .* n=18446744073709551615, k=1$"):
+            shard_batches(1, 1, 2**64 - 1, 1, 1)
+        with pytest.raises(EnumerationBudgetError, match=r"takes 2\^64\.0 entries, .* n=2\^64\.0, k=1$"):
+            shard_batches(1, 1, 2**64, 1, 1)
+
     @pytest.mark.parametrize("n, k", [(2**1023, 3), (19, 2**1100), (10**11, 3)], ids=["n", "k", "n-int"])
     def test_estimators_refuse_draws_over_budget(self, n, k):
         with pytest.raises(EnumerationBudgetError, match="one draw takes"):
