@@ -17,6 +17,7 @@ from .protocol import Modulus, aggregate_batch, run_batch, share_batch
 from .randgraph import (
     ComponentHistogram,
     EnumerationBudgetError,
+    Quantity,
     estimate_component_distribution,
     estimate_m_power_C,
     exact_m_power_C,
@@ -35,6 +36,7 @@ __all__ = [
     "baseline_k_lower_bound",
     "ComponentHistogram",
     "EnumerationBudgetError",
+    "Quantity",
     "lemma4_probability_bound",
     "expectation_bound",
     "estimate_component_distribution",

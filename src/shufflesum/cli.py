@@ -1,12 +1,16 @@
 """Command-line front end: plan message counts, simulate protocol runs,
 and verify the measured quantities against the closed-form bounds.
 
-Exit codes: 0 all checks pass, 1 a verified bound is violated, 2 invalid
-or over-budget parameters, 3 an unexpected error (traceback on stderr).
-An instance outside a bound's proved regime is no error: the report marks
-the failed ``preconditions_ok`` labels, checks nothing there and exits 0.
-Seeds are always explicit in the output; a seed that was not supplied is
-generated once and recorded.
+Every verify report holds ``preconditions_ok`` and ``checks``, one status
+per check, each decided by ``oracle.check``: "pass", "fail" (only where the
+data refute the bound), "unavailable" (past the work budget) or
+"not-applicable" (outside the proved regime; ``preconditions_ok`` marks the
+failed labels). The checks: chain those of ``oracle.verify_chain``,
+graph-exp expectation_bound_mc, graph-dist lemma4_c<c> per observed
+component count c, tv-exact lemma1_exact_soundness. Exit codes: 0 no check
+reads "fail", 1 one does, 2 invalid or over-budget parameters, 3 an
+unexpected error (traceback on stderr). Seeds are always explicit in the
+output; a seed that was not supplied is generated once and recorded.
 """
 
 from __future__ import annotations
@@ -25,11 +29,12 @@ import numpy as np
 
 from . import __version__
 from .oracle import (
+    HOEFFDING_CONFIDENCE,
     CollisionMode,
+    check,
     exact_avg_case_tv,
     exact_collision_probability,
     hoeffding_halfwidth,
-    json_value,
     lemma1_bound,
     verify_chain,
 )
@@ -37,6 +42,7 @@ from .planner import baseline_k_lower_bound, plan_shuffled_k, regime_flags
 from .protocol import Modulus, aggregate_batch, run_batch, transcript_line
 from .randgraph import (
     EnumerationBudgetError,
+    Quantity,
     estimate_component_distribution,
     estimate_m_power_C,
     expectation_bound,
@@ -87,9 +93,6 @@ def _flatten(prefix: str, value, out: dict) -> None:
     if isinstance(value, dict):
         for key, sub in value.items():
             _flatten(f"{prefix}.{key}" if prefix else str(key), sub, out)
-    elif isinstance(value, (list, tuple)):
-        for i, sub in enumerate(value):
-            _flatten(f"{prefix}.{i}", sub, out)
     else:
         out[prefix] = value
 
@@ -119,11 +122,12 @@ def emit_report(report: dict, fmt: str) -> None:
         _echo(f"{key:<{width}}  {flat[key]}")
 
 
-def _finish(report: dict, fmt: str, ok: bool) -> None:
-    """Print the report with the program version; exit 1 unless ok."""
+def _finish(report: dict, fmt: str) -> None:
+    """Print the report with the program version; the one exit rule: exit 1
+    if and only if one of its checks reads "fail"."""
     with _stdout_may_close():
         emit_report({"version": __version__, **report}, fmt)
-    if not ok:
+    if "fail" in report.get("checks", {}).values():
         sys.exit(EXIT_VIOLATION)
 
 
@@ -203,7 +207,7 @@ def plan(sigma: float, n: int, m: int | None, m_bits: int | None, fmt: str) -> N
         "baseline_k_lower_bound": baseline_k_lower_bound(sigma),
         "preconditions_ok": result.preconditions_ok,
     }
-    _finish(report, fmt, True)
+    _finish(report, fmt)
 
 
 @main.command()
@@ -266,13 +270,12 @@ def verify_graph_dist(n, k, samples, seed, shards, fmt) -> None:
     # lemma 4 is proved for n >= 19 and k >= 3 only; outside, nothing is checked
     preconditions = regime_flags(n, k)
     in_regime = all(preconditions.values())
-    rows = {}
+    rows, checks = {}, {}
     for c, count in hist.counts.items():
         bound = lemma4_probability_bound(n, k, c)
-        freq = count / samples
-        ok = freq <= bound + halfwidth if in_regime else None
-        rows[str(c)] = {"count": count, "frequency": freq, "lemma4_bound": bound, "ok": ok}
-    violations = [int(c) for c, row in rows.items() if row["ok"] is False]
+        freq = Quantity.sampled(count / samples, halfwidth, HOEFFDING_CONFIDENCE, samples, count)
+        rows[str(c)] = {"count": count, "frequency": freq.value, "lemma4_bound": bound}
+        checks[f"lemma4_c{c}"] = check(freq, "<=", bound) if in_regime else "not-applicable"
     report = {
         "params": {"n": n, "k": k},
         "samples": samples,
@@ -281,9 +284,9 @@ def verify_graph_dist(n, k, samples, seed, shards, fmt) -> None:
         "hoeffding_halfwidth": halfwidth,
         "components": rows,
         "preconditions_ok": preconditions,
-        "violations": violations,
+        "checks": checks,
     }
-    _finish(report, fmt, not violations)
+    _finish(report, fmt)
 
 
 @verify.command("graph-exp")
@@ -295,23 +298,23 @@ def verify_graph_exp(n, k, m, m_bits, samples, seed, shards, fmt) -> None:
     """Monte Carlo E[m^C] vs its closed-form bound."""
     m_val = _resolve_m(m, m_bits).m
     seed = _resolve_seed(seed)
-    estimate, halfwidth = estimate_m_power_C(n, k, m_val, samples, seed, shards)
+    estimate = estimate_m_power_C(n, k, m_val, samples, seed, shards)
     # the bound is proved for n >= 19, k >= 3 and the m-bound only; outside, nothing is checked
     preconditions = regime_flags(n, k, m=m_val)
-    bound = expectation_bound(n, k, m_val) if all(preconditions.values()) else None
-    ok = estimate - halfwidth <= bound if bound is not None else None
+    in_regime = all(preconditions.values())
+    bound = expectation_bound(n, k, m_val) if in_regime else None
     report = {
         "params": {"n": n, "k": k, "m": m_val},
         "samples": samples,
         "seed": seed,
         "shards": shards,
-        "estimate": estimate,
-        "ci99_halfwidth": halfwidth,
+        "estimate": estimate.value,
+        "ci99_halfwidth": estimate.hi - estimate.value,
         "expectation_bound": bound,
         "preconditions_ok": preconditions,
-        "ok": ok,
+        "checks": {"expectation_bound_mc": check(estimate, "<=", bound) if in_regime else "not-applicable"},
     }
-    _finish(report, fmt, ok is not False)
+    _finish(report, fmt)
 
 
 @verify.command("tv-exact")
@@ -322,17 +325,19 @@ def verify_tv_exact(n, k, m, m_bits, fmt) -> None:
     """Exact average TV vs the exact collision-probability bound, both
     summed over block histograms; exit 2 past the work budget."""
     m_val = _resolve_m(m, m_bits).m
-    tv = exact_avg_case_tv(n, k, m_val)
-    collision = exact_collision_probability(n, k, m_val, CollisionMode.V_VS_V)
-    sound = tv * tv <= collision * m_val ** (k * n - 1) - 1
+    tv = Quantity.exact(exact_avg_case_tv(n, k, m_val))
+    collision = Quantity.exact(exact_collision_probability(n, k, m_val, CollisionMode.V_VS_V))
+    radicand = collision.value * m_val ** (k * n - 1) - 1
     report = {
         "params": {"n": n, "k": k, "m": m_val},
-        "exact_avg_tv": json_value(tv),
-        "exact_collision": json_value(collision),
-        "lemma1_bound": json_value(lemma1_bound(collision, n, k, m_val)),
-        "ok": sound,
+        "exact_avg_tv": tv.to_json(),
+        "exact_collision": collision.to_json(),
+        "lemma1_bound": lemma1_bound(collision, n, k, m_val).to_json(),
+        # lemma 1 holds at every n, k and m
+        "preconditions_ok": {},
+        "checks": {"lemma1_exact_soundness": check(tv.value**2, "<=", radicand)},
     }
-    _finish(report, fmt, sound)
+    _finish(report, fmt)
 
 
 @verify.command("chain")
@@ -344,7 +349,7 @@ def verify_chain_cmd(n, k, m, m_bits, samples, seed, shards, fmt) -> None:
     """Full bound-chain report: exact within the work budget, Monte Carlo always."""
     m_val = _resolve_m(m, m_bits).m
     report = verify_chain(n, k, m_val, samples, _resolve_seed(seed), shards)
-    _finish(report.to_dict(), fmt, report.all_checks_pass())
+    _finish(report.to_dict(), fmt)
 
 
 if __name__ == "__main__":

@@ -18,16 +18,22 @@ next to the chain of closed-form bounds:
     avg TV  <=  sqrt(m (e/n)^(k-1)) = 2^-sigma               (theorem)
 
 and reports the status of every inequality. The lemma-3 inequality holds
-with equality, and the report checks that identity too.
+with equality, and the report checks that identity too. Every number is a
+``randgraph.Quantity`` with an interval [lo, hi] (lo = hi when exact), and
+``check`` decides every inequality from two intervals: "fail", which makes
+a command exit 1, only where they refute it. Its checks: lemma1_exact_soundness,
+lemma2_exact_identity, lemma3_exact_soundness, lemma3_exact_identity,
+lemma2_mc_consistency and mc_matches_exact_collision_{v,e}; in the proved
+regime only, else "not-applicable", expectation_bound_{exact,mc} (the exact
+one on E[m^C] - m), graph_route_le_theorem1 and theorem1_dominates_exact_tv.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import operator
 from collections import defaultdict
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from typing import Iterator
@@ -38,7 +44,7 @@ from .planner import regime_flags, sigma_for
 from .protocol import Modulus, run_batch, share_batch
 from .randgraph import (
     ENUMERATION_BUDGET,
-    MEAN_CI_CONFIDENCE,
+    Quantity,
     _check_sizes,
     _inf_past_range,
     _require_budget,
@@ -46,6 +52,7 @@ from .randgraph import (
     estimate_m_power_C,
     exact_m_power_C,
     expectation_bound,
+    expectation_excess,
     m_power_c_work,
     shard_batches,
 )
@@ -56,16 +63,6 @@ HOEFFDING_CONFIDENCE = 0.999
 def hoeffding_halfwidth(samples: int) -> float:
     """Two-sided Hoeffding halfwidth at HOEFFDING_CONFIDENCE for a [0,1]-bounded sample mean."""
     return math.sqrt(math.log(2.0 / (1.0 - HOEFFDING_CONFIDENCE)) / (2.0 * samples))
-
-
-@dataclass(frozen=True)
-class Estimate:
-    """Monte Carlo frequency with a Hoeffding 99.9% confidence halfwidth."""
-
-    value: float
-    ci_halfwidth: float
-    samples: int
-    hits: int
 
 
 class CollisionMode(enum.Enum):
@@ -249,8 +246,8 @@ def collision_probability(
     seed: int,
     mode: CollisionMode,
     shards: int = 1,
-) -> Estimate:
-    """Monte Carlo frequency of the collision event.
+) -> Quantity:
+    """Monte Carlo frequency of the collision event, with its Hoeffding interval.
 
     Each sample draws a uniform input and runs the protocol engine on it
     (``protocol.run_batch``): V_VS_V compares two shuffled executions on
@@ -274,56 +271,46 @@ def collision_probability(
             first, _ = share_batch(x, k, mod, rng)
         second, _ = run_batch(x, k, mod, rng)
         hits += int((first == second).all(axis=(1, 2)).sum())
-    return Estimate(hits / samples, hoeffding_halfwidth(samples), samples, hits)
+    return Quantity.sampled(hits / samples, hoeffding_halfwidth(samples), HOEFFDING_CONFIDENCE, samples, hits)
 
 
-@dataclass(frozen=True)
-class Lemma1Bound:
-    """sqrt(m^(kn-1) p - 1) or an explicit radicand-negative marker."""
-
-    value: float | None
-    status: str  # "ok" | "radicand-negative"
-    provenance: str = "exact"  # or "monte-carlo": how the radicand was obtained
-
-
-def _bound_from_exact_radicand(rad: Fraction) -> Lemma1Bound:
-    if rad < 0:
-        return Lemma1Bound(None, "radicand-negative")
-    return Lemma1Bound(_sqrt_or_inf(rad), "ok")
-
-
-def _bound_from_log1p_arg(log_arg: float) -> Lemma1Bound:
-    # log_arg = log(radicand + 1); radicand >= 0 iff log_arg >= 0
+def _root(x: Fraction | float, exponent: int, m: int) -> float | None:
+    """sqrt(x m^exponent - 1), or None where the radicand is negative, never
+    clamped. The sign is decided exactly for a rational x and by logarithms
+    for a float; the root reads inf past float range."""
+    if isinstance(x, (int, Fraction)):
+        radicand = x * Fraction(m) ** exponent - 1
+        return None if radicand < 0 else _sqrt_or_inf(radicand)
+    if x <= 0:
+        return None
+    # log(radicand + 1); the radicand is >= 0 iff this is
+    log_arg = _inf_past_range(float, exponent) * math.log(m) + math.log(x)
     if log_arg < 0:
-        return Lemma1Bound(None, "radicand-negative", "monte-carlo")
+        return None
     if log_arg > 700:
-        return Lemma1Bound(_inf_past_range(math.exp, log_arg / 2), "ok", "monte-carlo")
-    return Lemma1Bound(math.sqrt(math.expm1(log_arg)), "ok", "monte-carlo")
+        return _inf_past_range(math.exp, log_arg / 2)
+    return math.sqrt(math.expm1(log_arg))
 
 
-def lemma1_bound(collision_prob, n: int, k: int, m: int) -> Lemma1Bound:
-    """Distance bound sqrt(m^(kn-1) * collision_prob - 1), log-space safe.
+def _root_bound(q: Quantity, exponent: int, m: int) -> Quantity:
+    # _root of the value and of both ends, once each where they are equal (an
+    # exact record); the root is increasing, so the interval still holds the value
+    roots = {x: _root(x, exponent, m) for x in {q.value, q.lo, q.hi}}
+    return replace(q, value=roots[q.value], lo=roots[q.lo], hi=roots[q.hi])
 
-    Exact inputs (int / Fraction) decide the radicand's sign exactly and
-    give provenance "exact"; a float is a Monte Carlo estimate, provenance
-    "monte-carlo". An estimate below the uniform floor m^(1-kn) leaves a
-    negative radicand; that is reported as an explicit status, never
-    silently clamped, to distinguish estimation noise from a genuinely
-    zero bound.
+
+def lemma1_bound(p: Quantity, n: int, k: int, m: int) -> Quantity:
+    """Distance bound sqrt(m^(kn-1) p - 1) on the collision probability p.
+
+    Keeps p's provenance, confidence and work. An exact p decides the
+    radicand's sign exactly. An estimate below the uniform floor m^(1-kn)
+    leaves a negative radicand; that end reads None, never clamped, to tell
+    estimation noise from a genuinely zero bound.
     """
     _check_sizes(n, k, m)
-    kn = k * n
-    if isinstance(collision_prob, (int, Fraction)) and not isinstance(collision_prob, bool):
-        p = Fraction(collision_prob)
-        if not 0 <= p <= 1:
-            raise ValueError(f"collision probability must be in [0, 1], got {p}")
-        return _bound_from_exact_radicand(p * m ** (kn - 1) - 1)
-    p = float(collision_prob)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"collision probability must be in [0, 1], got {p}")
-    if p == 0.0:
-        return Lemma1Bound(None, "radicand-negative", "monte-carlo")
-    return _bound_from_log1p_arg(_inf_past_range(float, kn - 1) * math.log(m) + math.log(p))
+    if not 0 <= p.value <= 1:
+        raise ValueError(f"collision probability must be in [0, 1], got {p.value}")
+    return _root_bound(p, k * n - 1, m)
 
 
 def theorem_bound(n: int, k: int, m: int) -> float:
@@ -331,78 +318,54 @@ def theorem_bound(n: int, k: int, m: int) -> float:
     return _inf_past_range(pow, 2.0, -sigma_for(k, n, m))
 
 
-def _check(test, *inputs) -> str:
-    """"pass" or "fail" by test(*inputs); "unavailable" when an input is None."""
-    if any(x is None for x in inputs):
+def check(a, relation: str, b) -> str:
+    """The one decision of every check: "fail" only where the intervals of a
+    and b refute `a relation b`, for relation "<=" or "=="; "pass" otherwise;
+    "unavailable" when a side is None. A bare number is its own interval, and
+    a record's None end is unbounded, so it refutes nothing."""
+    if a is None or b is None:
         return "unavailable"
-    return "pass" if test(*inputs) else "fail"
-
-
-def json_value(value):
-    """JSON form of a report value; exact rationals and Monte Carlo
-    estimates state their provenance, bounds carry their own."""
-    if isinstance(value, Fraction):
-        fraction = f"{value.numerator}/{value.denominator}"
-        return {"fraction": fraction, "value": _inf_past_range(float, value), "provenance": "exact"}
-    if isinstance(value, Estimate):
-        return {**asdict(value), "confidence": HOEFFDING_CONFIDENCE, "provenance": "monte-carlo"}
-    if isinstance(value, Lemma1Bound):
-        return asdict(value)
-    if isinstance(value, dict):
-        return dict(value)
-    return value
+    (a_lo, a_hi), (b_lo, b_hi) = ((x.lo, x.hi) if isinstance(x, Quantity) else (x, x) for x in (a, b))
+    gaps = {"<=": [(a_lo, b_hi)], "==": [(a_lo, b_hi), (b_lo, a_hi)]}[relation]
+    refuted = any(lo is not None and hi is not None and lo > hi for lo, hi in gaps)
+    return "fail" if refuted else "pass"
 
 
 @dataclass(frozen=True)
 class SecurityReport:
     """Every measured and derived quantity of one chain verification.
 
-    Exact entries are rationals (None when the instance is beyond the
-    work budget; ``exact_work`` gives the work each would take); Monte
-    Carlo entries always carry their sample counts and confidence
-    halfwidths. ``checks`` records the status of every inequality in the
-    chain: "pass", "fail", "unavailable" (budget) or "not-applicable"
+    Every computed number is a ``Quantity``: exact ones (None when the
+    instance is beyond the work budget; ``exact_work`` gives the work each
+    would take) are rationals with lo = hi = value, Monte Carlo ones carry
+    their interval, confidence and samples, and the two bounds keep the
+    provenance, interval and work of the quantity under their root. Only
+    ``theorem1_bound``, a closed form, is a plain number. ``checks``
+    records the status of every inequality in the chain, each decided by
+    ``check``: "pass", "fail", "unavailable" (budget) or "not-applicable"
     (outside the proved n/k/sigma regime).
     """
 
-    n: int
-    k: int
-    m: int
+    params: dict[str, int]
     samples: int
     seed: int
     shards: int
-    exact_avg_tv: Fraction | None
-    exact_collision_v: Fraction | None
-    exact_collision_e: Fraction | None
-    exact_m_power_c: Fraction | None
-    exact_work: dict[str, int | float]
-    mc_collision_v: Estimate
-    mc_collision_e: Estimate
-    mc_m_power_c: float
-    mc_m_power_c_halfwidth: float
-    lemma1_bound: Lemma1Bound
-    lemma3_bound: Lemma1Bound
+    exact_avg_tv: Quantity | None
+    exact_collision_v: Quantity | None
+    exact_collision_e: Quantity | None
+    exact_m_power_c: Quantity | None
+    exact_work: dict[str, int | float | str]
+    mc_collision_v: Quantity
+    mc_collision_e: Quantity
+    mc_m_power_c: Quantity
+    lemma1_bound: Quantity
+    lemma3_bound: Quantity
     theorem1_bound: float | None
     preconditions_ok: dict[str, bool]
     checks: dict[str, str]
 
-    def all_checks_pass(self) -> bool:
-        return all(v != "fail" for v in self.checks.values())
-
     def to_dict(self) -> dict:
-        out = {f.name: json_value(getattr(self, f.name)) for f in fields(self)}
-        del out["n"], out["k"], out["m"], out["mc_m_power_c_halfwidth"]
-        out["params"] = {"n": self.n, "k": self.k, "m": self.m}
-        unit = "histogram updates; word products for exact_m_power_c"
-        out["exact_work"] = {"budget": ENUMERATION_BUDGET, "unit": unit, **self.exact_work}
-        out["mc_m_power_c"] = {
-            "value": self.mc_m_power_c,
-            "ci_halfwidth": self.mc_m_power_c_halfwidth,
-            "confidence": MEAN_CI_CONFIDENCE,
-            "samples": self.samples,
-            "provenance": "monte-carlo",
-        }
-        return out
+        return {name: x.to_json() if isinstance(x, Quantity) else x for name, x in vars(self).items()}
 
 
 def verify_chain(
@@ -421,50 +384,43 @@ def verify_chain(
     cv = exact_collision_probability(n, k, m, CollisionMode.V_VS_V) if fits["exact_collision_v"] else None
     ce = exact_collision_probability(n, k, m, CollisionMode.E_EVENT) if fits["exact_collision_e"] else None
     emc = exact_m_power_C(n, k, m) if fits["exact_m_power_c"] else None
+    tv, cv, ce, emc = (None if x is None else Quantity.exact(x) for x in (tv, cv, ce, emc))
 
     mc_v = collision_probability(n, k, m, samples, seed, CollisionMode.V_VS_V, shards)
     mc_e = collision_probability(n, k, m, samples, seed, CollisionMode.E_EVENT, shards)
-    emc_est, emc_hw = estimate_m_power_C(n, k, m, samples, seed, shards)
+    mc_emc = estimate_m_power_C(n, k, m, samples, seed, shards)
 
     kn = k * n
-    l1 = lemma1_bound(cv if cv is not None else mc_v.value, n, k, m)
+    l1 = lemma1_bound(cv or mc_v, n, k, m)
     # the graph route's radicand E[m^C]/m^(kn) * m^(kn-1) - 1 collapses to E[m^C]/m - 1
-    if emc is not None:
-        l3 = graph_lo = _bound_from_exact_radicand(emc / m - 1)
-    else:
-        l3 = _bound_from_log1p_arg(math.log(emc_est) - math.log(m))
-        graph_lo = _bound_from_log1p_arg(math.log(max(emc_est - emc_hw, float(m))) - math.log(m))
+    l3 = _root_bound(emc or mc_emc, -1, m)
     thm = theorem_bound(n, k, m) if n >= 2 else None
     preconditions = regime_flags(n, k, sigma_for(k, n, m) if n >= 2 else -math.inf)
 
-    route = Fraction(emc, m**kn) if emc is not None else None
+    route = emc and Quantity.exact(emc.value / m**kn)
     checks = {
-        "lemma1_exact_soundness": _check(lambda t, c: t * t <= c * m ** (kn - 1) - 1, tv, cv),
-        "lemma2_exact_identity": _check(operator.eq, cv, ce),
-        "lemma3_exact_soundness": _check(operator.le, cv, route),
-        "lemma3_exact_identity": _check(operator.eq, cv, route),
-        "lemma2_mc_consistency": _check(
-            lambda a, b: abs(a.value - b.value) <= a.ci_halfwidth + b.ci_halfwidth, mc_v, mc_e
-        ),
+        "lemma1_exact_soundness": check(tv and tv.value**2, "<=", cv and cv.value * m ** (kn - 1) - 1),
+        "lemma2_exact_identity": check(cv, "==", ce),
+        "lemma3_exact_soundness": check(cv, "<=", route),
+        "lemma3_exact_identity": check(cv, "==", route),
+        "lemma2_mc_consistency": check(mc_v, "==", mc_e),
+        "mc_matches_exact_collision_v": check(mc_v, "==", cv),
+        "mc_matches_exact_collision_e": check(mc_e, "==", ce),
     }
-    for name, est, exact in (("v", mc_v, cv), ("e", mc_e, ce)):
-        checks[f"mc_matches_exact_collision_{name}"] = _check(
-            lambda e, x: abs(e.value - float(x)) <= e.ci_halfwidth, est, exact
-        )
     # the closed forms hold only in the proved regime, and expectation_bound raises outside it
     in_regime = all(preconditions.values())
-    for name, test, *inputs in (
-        ("expectation_bound_exact", lambda e: e <= Fraction(expectation_bound(n, k, m)), emc),
-        ("expectation_bound_mc", lambda: emc_est - emc_hw <= expectation_bound(n, k, m)),
-        ("graph_route_le_theorem1", lambda: (graph_lo.value or 0.0) <= thm),
-        ("theorem1_dominates_exact_tv", lambda t: float(t) <= thm, tv),
-    ):
-        checks[name] = _check(test, *inputs) if in_regime else "not-applicable"
+    excess, bound = (expectation_excess(n, k, m), expectation_bound(n, k, m)) if in_regime else (None, None)
+    closed_form = {
+        "expectation_bound_exact": check(emc and emc.value - m, "<=", excess),
+        "expectation_bound_mc": check(mc_emc, "<=", bound),
+        "graph_route_le_theorem1": check(l3, "<=", thm),
+        "theorem1_dominates_exact_tv": check(tv, "<=", thm),
+    }
+    checks |= {name: status if in_regime else "not-applicable" for name, status in closed_form.items()}
 
+    unit = "histogram updates; word products for exact_m_power_c"
     return SecurityReport(
-        n=n,
-        k=k,
-        m=m,
+        params={"n": n, "k": k, "m": m},
         samples=samples,
         seed=seed,
         shards=shards,
@@ -472,11 +428,10 @@ def verify_chain(
         exact_collision_v=cv,
         exact_collision_e=ce,
         exact_m_power_c=emc,
-        exact_work=work,
+        exact_work={"budget": ENUMERATION_BUDGET, "unit": unit, **work},
         mc_collision_v=mc_v,
         mc_collision_e=mc_e,
-        mc_m_power_c=emc_est,
-        mc_m_power_c_halfwidth=emc_hw,
+        mc_m_power_c=mc_emc,
         lemma1_bound=l1,
         lemma3_bound=l3,
         theorem1_bound=thm,

@@ -119,8 +119,10 @@ def lemma4_probability_bound(n: int, k: int, c: int) -> float:
     return _inf_past_range(math.exp, log_bound)
 
 
-def expectation_bound(n: int, k: int, m: int) -> float:
-    """Closed-form upper bound m + m^2 (n/e)^(1-k) on E[m^C].
+def expectation_excess(n: int, k: int, m: int) -> float:
+    """m^2 (n/e)^(1-k), the closed form's bound on E[m^C] - m. A check decides
+    on it, not on the bound: the float m + excess rounds to m once the excess
+    is under half an ulp of m (from k = 21 at n = 19, m = 2).
 
     Raises ValueError outside the regime where ``planner.regime_flags``
     says it is proved, where the float power can overflow (n = 1, k = 800).
@@ -128,7 +130,48 @@ def expectation_bound(n: int, k: int, m: int) -> float:
     violated = [label for label, ok in regime_flags(n, k, m=m).items() if not ok]
     if violated:
         raise ValueError(f"expectation bound preconditions violated: {', '.join(violated)}")
-    return m + m * m * (math.e / n) ** (k - 1)
+    return m * m * (math.e / n) ** (k - 1)
+
+
+def expectation_bound(n: int, k: int, m: int) -> float:
+    """Closed-form upper bound m + m^2 (n/e)^(1-k) on E[m^C]; raises as
+    ``expectation_excess`` does."""
+    return m + expectation_excess(n, k, m)
+
+
+@dataclass(frozen=True)
+class Quantity:
+    """One reported number: its value, an interval [lo, hi] that holds it (a
+    None end is unbounded), how it was obtained, and for a sample the
+    interval's confidence and the work behind it."""
+
+    value: Fraction | float | None
+    lo: Fraction | float | None
+    hi: Fraction | float | None
+    provenance: str  # "exact" or "monte-carlo"
+    confidence: float | None = None
+    samples: int | None = None
+    hits: int | None = None
+
+    @classmethod
+    def exact(cls, x: Fraction) -> Quantity:
+        return cls(x, x, x, "exact")
+
+    @classmethod
+    def sampled(
+        cls, value: float, halfwidth: float, confidence: float, samples: int, hits: int | None = None
+    ) -> Quantity:
+        return cls(value, value - halfwidth, value + halfwidth, "monte-carlo", confidence, samples, hits)
+
+    def to_json(self) -> dict:
+        """Floats, inf past float range; "fraction" for a rational value; no None work field."""
+        ends = {"value": self.value, "lo": self.lo, "hi": self.hi}
+        out = {name: x if x is None else _inf_past_range(float, x) for name, x in ends.items()}
+        out["provenance"] = self.provenance
+        if isinstance(self.value, Fraction):
+            out["fraction"] = f"{self.value.numerator}/{self.value.denominator}"
+        work = {"confidence": self.confidence, "samples": self.samples, "hits": self.hits}
+        return out | {name: x for name, x in work.items() if x is not None}
 
 
 @dataclass(frozen=True)
@@ -204,32 +247,26 @@ def _sqrt_or_inf(x: Fraction, divisor: int = 1) -> float:
     return _inf_past_range(math.exp, (math.log(x.numerator) - math.log(x.denominator * divisor)) / 2)
 
 
-def _histogram_m_power_stats(counts: dict[int, int], m: int, samples: int) -> tuple[float, float]:
-    # exact integer accumulation over the histogram, floats only at the end
-    total = sum(cnt * m**c for c, cnt in counts.items())
-    total_sq = sum(cnt * m ** (2 * c) for c, cnt in counts.items())
-    mean = Fraction(total, samples)
-    if samples > 1:
-        var = (Fraction(total_sq) - Fraction(total * total, samples)) / (samples - 1)
-    else:
-        var = Fraction(0)
-    return _inf_past_range(float, mean), _Z99 * _sqrt_or_inf(var, samples)
-
-
 def estimate_m_power_C(
     n: int, k: int, m: int, samples: int, seed: int, shards: int = 1
-) -> tuple[float, float]:
-    """Monte Carlo (mean, MEAN_CI_CONFIDENCE CI halfwidth) estimate of E[m^C].
+) -> Quantity:
+    """Monte Carlo estimate of E[m^C], its interval the MEAN_CI_CONFIDENCE normal CI.
 
     The same (n, k, samples, seed, shards) sees the same graphs as
     estimate_component_distribution. Accumulation is exact over integer
     component counts, so no overflow before the final division; the normal
     CI is a fair approximation for small m but optimistic for large m,
-    where m^C is heavy-tailed. Either figure is inf past float range.
+    where m^C is heavy-tailed. Mean or halfwidth is inf past float range.
     """
     _check_sizes(n, k, m)
-    hist = estimate_component_distribution(n, k, samples, seed, shards)
-    return _histogram_m_power_stats(hist.counts, m, samples)
+    counts = estimate_component_distribution(n, k, samples, seed, shards).counts
+    total = sum(cnt * m**c for c, cnt in counts.items())
+    total_sq = sum(cnt * m ** (2 * c) for c, cnt in counts.items())
+    var = Fraction(0)
+    if samples > 1:
+        var = (Fraction(total_sq) - Fraction(total * total, samples)) / (samples - 1)
+    mean = _inf_past_range(float, Fraction(total, samples))
+    return Quantity.sampled(mean, _Z99 * _sqrt_or_inf(var, samples), MEAN_CI_CONFIDENCE, samples)
 
 
 def m_power_c_work(n: int, k: int, m: int) -> float:

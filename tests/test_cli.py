@@ -14,9 +14,9 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shufflesum import cli
+from shufflesum import cli, oracle
 from shufflesum.cli import main
-from shufflesum.randgraph import exact_m_power_C
+from shufflesum.randgraph import exact_m_power_C, lemma4_probability_bound
 
 
 @pytest.fixture
@@ -253,10 +253,9 @@ class TestVerify:
         )
         assert res.exit_code == 0
         report = json.loads(res.output)
-        assert report["violations"] == []
         assert report["seed"] == 7
         assert report["preconditions_ok"] == {"n>=19": True, "k>=3": True}
-        assert all(row["ok"] is True for row in report["components"].values())
+        assert report["checks"] == {f"lemma4_c{c}": "pass" for c in report["components"]}
 
     @pytest.mark.parametrize("n, k", [(19, 1), (18, 3)])
     def test_graph_dist_outside_regime_not_checked(self, runner, n, k):
@@ -270,8 +269,7 @@ class TestVerify:
         assert res.exit_code == 0
         report = json.loads(res.output)
         assert report["preconditions_ok"] == {"n>=19": n >= 19, "k>=3": k >= 3}
-        assert report["violations"] == []
-        assert all(row["ok"] is None for row in report["components"].values())
+        assert report["checks"] == {f"lemma4_c{c}": "not-applicable" for c in report["components"]}
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -309,7 +307,7 @@ class TestVerify:
         )
         assert res.exit_code == 0
         report = json.loads(res.output)
-        assert report["ok"] is True
+        assert report["checks"] == {"expectation_bound_mc": "pass"}
         assert report["preconditions_ok"] == {"n>=19": True, "k>=3": True, "m-bound": True}
 
     def test_graph_exp_outside_regime_not_checked(self, runner):
@@ -323,7 +321,8 @@ class TestVerify:
             )
             assert res.exit_code == 0, (n, k, m)
             report = json.loads(res.output)
-            assert report["ok"] is None and report["expectation_bound"] is None, (n, k, m)
+            assert report["checks"] == {"expectation_bound_mc": "not-applicable"}, (n, k, m)
+            assert report["expectation_bound"] is None, (n, k, m)
             assert report["preconditions_ok"][failed] is False, (n, k, m)
             assert sum(not ok for ok in report["preconditions_ok"].values()) == 1, (n, k, m)
             assert report["estimate"] >= m
@@ -345,7 +344,8 @@ class TestVerify:
         assert (flags["n>=19"], flags["k>=3"]) == (n >= 19, k >= 3)
         if not all(flags.values()):
             assert res.exit_code == 0, res.output
-            assert report["ok"] is None and report["expectation_bound"] is None
+            assert report["checks"] == {"expectation_bound_mc": "not-applicable"}
+            assert report["expectation_bound"] is None
 
     @pytest.mark.parametrize("m", [["--m", "1"], ["--m-bits", "64"]])
     def test_graph_exp_modulus_out_of_range_exit_2(self, runner, m):
@@ -426,7 +426,7 @@ class TestVerify:
         res = run_cli(runner, ["verify", "tv-exact", "--n", "3", "--k", "2", "--m", "2", "--format", "json"])
         assert res.exit_code == 0
         report = json.loads(res.output)
-        assert report["ok"] is True
+        assert report["checks"] == {"lemma1_exact_soundness": "pass"}
         assert report["exact_avg_tv"]["fraction"] == "3/16"
         assert report["exact_avg_tv"]["provenance"] == "exact"
 
@@ -461,6 +461,108 @@ class TestVerify:
         res = run_cli(runner, args)
         assert res.exit_code == 2
         assert "modulus must be <= 2**63" in res.output
+
+
+STATUSES = {"pass", "fail", "unavailable", "not-applicable"}
+
+
+def verify_json(runner, *args):
+    res = run_cli(runner, ["verify", *args, "--format", "json"])
+    report = json.loads(res.output)
+    assert set(report["checks"].values()) <= STATUSES, report["checks"]
+    assert isinstance(report["preconditions_ok"], dict)
+    return res.exit_code, report
+
+
+def field(report, dotted):
+    for key in dotted.split("."):
+        report = report[key]
+    return report
+
+
+VERIFY_ARGS = {
+    "chain": ["chain", "--n", "19", "--k", "3", "--m", "2", "--samples", "500", "--seed", "1"],
+    "graph-exp": ["graph-exp", "--n", "19", "--k", "3", "--m", "2", "--samples", "2000", "--seed", "1"],
+    "graph-dist": ["graph-dist", "--n", "19", "--k", "3", "--samples", "2000", "--seed", "1"],
+    "tv-exact": ["tv-exact", "--n", "3", "--k", "2", "--m", "2"],
+}
+
+
+class TestOneExitRule:
+    """Every verify command reports checks: {name: status}, and exits 1 iff one reads "fail"."""
+
+    @pytest.mark.parametrize("command", list(VERIFY_ARGS))
+    def test_passing_report_exits_0(self, runner, command):
+        code, report = verify_json(runner, *VERIFY_ARGS[command])
+        assert code == 0 and report["checks"]
+        assert "fail" not in report["checks"].values()
+
+    @pytest.mark.parametrize(
+        "command, target, patch, failing",
+        [
+            ("chain", (oracle, "theorem_bound"), lambda n, k, m: 0.0, "graph_route_le_theorem1"),
+            ("graph-exp", (cli, "expectation_bound"), lambda n, k, m: 1.0, "expectation_bound_mc"),
+            # Pr[C = 1] is near 1, far above a zero bound and its Hoeffding halfwidth
+            ("graph-dist", (cli, "lemma4_probability_bound"),
+             lambda n, k, c: 0.0 if c == 1 else lemma4_probability_bound(n, k, c), "lemma4_c1"),
+            ("tv-exact", (cli, "exact_avg_case_tv"), lambda n, k, m: Fraction(1), "lemma1_exact_soundness"),
+        ],
+    )
+    def test_one_failed_check_exits_1(self, runner, monkeypatch, command, target, patch, failing):
+        monkeypatch.setattr(*target, patch)
+        code, report = verify_json(runner, *VERIFY_ARGS[command])
+        assert code == 1
+        assert [name for name, status in report["checks"].items() if status == "fail"] == [failing]
+
+    def test_bound_at_the_planners_k(self, runner):
+        # the float m + m^2 (e/n)^(k-1) rounds to m here, while the exact
+        # E[2^C] is 2 + 1.6e-37: the check decides on the excess over m
+        plan = run_cli(runner, ["plan", "--sigma", "40", "--n", "19", "--m", "2", "--format", "json"])
+        assert json.loads(plan.output)["k_shuffled"] == 30
+        args = ["--n", "19", "--k", "30", "--m", "2", "--samples", "100", "--seed", "1"]
+        code, report = verify_json(runner, "chain", *args)
+        assert code == 0
+        assert report["checks"]["expectation_bound_exact"] == "pass"
+
+
+class TestBenchmarkPaths:
+    """The report fields the benchmark reads keep their paths and types."""
+
+    def test_chain_reference_point(self, runner):
+        args = ["--n", "19", "--k", "3", "--m", "2", "--samples", "500", "--seed", "3"]
+        code, report = verify_json(runner, "chain", *args)
+        assert code == 0
+        assert isinstance(report["theorem1_bound"], float)
+        assert isinstance(field(report, "mc_m_power_c.value"), float)
+        for mode in ("v", "e"):
+            assert field(report, f"mc_collision_{mode}.hits") == 0
+            assert field(report, f"mc_collision_{mode}.value") == 0.0
+
+    @pytest.mark.parametrize("n, k, m", [(3, 3, 2), (4, 2, 2), (3, 2, 3), (4, 3, 2), (5, 2, 2)])
+    def test_chain_exact_instances(self, runner, n, k, m):
+        code, report = verify_json(runner, "chain", "--n", str(n), "--k", str(k), "--m", str(m),
+                                   "--samples", "500", "--seed", "3")
+        assert code == 0
+        assert Fraction(field(report, "exact_m_power_c.fraction")) == exact_m_power_C(n, k, m)
+        assert isinstance(field(report, "mc_m_power_c.value"), float)
+        for mode in ("v", "e"):
+            assert isinstance(field(report, f"mc_collision_{mode}.value"), float)
+            assert isinstance(field(report, f"mc_collision_{mode}.hits"), int)
+        if (n, k, m) in [(3, 3, 2), (4, 2, 2), (3, 2, 3)]:
+            for name in ("exact_avg_tv", "exact_collision_v", "exact_collision_e"):
+                Fraction(field(report, f"{name}.fraction"))
+
+    @pytest.mark.parametrize("m", [2, 5, 24])
+    def test_graph_exp(self, runner, m):
+        code, report = verify_json(runner, "graph-exp", "--n", "19", "--k", "3", "--m", str(m),
+                                   "--samples", "7500", "--seed", "3")
+        assert code == 0
+        assert isinstance(report["estimate"], float) and report["estimate"] >= m
+
+    def test_graph_dist(self, runner):
+        code, report = verify_json(runner, "graph-dist", "--n", "1000", "--k", "3", "--samples", "500", "--seed", "3")
+        assert code == 0
+        assert sum(field(report, f"components.{c}.count") for c in report["components"]) == 500
 
 
 @pytest.mark.parametrize(

@@ -9,10 +9,10 @@ import pytest
 
 from shufflesum import oracle, randgraph
 from shufflesum.oracle import (
+    HOEFFDING_CONFIDENCE,
     CollisionMode,
-    Estimate,
-    Lemma1Bound,
     SecurityReport,
+    check,
     collision_probability,
     exact_avg_case_tv,
     exact_collision_probability,
@@ -24,6 +24,7 @@ from shufflesum.oracle import (
 from shufflesum.randgraph import (
     ENUMERATION_BUDGET,
     EnumerationBudgetError,
+    Quantity,
     estimate_component_distribution,
     exact_m_power_C,
 )
@@ -308,13 +309,13 @@ class TestMonteCarloCollision:
     @pytest.mark.parametrize("m", [2, 5])
     def test_single_user_matches_closed_form(self, k, m):
         est = collision_probability(1, k, m, 20_000, seed=31, mode=CollisionMode.V_VS_V)
-        assert abs(est.value - m ** (1 - k)) <= est.ci_halfwidth
+        assert est.lo <= Fraction(1, m ** (k - 1)) <= est.hi
 
     def test_both_modes_match_enumeration(self):
         exact = float(FROZEN_COLLISION[(2, 1, 2)])
         for mode in CollisionMode:
             est = collision_probability(2, 1, 2, 50_000, seed=32, mode=mode)
-            assert abs(est.value - exact) <= est.ci_halfwidth
+            assert est.lo <= exact <= est.hi
 
     def test_degenerate_group(self):
         # m = 1 is rejected by Modulus, as at every other engine entry point
@@ -364,14 +365,14 @@ class TestMonteCarloCollision:
         monkeypatch.setattr(randgraph, "_BATCH_ELEMENTS", 7)
         split = estimates()
         # one user with one share always collides, whatever the draws
-        full = Estimate(1.0, hoeffding_halfwidth(5000), 5000, 5000)
+        full = Quantity.sampled(1.0, hoeffding_halfwidth(5000), HOEFFDING_CONFIDENCE, 5000, 5000)
         assert whole[(1, 1, 5)] == split[(1, 1, 5)] == full
         # where the draws decide, batches consume the stream in another
         # order; every sample is still counted once, at the exact rate
         exact = float(FROZEN_COLLISION[(2, 1, 2)])
         for est in (whole[(2, 1, 2)], split[(2, 1, 2)]):
             assert est.samples == 5000 and est.value == est.hits / 5000
-            assert abs(est.value - exact) <= est.ci_halfwidth
+            assert est.lo <= exact <= est.hi
 
     def test_numpy_stream_pin(self):
         # Deliberate pin of the numpy Generator stream (NEP 19 allows it to
@@ -403,54 +404,98 @@ class TestMonteCarloCollision:
         assert max(peaks) < 8 * 2**20, peaks
 
 
+def sampled(p):
+    # a Monte Carlo record of zero halfwidth: its interval is its value
+    return Quantity.sampled(p, 0.0, HOEFFDING_CONFIDENCE, 1000)
+
+
 class TestLemma1Bound:
     def test_uniform_floor_exact(self):
         for n, k, m in [(1, 2, 2), (2, 2, 3), (3, 2, 2)]:
-            b = lemma1_bound(Fraction(1, m ** (k * n - 1)), n, k, m)
-            assert b == Lemma1Bound(0.0, "ok")
+            b = lemma1_bound(Quantity.exact(Fraction(1, m ** (k * n - 1))), n, k, m)
+            assert b == Quantity(0.0, 0.0, 0.0, "exact")
 
     def test_single_user_two_shares_float(self):
-        assert lemma1_bound(1 / 2, 1, 2, 2).value == 0.0
+        assert lemma1_bound(sampled(1 / 2), 1, 2, 2).value == 0.0
 
     def test_below_floor_is_flagged(self):
-        b = lemma1_bound(Fraction(1, 100), 2, 2, 2)
-        assert b.status == "radicand-negative" and b.value is None
-        assert lemma1_bound(0.0, 2, 2, 2).status == "radicand-negative"
+        b = lemma1_bound(Quantity.exact(Fraction(1, 100)), 2, 2, 2)
+        assert b.value is None and b.lo is None and b.hi is None
+        assert lemma1_bound(sampled(0.0), 2, 2, 2).value is None
 
     def test_exact_uses_rational_sign(self):
-        # a hair above the uniform floor 2^-5 stays "ok" on the exact path
+        # a hair above the uniform floor 2^-5 stays a number on the exact path
         # even though the excess is far below float resolution
         p = Fraction(1, 32) + Fraction(1, 2**80)
-        assert lemma1_bound(p, 3, 2, 2).status == "ok"
+        assert lemma1_bound(Quantity.exact(p), 3, 2, 2).value is not None
 
     def test_log_space_large_instance(self):
-        b = lemma1_bound(1.0, 100, 3, 2**32)
-        assert b.status == "ok" and b.value == math.inf
+        b = lemma1_bound(sampled(1.0), 100, 3, 2**32)
+        assert b.value == math.inf
 
     def test_exact_root_near_float_max(self):
         # the radicand 10^616 - 1 is past float range, its root 1.0e308 is not
-        b = lemma1_bound(Fraction(10**616, 2**2079), 2, 17, 2**63)
-        assert b.status == "ok" and math.isclose(b.value, 1e308, rel_tol=1e-12)
+        b = lemma1_bound(Quantity.exact(Fraction(10**616, 2**2079)), 2, 17, 2**63)
+        assert b.value is not None and math.isclose(b.value, 1e308, rel_tol=1e-12)
 
     def test_monte_carlo_root_near_float_max(self):
         # log(radicand + 1) is about 1419.05, and exp of its half is a float
-        b = lemma1_bound(math.exp(-22), 2, 17, 2**63)
+        b = lemma1_bound(sampled(math.exp(-22)), 2, 17, 2**63)
         assert b.provenance == "monte-carlo" and math.isclose(b.value, 1.3914e308, rel_tol=1e-4)
 
     def test_log_space_product_past_float_range(self):
         # k n = 3 * 2^1023, so (kn - 1) ln(m) is past float range
-        assert lemma1_bound(0.5, 2**1023, 3, 2) == Lemma1Bound(math.inf, "ok", "monte-carlo")
+        p = sampled(0.5)
+        assert lemma1_bound(p, 2**1023, 3, 2) == Quantity(
+            math.inf, math.inf, math.inf, "monte-carlo", HOEFFDING_CONFIDENCE, 1000
+        )
 
     def test_moderate_value(self):
         # collision 3/4 at (n=2, k=1, m=2): sqrt(2 * 3/4 - 1) = sqrt(1/2)
-        b = lemma1_bound(Fraction(3, 4), 2, 1, 2)
+        b = lemma1_bound(Quantity.exact(Fraction(3, 4)), 2, 1, 2)
         assert abs(b.value - math.sqrt(0.5)) < 1e-12
+
+    def test_interval_ends_take_the_root(self):
+        # the bound keeps the estimate's provenance and work; an end whose
+        # radicand is negative reads None, and the others their own root
+        p = Quantity.sampled(0.5, 0.4, HOEFFDING_CONFIDENCE, 100, 50)
+        b = lemma1_bound(p, 2, 1, 2)
+        assert b.lo is None and b.value == 0.0
+        assert math.isclose(b.hi, math.sqrt(2 * 0.9 - 1), rel_tol=1e-12)
+        assert (b.provenance, b.confidence, b.samples, b.hits) == ("monte-carlo", HOEFFDING_CONFIDENCE, 100, 50)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            lemma1_bound(1.5, 2, 2, 2)
+            lemma1_bound(sampled(1.5), 2, 2, 2)
         with pytest.raises(ValueError):
-            lemma1_bound(Fraction(-1, 2), 2, 2, 2)
+            lemma1_bound(Quantity.exact(Fraction(-1, 2)), 2, 2, 2)
+
+
+class TestCheck:
+    def test_fails_only_where_the_intervals_refute(self):
+        est = Quantity.sampled(0.5, 0.125, HOEFFDING_CONFIDENCE, 100)  # [0.375, 0.625]
+        assert check(est, "<=", 0.5) == check(est, "<=", 0.375) == "pass"
+        assert check(est, "<=", 0.25) == "fail"
+        assert check(0.75, "<=", est) == "fail" and check(0.5, "<=", est) == "pass"
+        assert check(0.5, "==", est) == check(est, "==", 0.625) == "pass"
+        assert check(0.25, "==", est) == check(est, "==", 0.75) == "fail"
+        overlapping = Quantity.sampled(0.75, 0.125, HOEFFDING_CONFIDENCE, 100)
+        disjoint = Quantity.sampled(0.875, 0.125, HOEFFDING_CONFIDENCE, 100)
+        assert check(est, "==", overlapping) == check(overlapping, "==", est) == "pass"
+        assert check(est, "==", disjoint) == check(disjoint, "==", est) == "fail"
+
+    def test_exact_sides_compare_exactly(self):
+        third = Quantity.exact(Fraction(1, 3))
+        assert check(third, "==", Fraction(1, 3)) == check(third, "<=", third) == "pass"
+        # the float nearest 1/3 is below it
+        assert check(third, "<=", 1 / 3) == "fail"
+
+    def test_none(self):
+        # a missing side is unavailable; a None end is unbounded and refutes nothing
+        assert check(None, "<=", 1.0) == check(1.0, "==", None) == "unavailable"
+        assert check(Quantity(None, None, 5.0, "monte-carlo"), "<=", 1.0) == "pass"
+        assert check(2.0, "<=", Quantity(None, 0.5, None, "monte-carlo")) == "pass"
+        assert check(2.0, "<=", Quantity(None, None, 1.0, "monte-carlo")) == "fail"
 
 
 class TestTheoremBound:
@@ -462,8 +507,8 @@ class TestTheoremBound:
 class TestVerifyChain:
     def test_exact_instance_all_pass(self):
         rep = verify_chain(3, 2, 2, samples=20_000, seed=41)
-        assert rep.exact_avg_tv == Fraction(3, 16)
-        assert rep.exact_collision_v == Fraction(1, 24)
+        assert rep.exact_avg_tv.value == Fraction(3, 16)
+        assert rep.exact_collision_v.value == Fraction(1, 24)
         assert rep.lemma1_bound.provenance == "exact"
         for name in (
             "lemma1_exact_soundness",
@@ -472,14 +517,14 @@ class TestVerifyChain:
             "lemma2_mc_consistency",
         ):
             assert rep.checks[name] == "pass", name
-        assert rep.all_checks_pass()
+        assert "fail" not in rep.checks.values()
 
     def test_single_user_everything_zero(self):
         rep = verify_chain(1, 2, 2, samples=5000, seed=42)
-        assert rep.exact_avg_tv == 0
+        assert rep.exact_avg_tv.value == 0
         assert (rep.lemma1_bound.value or 0.0) >= 0
         assert (rep.lemma3_bound.value or 0.0) >= 0
-        assert rep.all_checks_pass()
+        assert "fail" not in rep.checks.values()
 
     def test_out_of_regime_marked(self):
         rep = verify_chain(3, 2, 2, samples=1000, seed=43)
@@ -492,7 +537,7 @@ class TestVerifyChain:
         assert (rep.exact_avg_tv, rep.exact_collision_v, rep.exact_collision_e) == (None, None, None)
         assert rep.lemma1_bound.provenance == "monte-carlo"
         # E[m^C] is exact at any n the recursion's budget allows
-        assert rep.exact_m_power_c == Fraction(35051863075, 17476901442)
+        assert rep.exact_m_power_c.value == Fraction(35051863075, 17476901442)
         assert rep.lemma3_bound.provenance == "exact"
         assert abs(rep.theorem1_bound - 0.2023) < 1e-4
         assert rep.preconditions_ok == {"n>=19": True, "k>=3": True, "sigma>=1": True}
@@ -535,13 +580,13 @@ class TestVerifyChain:
     def test_exact_collision_without_e_event(self):
         # E_EVENT's ordered walk is over budget at (10, 3, 2), V_VS_V is not
         rep = verify_chain(10, 3, 2, samples=2000, seed=47)
-        assert rep.exact_collision_v == Fraction(28523, 15152644620288)
+        assert rep.exact_collision_v.value == Fraction(28523, 15152644620288)
         assert rep.exact_collision_e is None
         assert rep.lemma1_bound.provenance == "exact"
         assert rep.checks["lemma2_exact_identity"] == "unavailable"
         assert rep.checks["mc_matches_exact_collision_e"] == "unavailable"
         assert rep.checks["lemma3_exact_identity"] == "pass"
-        assert rep.all_checks_pass()
+        assert "fail" not in rep.checks.values()
 
     @pytest.mark.parametrize("n,k,m", [(3, 2, 2), (4, 3, 2), (2, 2, 3)])
     def test_lemma3_identity_checked(self, n, k, m):

@@ -27,6 +27,7 @@ def test_public_names_pinned():
         "baseline_k_lower_bound",
         "ComponentHistogram",
         "EnumerationBudgetError",
+        "Quantity",
         "lemma4_probability_bound",
         "expectation_bound",
         "estimate_component_distribution",
@@ -53,25 +54,28 @@ def test_regime_labels_spelled_only_in_planner():
     assert found == []
 
 
-def _sites(kind, part, name):
-    # "module.py:owner" of each `kind` node whose `part` mentions `name`, the
-    # owner being the top-level function or Class.method that holds it
-    sites = []
+def _nodes():
+    # ("module.py:owner", node) for every node, the owner being the top-level
+    # function or Class.method that holds it
     for path in sorted(PACKAGE.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
             if isinstance(top, ast.ClassDef):
                 owners = [(f"{top.name}.{getattr(node, 'name', '')}", node) for node in top.body]
             else:
                 owners = [(getattr(top, "name", ""), top)]
-            sites += [
-                f"{path.name}:{owner}"
-                for owner, scope in owners
-                for node in ast.walk(scope)
-                if isinstance(node, kind)
-                and getattr(node, part) is not None
-                and name in ast.unparse(getattr(node, part))
-            ]
-    return sites
+            for owner, scope in owners:
+                yield from ((f"{path.name}:{owner}", node) for node in ast.walk(scope))
+
+
+def _sites(kind, part, name):
+    # the owner of each `kind` node whose `part` mentions `name`
+    return [
+        site
+        for site, node in _nodes()
+        if isinstance(node, kind)
+        and getattr(node, part) is not None
+        and name in ast.unparse(getattr(node, part))
+    ]
 
 
 def test_one_budget_raise_site():
@@ -86,6 +90,15 @@ def test_one_stream_site():
     # randgraph.shard_batches alone seeds numpy streams, so every draw passes
     # its size and budget checks
     assert _sites(ast.Call, "func", "default_rng") == ["randgraph.py:shard_batches"]
+
+
+def test_one_check_decision():
+    # oracle.check alone gives the status "fail", and cli._finish alone exits
+    # on it: every check is decided by one comparison, every exit by one rule
+    assert [site for site, node in _nodes() if isinstance(node, ast.Constant) and node.value == "fail"] == [
+        "cli.py:_finish",
+        "oracle.py:check",
+    ]
 
 
 def test_one_transcript_writer():

@@ -16,11 +16,13 @@ from shufflesum.planner import regime_flags
 from shufflesum.randgraph import (
     ComponentHistogram,
     EnumerationBudgetError,
+    Quantity,
     _component_counts_from_perms,
     estimate_component_distribution,
     estimate_m_power_C,
     exact_m_power_C,
     expectation_bound,
+    expectation_excess,
     lemma4_probability_bound,
     shard_batches,
 )
@@ -362,10 +364,10 @@ class TestEstimators:
         assert abs(hist.counts.get(2, 0) / samples - 1 / 8) <= hoeffding_halfwidth(samples)
 
     def test_m_power_small_exact_cases(self):
-        est, hw = estimate_m_power_C(2, 1, 2, 50_000, seed=4)
-        assert abs(est - 3.0) <= hw
-        est, hw = estimate_m_power_C(2, 3, 2, 100_000, seed=5)
-        assert abs(est - 2.25) <= hw
+        est = estimate_m_power_C(2, 1, 2, 50_000, seed=4)
+        assert est.lo <= 3 <= est.hi
+        est = estimate_m_power_C(2, 3, 2, 100_000, seed=5)
+        assert est.lo <= 2.25 <= est.hi
 
     def test_m_power_degenerate_m1(self):
         # Z_1 is not a group the protocol runs on: every entry point rejects it
@@ -391,7 +393,8 @@ class TestEstimators:
             ctx.prec = 50
             root = (Decimal(var.numerator) / Decimal(var.denominator) / samples).sqrt()
         exact = NormalDist().inv_cdf(0.995) * float(root)
-        _, hw = estimate_m_power_C(n, k, m, samples, seed=1)
+        est = estimate_m_power_C(n, k, m, samples, seed=1)
+        hw = est.hi - est.value
         assert math.isclose(hw, exact, rel_tol=1e-9)
         assert math.isclose(hw, 3.8303e281, rel_tol=1e-4)
 
@@ -402,17 +405,30 @@ class TestEstimators:
 
     def test_monte_carlo_covers_exact(self):
         exact = exact_m_power_C(3, 2, 2)
-        est, hw = estimate_m_power_C(3, 2, 2, 1_000_000, seed=8)
-        assert abs(est - float(exact)) <= hw
+        est = estimate_m_power_C(3, 2, 2, 1_000_000, seed=8)
+        assert est.lo <= exact <= est.hi
 
     def test_ci_coverage_rate(self):
         # 99% CI over repeated trials; 40 trials, require >= 36 covered
         exact = float(exact_m_power_C(2, 3, 2))
         covered = 0
         for trial in range(40):
-            est, hw = estimate_m_power_C(2, 3, 2, 20_000, seed=1000 + trial)
-            covered += abs(est - exact) <= hw
+            est = estimate_m_power_C(2, 3, 2, 20_000, seed=1000 + trial)
+            covered += est.lo <= exact <= est.hi
         assert covered >= 36
+
+
+class TestQuantity:
+    def test_to_json(self):
+        exact = {"value": 0.25, "lo": 0.25, "hi": 0.25, "provenance": "exact", "fraction": "1/4"}
+        assert Quantity.exact(Fraction(1, 4)).to_json() == exact
+        big = Quantity.exact(Fraction(10**400, 3)).to_json()
+        assert big["value"] == big["hi"] == math.inf and big["fraction"] == f"{10**400}/3"
+        # no None work field; the value is kept even when None
+        sampled = {"value": 2.0, "lo": 1.5, "hi": 2.5, "provenance": "monte-carlo", "confidence": 0.99, "samples": 100}
+        assert Quantity.sampled(2.0, 0.5, 0.99, 100).to_json() == sampled
+        bound = {"value": None, "lo": None, "hi": 1.0, "provenance": "monte-carlo"}
+        assert Quantity(None, None, 1.0, "monte-carlo").to_json() == bound
 
 
 class TestExactExpectation:
@@ -459,15 +475,21 @@ class TestExactExpectation:
         assert abs(math.sqrt(got / 2 - 1) - 0.05297) < 1e-5
 
     def test_below_closed_form_expectation_bound(self):
-        checked = 0
-        for n in (19, 30, 50, 100):
-            for k in (3, 4, 5):
+        # decided as verify chain decides it, on the excess over m: the float
+        # bound m + excess rounds to m from k = 21 at n = 19, m = 2
+        def checked(grid):
+            count = 0
+            for n, k in grid:
                 top = int((n / math.e) ** (k - 1) / 2)
                 for m in (2, 3, 5, top // 2, top):
                     if not all(regime_flags(n, k, m=m).values()):
                         continue
-                    assert exact_m_power_C(n, k, m) <= expectation_bound(n, k, m), (n, k, m)
-                    checked += 1
-        # the bound's own regime: 60 instances, 12 more than sigma >= 1 allows
-        assert checked == 60
+                    excess = exact_m_power_C(n, k, m) - m
+                    assert oracle.check(excess, "<=", expectation_excess(n, k, m)) == "pass", (n, k, m)
+                    count += 1
+            return count
 
+        # the bound's own regime: 60 instances, 12 more than sigma >= 1 allows
+        assert checked(product((19, 30, 50, 100), (3, 4, 5))) == 60
+        # m = top is past the m-bound, by float rounding, at 20 of these k
+        assert checked((19, k) for k in range(6, 41)) == 155
