@@ -15,7 +15,6 @@ __version__ = "0.1.0"
 from .planner import PlanResult, baseline_k_lower_bound, plan_shuffled_k, sigma_for
 from .protocol import Modulus, aggregate_batch, run_batch, share_batch
 from .randgraph import (
-    ComponentHistogram,
     EnumerationBudgetError,
     Quantity,
     estimate_component_distribution,
@@ -34,7 +33,6 @@ __all__ = [
     "sigma_for",
     "plan_shuffled_k",
     "baseline_k_lower_bound",
-    "ComponentHistogram",
     "EnumerationBudgetError",
     "Quantity",
     "lemma4_probability_bound",

@@ -90,6 +90,8 @@ def _stdout_may_close():
 
 
 def _flatten(prefix: str, value, out: dict) -> None:
+    if isinstance(value, Quantity):
+        value = value.to_json()
     if isinstance(value, dict):
         for key, sub in value.items():
             _flatten(f"{prefix}.{key}" if prefix else str(key), sub, out)
@@ -100,11 +102,13 @@ def _flatten(prefix: str, value, out: dict) -> None:
 def emit_report(report: dict, fmt: str) -> None:
     """Print a report as a table, JSON, or key,value CSV.
 
-    The CSV rows are the flattened (dotted-key) fields of the JSON object,
-    so the two formats carry identical data field-for-field.
+    The one place a ``Quantity`` becomes JSON: each one in the report prints
+    as its ``to_json()`` dict, in every format. The CSV rows are the
+    flattened (dotted-key) fields of the JSON object, so the two formats
+    carry identical data field-for-field.
     """
     if fmt == "json":
-        _echo(json.dumps(report, sort_keys=True, indent=2))
+        _echo(json.dumps(report, sort_keys=True, indent=2, default=Quantity.to_json))
         return
     flat: dict = {}
     _flatten("", report, flat)
@@ -265,13 +269,13 @@ def verify() -> None:
 def verify_graph_dist(n, k, samples, seed, shards, fmt) -> None:
     """Empirical component-count law vs its closed-form bound."""
     seed = _resolve_seed(seed)
-    hist = estimate_component_distribution(n, k, samples, seed, shards)
+    counts = estimate_component_distribution(n, k, samples, seed, shards)
     halfwidth = hoeffding_halfwidth(samples)
     # lemma 4 is proved for n >= 19 and k >= 3 only; outside, nothing is checked
     preconditions = regime_flags(n, k)
     in_regime = all(preconditions.values())
     rows, checks = {}, {}
-    for c, count in hist.counts.items():
+    for c, count in counts.items():
         bound = lemma4_probability_bound(n, k, c)
         freq = Quantity.sampled(count / samples, halfwidth, HOEFFDING_CONFIDENCE, samples, count)
         rows[str(c)] = {"count": count, "frequency": freq.value, "lemma4_bound": bound}
@@ -330,9 +334,9 @@ def verify_tv_exact(n, k, m, m_bits, fmt) -> None:
     radicand = collision.value * m_val ** (k * n - 1) - 1
     report = {
         "params": {"n": n, "k": k, "m": m_val},
-        "exact_avg_tv": tv.to_json(),
-        "exact_collision": collision.to_json(),
-        "lemma1_bound": lemma1_bound(collision, n, k, m_val).to_json(),
+        "exact_avg_tv": tv,
+        "exact_collision": collision,
+        "lemma1_bound": lemma1_bound(collision, n, k, m_val),
         # lemma 1 holds at every n, k and m
         "preconditions_ok": {},
         "checks": {"lemma1_exact_soundness": check(tv.value**2, "<=", radicand)},
@@ -348,8 +352,7 @@ def verify_tv_exact(n, k, m, m_bits, fmt) -> None:
 def verify_chain_cmd(n, k, m, m_bits, samples, seed, shards, fmt) -> None:
     """Full bound-chain report: exact within the work budget, Monte Carlo always."""
     m_val = _resolve_m(m, m_bits).m
-    report = verify_chain(n, k, m_val, samples, _resolve_seed(seed), shards)
-    _finish(report.to_dict(), fmt)
+    _finish(verify_chain(n, k, m_val, samples, _resolve_seed(seed), shards), fmt)
 
 
 if __name__ == "__main__":

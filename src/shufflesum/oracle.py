@@ -9,7 +9,8 @@ and collision probabilities are sums over histogram tuples, rationals
 that never touch floats. ``exact_work`` states their cost in histogram
 updates, and E[m^C]'s in word products, against ``ENUMERATION_BUDGET``;
 beyond it Monte Carlo takes over. ``verify_chain`` assembles both sides
-next to the chain of closed-form bounds:
+next to the chain of closed-form bounds, in the report dict that ``verify
+chain`` prints:
 
     avg TV  <=  sqrt(m^(kn-1) * Pr[collision] - 1)          (lemma 1)
     Pr[two transcripts collide] = Pr[fresh sharing = shuffled sharing]
@@ -19,13 +20,15 @@ next to the chain of closed-form bounds:
 
 and reports the status of every inequality. The lemma-3 inequality holds
 with equality, and the report checks that identity too. Every number is a
-``randgraph.Quantity`` with an interval [lo, hi] (lo = hi when exact), and
+``randgraph.Quantity`` with an interval [lo, hi] (lo = hi when exact),
+which only the printer, ``cli.emit_report``, turns into JSON, and
 ``check`` decides every inequality from two intervals: "fail", which makes
 a command exit 1, only where they refute it. Its checks: lemma1_exact_soundness,
 lemma2_exact_identity, lemma3_exact_soundness, lemma3_exact_identity,
 lemma2_mc_consistency and mc_matches_exact_collision_{v,e}; in the proved
 regime only, else "not-applicable", expectation_bound_{exact,mc} (the exact
-one on E[m^C] - m), graph_route_le_theorem1 and theorem1_dominates_exact_tv.
+one on the logarithm of E[m^C] - m), graph_route_le_theorem1 and
+theorem1_dominates_exact_tv.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from __future__ import annotations
 import enum
 import math
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from typing import Iterator
@@ -52,7 +55,6 @@ from .randgraph import (
     estimate_m_power_C,
     exact_m_power_C,
     expectation_bound,
-    expectation_excess,
     m_power_c_work,
     shard_batches,
 )
@@ -331,51 +333,25 @@ def check(a, relation: str, b) -> str:
     return "fail" if refuted else "pass"
 
 
-@dataclass(frozen=True)
-class SecurityReport:
-    """Every measured and derived quantity of one chain verification.
+def _ln(x: Fraction) -> float:
+    # ln x at any size, from the numerator and denominator; -inf at x = 0
+    return math.log(x.numerator) - math.log(x.denominator) if x else -math.inf
 
-    Every computed number is a ``Quantity``: exact ones (None when the
-    instance is beyond the work budget; ``exact_work`` gives the work each
-    would take) are rationals with lo = hi = value, Monte Carlo ones carry
-    their interval, confidence and samples, and the two bounds keep the
-    provenance, interval and work of the quantity under their root. Only
-    ``theorem1_bound``, a closed form, is a plain number. ``checks``
-    records the status of every inequality in the chain, each decided by
+
+def verify_chain(n: int, k: int, m: int, samples: int, seed: int, shards: int = 1) -> dict:
+    """Measure the whole bound chain on one instance: the report that
+    ``verify chain`` prints.
+
+    Each exact quantity is computed wherever its own work fits the budget,
+    else it is None (``exact_work`` gives the work each would take); Monte
+    Carlo estimates are always produced. Every computed number is a
+    ``Quantity``: exact ones are rationals with lo = hi = value, Monte Carlo
+    ones carry their interval, confidence and samples, and the two bounds
+    keep the provenance, interval and work of the quantity under their root.
+    Only ``theorem1_bound``, a closed form, is a plain number. ``checks``
+    holds the status of every inequality of the chain, each decided by
     ``check``: "pass", "fail", "unavailable" (budget) or "not-applicable"
-    (outside the proved n/k/sigma regime).
-    """
-
-    params: dict[str, int]
-    samples: int
-    seed: int
-    shards: int
-    exact_avg_tv: Quantity | None
-    exact_collision_v: Quantity | None
-    exact_collision_e: Quantity | None
-    exact_m_power_c: Quantity | None
-    exact_work: dict[str, int | float | str]
-    mc_collision_v: Quantity
-    mc_collision_e: Quantity
-    mc_m_power_c: Quantity
-    lemma1_bound: Quantity
-    lemma3_bound: Quantity
-    theorem1_bound: float | None
-    preconditions_ok: dict[str, bool]
-    checks: dict[str, str]
-
-    def to_dict(self) -> dict:
-        return {name: x.to_json() if isinstance(x, Quantity) else x for name, x in vars(self).items()}
-
-
-def verify_chain(
-    n: int, k: int, m: int, samples: int, seed: int, shards: int = 1
-) -> SecurityReport:
-    """Measure the whole bound chain on one instance.
-
-    Each exact quantity is computed wherever its own work fits the budget;
-    Monte Carlo estimates are always produced. Every inequality of the
-    chain is then evaluated and reported. Deterministic given
+    (outside the proved n/k/sigma regime). Deterministic given
     (n, k, m, samples, seed, shards).
     """
     work = exact_work(n, k, m)
@@ -391,7 +367,6 @@ def verify_chain(
     mc_emc = estimate_m_power_C(n, k, m, samples, seed, shards)
 
     kn = k * n
-    l1 = lemma1_bound(cv or mc_v, n, k, m)
     # the graph route's radicand E[m^C]/m^(kn) * m^(kn-1) - 1 collapses to E[m^C]/m - 1
     l3 = _root_bound(emc or mc_emc, -1, m)
     thm = theorem_bound(n, k, m) if n >= 2 else None
@@ -409,32 +384,34 @@ def verify_chain(
     }
     # the closed forms hold only in the proved regime, and expectation_bound raises outside it
     in_regime = all(preconditions.values())
-    excess, bound = (expectation_excess(n, k, m), expectation_bound(n, k, m)) if in_regime else (None, None)
+    # E[m^C] - m against m^2 (e/n)^(k-1) on logarithms: m plus that rounds to m
+    # from k = 21 at n = 19, m = 2, and it underflows to 0.0 from k = 385
+    log_excess = 2 * math.log(m) + (k - 1) * (1 - math.log(n))
     closed_form = {
-        "expectation_bound_exact": check(emc and emc.value - m, "<=", excess),
-        "expectation_bound_mc": check(mc_emc, "<=", bound),
+        "expectation_bound_exact": check(emc and _ln(emc.value - m), "<=", log_excess),
+        "expectation_bound_mc": check(mc_emc, "<=", expectation_bound(n, k, m) if in_regime else None),
         "graph_route_le_theorem1": check(l3, "<=", thm),
         "theorem1_dominates_exact_tv": check(tv, "<=", thm),
     }
     checks |= {name: status if in_regime else "not-applicable" for name, status in closed_form.items()}
 
     unit = "histogram updates; word products for exact_m_power_c"
-    return SecurityReport(
-        params={"n": n, "k": k, "m": m},
-        samples=samples,
-        seed=seed,
-        shards=shards,
-        exact_avg_tv=tv,
-        exact_collision_v=cv,
-        exact_collision_e=ce,
-        exact_m_power_c=emc,
-        exact_work={"budget": ENUMERATION_BUDGET, "unit": unit, **work},
-        mc_collision_v=mc_v,
-        mc_collision_e=mc_e,
-        mc_m_power_c=mc_emc,
-        lemma1_bound=l1,
-        lemma3_bound=l3,
-        theorem1_bound=thm,
-        preconditions_ok=preconditions,
-        checks=checks,
-    )
+    return {
+        "params": {"n": n, "k": k, "m": m},
+        "samples": samples,
+        "seed": seed,
+        "shards": shards,
+        "exact_avg_tv": tv,
+        "exact_collision_v": cv,
+        "exact_collision_e": ce,
+        "exact_m_power_c": emc,
+        "exact_work": {"budget": ENUMERATION_BUDGET, "unit": unit, **work},
+        "mc_collision_v": mc_v,
+        "mc_collision_e": mc_e,
+        "mc_m_power_c": mc_emc,
+        "lemma1_bound": lemma1_bound(cv or mc_v, n, k, m),
+        "lemma3_bound": l3,
+        "theorem1_bound": thm,
+        "preconditions_ok": preconditions,
+        "checks": checks,
+    }

@@ -119,10 +119,8 @@ def lemma4_probability_bound(n: int, k: int, c: int) -> float:
     return _inf_past_range(math.exp, log_bound)
 
 
-def expectation_excess(n: int, k: int, m: int) -> float:
-    """m^2 (n/e)^(1-k), the closed form's bound on E[m^C] - m. A check decides
-    on it, not on the bound: the float m + excess rounds to m once the excess
-    is under half an ulp of m (from k = 21 at n = 19, m = 2).
+def expectation_bound(n: int, k: int, m: int) -> float:
+    """Closed-form upper bound m + m^2 (n/e)^(1-k) on E[m^C].
 
     Raises ValueError outside the regime where ``planner.regime_flags``
     says it is proved, where the float power can overflow (n = 1, k = 800).
@@ -130,13 +128,7 @@ def expectation_excess(n: int, k: int, m: int) -> float:
     violated = [label for label, ok in regime_flags(n, k, m=m).items() if not ok]
     if violated:
         raise ValueError(f"expectation bound preconditions violated: {', '.join(violated)}")
-    return m * m * (math.e / n) ** (k - 1)
-
-
-def expectation_bound(n: int, k: int, m: int) -> float:
-    """Closed-form upper bound m + m^2 (n/e)^(1-k) on E[m^C]; raises as
-    ``expectation_excess`` does."""
-    return m + expectation_excess(n, k, m)
+    return m + m * m * (math.e / n) ** (k - 1)
 
 
 @dataclass(frozen=True)
@@ -172,17 +164,6 @@ class Quantity:
             out["fraction"] = f"{self.value.numerator}/{self.value.denominator}"
         work = {"confidence": self.confidence, "samples": self.samples, "hits": self.hits}
         return out | {name: x for name, x in work.items() if x is not None}
-
-
-@dataclass(frozen=True)
-class ComponentHistogram:
-    """Observed component counts over i.i.d. sampled graphs."""
-
-    n: int
-    k: int
-    counts: dict[int, int]
-    samples: int
-    seed: int
 
 
 def _component_counts_from_perms(perms: np.ndarray) -> np.ndarray:
@@ -223,8 +204,9 @@ def _component_counts_from_perms(perms: np.ndarray) -> np.ndarray:
 
 def estimate_component_distribution(
     n: int, k: int, samples: int, seed: int, shards: int = 1
-) -> ComponentHistogram:
-    """Monte Carlo histogram of the component count C.
+) -> dict[int, int]:
+    """Monte Carlo histogram of the component count C: {c: graphs with c
+    components} over the c seen, its counts summing to ``samples``.
 
     ``shard_batches`` admits and seeds the draws; the merged counts are
     integers, so the result is bit-identical for a fixed (seed, shards).
@@ -234,8 +216,7 @@ def estimate_component_distribution(
     for rng, size in batches:
         perms = rng.permuted(np.tile(np.arange(n), (size, k, 1)), axis=-1)
         totals += np.bincount(_component_counts_from_perms(perms), minlength=n + 1)
-    counts = {c: int(count) for c, count in enumerate(totals) if count}
-    return ComponentHistogram(n, k, counts, samples, seed)
+    return {c: int(count) for c, count in enumerate(totals) if count}
 
 
 def _sqrt_or_inf(x: Fraction, divisor: int = 1) -> float:
@@ -259,7 +240,7 @@ def estimate_m_power_C(
     where m^C is heavy-tailed. Mean or halfwidth is inf past float range.
     """
     _check_sizes(n, k, m)
-    counts = estimate_component_distribution(n, k, samples, seed, shards).counts
+    counts = estimate_component_distribution(n, k, samples, seed, shards)
     total = sum(cnt * m**c for c, cnt in counts.items())
     total_sq = sum(cnt * m ** (2 * c) for c, cnt in counts.items())
     var = Fraction(0)

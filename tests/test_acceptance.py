@@ -23,6 +23,7 @@ from shufflesum.oracle import (
 from shufflesum.planner import baseline_k_lower_bound, plan_shuffled_k, sigma_for
 from shufflesum.protocol import Modulus, aggregate_batch, run_batch
 from shufflesum.randgraph import (
+    Quantity,
     estimate_component_distribution,
     estimate_m_power_C,
     exact_m_power_C,
@@ -101,8 +102,8 @@ def test_criterion_07_component_distribution_bound():
     samples = 100_000
     halfwidth = hoeffding_halfwidth(samples)
     for n, k in itertools.product((19, 30, 50), (3, 4)):
-        hist = estimate_component_distribution(n, k, samples, seed=707 + n + k)
-        for c, count in hist.counts.items():
+        counts = estimate_component_distribution(n, k, samples, seed=707 + n + k)
+        for c, count in counts.items():
             bound = lemma4_probability_bound(n, k, c)
             assert count / samples <= bound + halfwidth, (n, k, c)
     report(7, "empirical Pr[C=c] within bound + Hoeffding 99.9% halfwidth on 6 grids")
@@ -128,16 +129,16 @@ def test_criterion_09_chain_at_reference_scale():
     assert abs(closed_form - math.sqrt(2.0) * math.e / 19) < 1e-12
     # graph-route distance bound, at the CI-upper expectation, stays under
     # the closed form
-    upper = math.sqrt(max(rep.mc_m_power_c.hi / 2 - 1, 0.0))
+    upper = math.sqrt(max(rep["mc_m_power_c"].hi / 2 - 1, 0.0))
     assert upper <= closed_form
-    assert rep.checks["expectation_bound_mc"] == "pass"
-    assert rep.checks["graph_route_le_theorem1"] == "pass"
+    assert rep["checks"]["expectation_bound_mc"] == "pass"
+    assert rep["checks"]["graph_route_le_theorem1"] == "pass"
     # direct transcript collisions are unobservably rare here (~2^-56), so
     # the direct-route estimate must sit below the uniform floor and be
     # flagged rather than silently clamped
-    assert rep.mc_collision_v.hits == 0
-    assert rep.lemma1_bound.value is None
-    assert "fail" not in rep.checks.values()
+    assert rep["mc_collision_v"].hits == 0
+    assert rep["lemma1_bound"].value is None
+    assert "fail" not in rep["checks"].values()
     report(9, "chain report at (19,3,2): graph route consistent with 0.2023 closed form")
 
 
@@ -198,11 +199,12 @@ def test_criterion_10_randomized_inputs_reduction():
 def test_criterion_11_determinism():
     chain_a = verify_chain(3, 2, 2, samples=20_000, seed=1111, shards=2)
     chain_b = verify_chain(3, 2, 2, samples=20_000, seed=1111, shards=2)
-    assert json.dumps(chain_a.to_dict()) == json.dumps(chain_b.to_dict())
+    # through the printer's own serialization of a Quantity
+    assert json.dumps(chain_a, default=Quantity.to_json) == json.dumps(chain_b, default=Quantity.to_json)
 
-    hist_a = estimate_component_distribution(19, 3, 50_000, seed=1112, shards=3)
-    hist_b = estimate_component_distribution(19, 3, 50_000, seed=1112, shards=3)
-    assert hist_a == hist_b
+    counts_a = estimate_component_distribution(19, 3, 50_000, seed=1112, shards=3)
+    counts_b = estimate_component_distribution(19, 3, 50_000, seed=1112, shards=3)
+    assert counts_a == counts_b
 
     est_a = collision_probability(2, 2, 2, 20_000, seed=1113, mode=CollisionMode.V_VS_V, shards=4)
     est_b = collision_probability(2, 2, 2, 20_000, seed=1113, mode=CollisionMode.V_VS_V, shards=4)

@@ -444,13 +444,21 @@ class TestVerify:
         assert report["checks"]["lemma2_exact_identity"] == "pass"
         assert report["version"]
 
-    def test_chain_csv_json_equivalence(self, runner):
-        args = ["verify", "chain", "--n", "2", "--k", "2", "--m", "2", "--samples", "2000", "--seed", "6"]
-        as_json = json.loads(run_cli(runner, args + ["--format", "json"]).output)
+    @pytest.mark.parametrize("args", [
+        ["chain", "--n", "2", "--k", "2", "--m", "2", "--samples", "2000", "--seed", "6"],
+        ["graph-dist", "--n", "19", "--k", "3", "--samples", "500", "--seed", "6"],
+        ["graph-exp", "--n", "19", "--k", "3", "--m", "5", "--samples", "500", "--seed", "6"],
+        ["tv-exact", "--n", "3", "--k", "2", "--m", "2"],
+    ], ids=lambda args: args[0])
+    def test_csv_json_equivalence(self, runner, args):
+        # every Quantity goes through the printer's flattener as through its JSON
+        as_json = json.loads(run_cli(runner, ["verify", *args, "--format", "json"]).output)
         flat = flatten("", as_json, {})
-        rows = list(csv.DictReader(io.StringIO(run_cli(runner, args + ["--format", "csv"]).output)))
+        rows = list(csv.DictReader(io.StringIO(run_cli(runner, ["verify", *args, "--format", "csv"]).output)))
         from_csv = {r["key"]: r["value"] for r in rows}
         assert set(from_csv) == set(flat)
+        for key, value in flat.items():
+            assert from_csv[key] == (json.dumps(value) if value is not None else ""), key
 
     def test_chain_rejects_degenerate_m(self, runner):
         assert run_cli(runner, ["verify", "chain", "--n", "2", "--k", "2", "--m", "1", "--seed", "1"]).exit_code == 2

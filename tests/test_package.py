@@ -25,7 +25,6 @@ def test_public_names_pinned():
         "sigma_for",
         "plan_shuffled_k",
         "baseline_k_lower_bound",
-        "ComponentHistogram",
         "EnumerationBudgetError",
         "Quantity",
         "lemma4_probability_bound",
@@ -106,6 +105,15 @@ def test_one_transcript_writer():
     # and makes no json.dumps call of its own
     assert _sites(ast.Call, "func", "transcript_line") == ["cli.py:simulate"]
     assert "cli.py:simulate" not in _sites(ast.Call, "func", "dumps")
+
+
+def test_one_json_form_of_a_quantity():
+    # cli.emit_report alone turns a Quantity into JSON, in every format:
+    # reports hold Quantity records until they are printed
+    assert sorted({site for site, node in _nodes() if isinstance(node, ast.Attribute) and node.attr == "to_json"}) == [
+        "cli.py:_flatten",
+        "cli.py:emit_report",
+    ]
 
 
 def test_one_float_range_site():

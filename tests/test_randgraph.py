@@ -14,7 +14,6 @@ from shufflesum import oracle, randgraph
 from shufflesum.oracle import hoeffding_halfwidth
 from shufflesum.planner import regime_flags
 from shufflesum.randgraph import (
-    ComponentHistogram,
     EnumerationBudgetError,
     Quantity,
     _component_counts_from_perms,
@@ -22,7 +21,6 @@ from shufflesum.randgraph import (
     estimate_m_power_C,
     exact_m_power_C,
     expectation_bound,
-    expectation_excess,
     lemma4_probability_bound,
     shard_batches,
 )
@@ -297,14 +295,13 @@ class TestClosedFormBounds:
 
 class TestEstimators:
     def test_single_vertex_all_mass_at_one(self):
-        hist = estimate_component_distribution(1, 3, 5000, seed=0)
-        assert hist.counts == {1: 5000}
+        assert estimate_component_distribution(1, 3, 5000, seed=0) == {1: 5000}
 
     def test_counts_total_samples(self):
         # 12_345 does not divide by 4; with 3 samples on 5 shards, two are empty
         for samples, shards in [(12_345, 1), (12_345, 4), (3, 5)]:
-            hist = estimate_component_distribution(7, 2, samples, seed=1, shards=shards)
-            assert sum(hist.counts.values()) == samples == hist.samples
+            counts = estimate_component_distribution(7, 2, samples, seed=1, shards=shards)
+            assert sum(counts.values()) == samples
 
     def test_deterministic(self):
         a = estimate_component_distribution(9, 3, 20_000, seed=2, shards=3)
@@ -354,14 +351,13 @@ class TestEstimators:
         # Deliberate pin of the numpy Generator stream (NEP 19 allows it to
         # change between numpy versions): a shift moves these counts and
         # fails here, so the change is noticed rather than silent.
-        hist = estimate_component_distribution(8, 2, 1000, seed=5)
-        assert hist.counts == {1: 850, 2: 137, 3: 13}
+        assert estimate_component_distribution(8, 2, 1000, seed=5) == {1: 850, 2: 137, 3: 13}
 
     def test_two_vertices_three_perms(self):
         # C=2 only when all three permutations are the identity: 1/8
         samples = 100_000
-        hist = estimate_component_distribution(2, 3, samples, seed=3)
-        assert abs(hist.counts.get(2, 0) / samples - 1 / 8) <= hoeffding_halfwidth(samples)
+        counts = estimate_component_distribution(2, 3, samples, seed=3)
+        assert abs(counts.get(2, 0) / samples - 1 / 8) <= hoeffding_halfwidth(samples)
 
     def test_m_power_small_exact_cases(self):
         est = estimate_m_power_C(2, 1, 2, 50_000, seed=4)
@@ -385,7 +381,7 @@ class TestEstimators:
         # at (300, 1, 2^63) the variance of m^C is past float range but the
         # 99% halfwidth z sqrt(var / samples) is not
         n, k, m, samples = 300, 1, 2**63, 2000
-        counts = estimate_component_distribution(n, k, samples, seed=1).counts
+        counts = estimate_component_distribution(n, k, samples, seed=1)
         total = sum(cnt * m**c for c, cnt in counts.items())
         total_sq = sum(cnt * m ** (2 * c) for c, cnt in counts.items())
         var = (Fraction(total_sq) - Fraction(total * total, samples)) / (samples - 1)
@@ -475,8 +471,9 @@ class TestExactExpectation:
         assert abs(math.sqrt(got / 2 - 1) - 0.05297) < 1e-5
 
     def test_below_closed_form_expectation_bound(self):
-        # decided as verify chain decides it, on the excess over m: the float
-        # bound m + excess rounds to m from k = 21 at n = 19, m = 2
+        # decided as verify chain decides it, on logarithms of the excess over m
+        # and of its bound m^2 (e/n)^(k-1): the float m + bound rounds to m from
+        # k = 21 at n = 19, m = 2
         def checked(grid):
             count = 0
             for n, k in grid:
@@ -485,7 +482,9 @@ class TestExactExpectation:
                     if not all(regime_flags(n, k, m=m).values()):
                         continue
                     excess = exact_m_power_C(n, k, m) - m
-                    assert oracle.check(excess, "<=", expectation_excess(n, k, m)) == "pass", (n, k, m)
+                    log_excess = math.log(excess.numerator) - math.log(excess.denominator)
+                    log_bound = 2 * math.log(m) + (k - 1) * (1 - math.log(n))
+                    assert oracle.check(log_excess, "<=", log_bound) == "pass", (n, k, m)
                     count += 1
             return count
 
