@@ -4,13 +4,15 @@ and verify the measured quantities against the closed-form bounds.
 Every verify report holds ``preconditions_ok`` and ``checks``, one status
 per check, each decided by ``oracle.check``: "pass", "fail" (only where the
 data refute the bound), "unavailable" (past the work budget) or
-"not-applicable" (outside the proved regime; ``preconditions_ok`` marks the
-failed labels). The checks: chain those of ``oracle.verify_chain``,
-graph-exp expectation_bound_mc, graph-dist lemma4_c<c> per observed
-component count c, tv-exact lemma1_exact_soundness. Exit codes: 0 no check
-reads "fail", 1 one does, 2 invalid or over-budget parameters, 3 an
-unexpected error (traceback on stderr). Seeds are always explicit in the
-output; a seed that was not supplied is generated once and recorded.
+"not-applicable" (outside the regime of its closed form, whose flags
+``preconditions_ok`` holds). The checks: chain those of
+``oracle.verify_chain``; graph-exp expectation_bound_mc, on lemma 4's E[m^C]
+bound, for n >= 19, k >= 3, m <= (1/2)(n/e)^(k-1); graph-dist lemma4_c<c>
+per component count c seen, for n >= 19, k >= 3; tv-exact
+lemma1_exact_soundness, everywhere. Exit codes: 0 no check reads "fail", 1
+one does, 2 invalid or over-budget parameters, 3 an unexpected error
+(traceback on stderr). Seeds are always explicit in the output; a seed that
+was not supplied is generated once and recorded.
 """
 
 from __future__ import annotations
@@ -271,15 +273,13 @@ def verify_graph_dist(n, k, samples, seed, shards, fmt) -> None:
     seed = _resolve_seed(seed)
     counts = estimate_component_distribution(n, k, samples, seed, shards)
     halfwidth = hoeffding_halfwidth(samples)
-    # lemma 4 is proved for n >= 19 and k >= 3 only; outside, nothing is checked
     preconditions = regime_flags(n, k)
-    in_regime = all(preconditions.values())
     rows, checks = {}, {}
     for c, count in counts.items():
         bound = lemma4_probability_bound(n, k, c)
         freq = Quantity.sampled(count / samples, halfwidth, HOEFFDING_CONFIDENCE, samples, count)
         rows[str(c)] = {"count": count, "frequency": freq.value, "lemma4_bound": bound}
-        checks[f"lemma4_c{c}"] = check(freq, "<=", bound) if in_regime else "not-applicable"
+        checks[f"lemma4_c{c}"] = check(freq, "<=", bound, preconditions)
     report = {
         "params": {"n": n, "k": k},
         "samples": samples,
@@ -303,10 +303,8 @@ def verify_graph_exp(n, k, m, m_bits, samples, seed, shards, fmt) -> None:
     m_val = _resolve_m(m, m_bits).m
     seed = _resolve_seed(seed)
     estimate = estimate_m_power_C(n, k, m_val, samples, seed, shards)
-    # the bound is proved for n >= 19, k >= 3 and the m-bound only; outside, nothing is checked
     preconditions = regime_flags(n, k, m=m_val)
-    in_regime = all(preconditions.values())
-    bound = expectation_bound(n, k, m_val) if in_regime else None
+    bound = expectation_bound(n, k, m_val)
     report = {
         "params": {"n": n, "k": k, "m": m_val},
         "samples": samples,
@@ -316,7 +314,7 @@ def verify_graph_exp(n, k, m, m_bits, samples, seed, shards, fmt) -> None:
         "ci99_halfwidth": estimate.hi - estimate.value,
         "expectation_bound": bound,
         "preconditions_ok": preconditions,
-        "checks": {"expectation_bound_mc": check(estimate, "<=", bound) if in_regime else "not-applicable"},
+        "checks": {"expectation_bound_mc": check(estimate, "<=", bound, preconditions)},
     }
     _finish(report, fmt)
 

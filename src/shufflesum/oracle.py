@@ -25,10 +25,11 @@ which only the printer, ``cli.emit_report``, turns into JSON, and
 ``check`` decides every inequality from two intervals: "fail", which makes
 a command exit 1, only where they refute it. Its checks: lemma1_exact_soundness,
 lemma2_exact_identity, lemma3_exact_soundness, lemma3_exact_identity,
-lemma2_mc_consistency and mc_matches_exact_collision_{v,e}; in the proved
-regime only, else "not-applicable", expectation_bound_{exact,mc} (the exact
-one on the logarithm of E[m^C] - m), graph_route_le_theorem1 and
-theorem1_dominates_exact_tv.
+lemma2_mc_consistency and mc_matches_exact_collision_{v,e} everywhere;
+expectation_bound_{exact,mc} (the exact one on the logarithm of E[m^C] - m),
+from lemma 4, for n >= 19, k >= 3 and m <= (1/2)(n/e)^(k-1); and
+graph_route_le_theorem1 and theorem1_dominates_exact_tv, from the theorem,
+for n >= 19, k >= 3 and sigma >= 1: outside, they read "not-applicable".
 """
 
 from __future__ import annotations
@@ -320,11 +321,14 @@ def theorem_bound(n: int, k: int, m: int) -> float:
     return _inf_past_range(pow, 2.0, -sigma_for(k, n, m))
 
 
-def check(a, relation: str, b) -> str:
-    """The one decision of every check: "fail" only where the intervals of a
-    and b refute `a relation b`, for relation "<=" or "=="; "pass" otherwise;
-    "unavailable" when a side is None. A bare number is its own interval, and
-    a record's None end is unbounded, so it refutes nothing."""
+def check(a, relation: str, b, regime: dict[str, bool] | None = None) -> str:
+    """The one decision of every check: "not-applicable" when a flag of
+    `regime`, the preconditions of the result it rests on, is false; else
+    "unavailable" when a side is None; "fail" only where the intervals of a
+    and b refute `a relation b`, for relation "<=" or "=="; "pass" otherwise.
+    A bare number is its own interval; a record's None end is unbounded."""
+    if not all((regime or {}).values()):
+        return "not-applicable"
     if a is None or b is None:
         return "unavailable"
     (a_lo, a_hi), (b_lo, b_hi) = ((x.lo, x.hi) if isinstance(x, Quantity) else (x, x) for x in (a, b))
@@ -351,8 +355,9 @@ def verify_chain(n: int, k: int, m: int, samples: int, seed: int, shards: int = 
     Only ``theorem1_bound``, a closed form, is a plain number. ``checks``
     holds the status of every inequality of the chain, each decided by
     ``check``: "pass", "fail", "unavailable" (budget) or "not-applicable"
-    (outside the proved n/k/sigma regime). Deterministic given
-    (n, k, m, samples, seed, shards).
+    (outside the regime of its closed form; ``preconditions_ok`` holds the
+    theorem's and the E[m^C] bound's). Deterministic given (n, k, m,
+    samples, seed, shards).
     """
     work = exact_work(n, k, m)
     fits = {name: units <= ENUMERATION_BUDGET for name, units in work.items()}
@@ -370,9 +375,13 @@ def verify_chain(n: int, k: int, m: int, samples: int, seed: int, shards: int = 
     # the graph route's radicand E[m^C]/m^(kn) * m^(kn-1) - 1 collapses to E[m^C]/m - 1
     l3 = _root_bound(emc or mc_emc, -1, m)
     thm = theorem_bound(n, k, m) if n >= 2 else None
-    preconditions = regime_flags(n, k, sigma_for(k, n, m) if n >= 2 else -math.inf)
+    theorem = regime_flags(n, k, sigma_for(k, n, m) if n >= 2 else -math.inf)
+    graph = regime_flags(n, k, m=m)
 
     route = emc and Quantity.exact(emc.value / m**kn)
+    # E[m^C] - m against m^2 (e/n)^(k-1) on logarithms: m plus that rounds to m
+    # from k = 21 at n = 19, m = 2, and it underflows to 0.0 from k = 385
+    log_excess = 2 * math.log(m) + (k - 1) * (1 - math.log(n))
     checks = {
         "lemma1_exact_soundness": check(tv and tv.value**2, "<=", cv and cv.value * m ** (kn - 1) - 1),
         "lemma2_exact_identity": check(cv, "==", ce),
@@ -381,19 +390,11 @@ def verify_chain(n: int, k: int, m: int, samples: int, seed: int, shards: int = 
         "lemma2_mc_consistency": check(mc_v, "==", mc_e),
         "mc_matches_exact_collision_v": check(mc_v, "==", cv),
         "mc_matches_exact_collision_e": check(mc_e, "==", ce),
+        "expectation_bound_exact": check(emc and _ln(emc.value - m), "<=", log_excess, graph),
+        "expectation_bound_mc": check(mc_emc, "<=", expectation_bound(n, k, m), graph),
+        "graph_route_le_theorem1": check(l3, "<=", thm, theorem),
+        "theorem1_dominates_exact_tv": check(tv, "<=", thm, theorem),
     }
-    # the closed forms hold only in the proved regime, and expectation_bound raises outside it
-    in_regime = all(preconditions.values())
-    # E[m^C] - m against m^2 (e/n)^(k-1) on logarithms: m plus that rounds to m
-    # from k = 21 at n = 19, m = 2, and it underflows to 0.0 from k = 385
-    log_excess = 2 * math.log(m) + (k - 1) * (1 - math.log(n))
-    closed_form = {
-        "expectation_bound_exact": check(emc and _ln(emc.value - m), "<=", log_excess),
-        "expectation_bound_mc": check(mc_emc, "<=", expectation_bound(n, k, m) if in_regime else None),
-        "graph_route_le_theorem1": check(l3, "<=", thm),
-        "theorem1_dominates_exact_tv": check(tv, "<=", thm),
-    }
-    checks |= {name: status if in_regime else "not-applicable" for name, status in closed_form.items()}
 
     unit = "histogram updates; word products for exact_m_power_c"
     return {
@@ -412,6 +413,6 @@ def verify_chain(n: int, k: int, m: int, samples: int, seed: int, shards: int = 
         "lemma1_bound": lemma1_bound(cv or mc_v, n, k, m),
         "lemma3_bound": l3,
         "theorem1_bound": thm,
-        "preconditions_ok": preconditions,
+        "preconditions_ok": theorem | graph,
         "checks": checks,
     }

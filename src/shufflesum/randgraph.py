@@ -25,7 +25,6 @@ from typing import Iterator
 
 import numpy as np
 
-from .planner import regime_flags
 from .rng import derive_seed
 
 ENUMERATION_BUDGET = 10**7
@@ -122,13 +121,10 @@ def lemma4_probability_bound(n: int, k: int, c: int) -> float:
 def expectation_bound(n: int, k: int, m: int) -> float:
     """Closed-form upper bound m + m^2 (n/e)^(1-k) on E[m^C].
 
-    Raises ValueError outside the regime where ``planner.regime_flags``
-    says it is proved, where the float power can overflow (n = 1, k = 800).
+    Proved where ``planner.regime_flags(n, k, m=m)`` holds, but evaluated
+    everywhere: past float range (n = 1, k = 800) it is inf.
     """
-    violated = [label for label, ok in regime_flags(n, k, m=m).items() if not ok]
-    if violated:
-        raise ValueError(f"expectation bound preconditions violated: {', '.join(violated)}")
-    return m + m * m * (math.e / n) ** (k - 1)
+    return _inf_past_range(lambda: m + m * m * (math.e / n) ** (k - 1))
 
 
 @dataclass(frozen=True)
@@ -237,16 +233,17 @@ def estimate_m_power_C(
     estimate_component_distribution. Accumulation is exact over integer
     component counts, so no overflow before the final division; the normal
     CI is a fair approximation for small m but optimistic for large m,
-    where m^C is heavy-tailed. Mean or halfwidth is inf past float range.
+    where m^C is heavy-tailed. Mean or halfwidth is inf past float range;
+    one sample has no variance, so its halfwidth is inf, not 0.
     """
     _check_sizes(n, k, m)
     counts = estimate_component_distribution(n, k, samples, seed, shards)
     total = sum(cnt * m**c for c, cnt in counts.items())
-    total_sq = sum(cnt * m ** (2 * c) for c, cnt in counts.items())
-    var = Fraction(0)
-    if samples > 1:
-        var = (Fraction(total_sq) - Fraction(total * total, samples)) / (samples - 1)
     mean = _inf_past_range(float, Fraction(total, samples))
+    if samples < 2:
+        return Quantity.sampled(mean, math.inf, MEAN_CI_CONFIDENCE, samples)
+    total_sq = sum(cnt * m ** (2 * c) for c, cnt in counts.items())
+    var = (Fraction(total_sq) - Fraction(total * total, samples)) / (samples - 1)
     return Quantity.sampled(mean, _Z99 * _sqrt_or_inf(var, samples), MEAN_CI_CONFIDENCE, samples)
 
 

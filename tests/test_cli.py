@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -16,7 +17,8 @@ from hypothesis import strategies as st
 
 from shufflesum import cli, oracle
 from shufflesum.cli import main
-from shufflesum.randgraph import exact_m_power_C, lemma4_probability_bound
+from shufflesum.oracle import verify_chain
+from shufflesum.randgraph import exact_m_power_C, expectation_bound, lemma4_probability_bound
 
 
 @pytest.fixture
@@ -312,7 +314,7 @@ class TestVerify:
 
     def test_graph_exp_outside_regime_not_checked(self, runner):
         # the closed form is proved for n >= 19, k >= 3 and m <= (1/2)(n/e)^(k-1)
-        # only; outside, the estimate is reported and nothing is checked
+        # only; outside, it is still reported, next to the estimate, but not checked
         for n, k, m, failed in ((19, 3, 25, "m-bound"), (18, 3, 2, "n>=19"), (19, 2, 2, "k>=3")):
             res = run_cli(
                 runner,
@@ -322,7 +324,7 @@ class TestVerify:
             assert res.exit_code == 0, (n, k, m)
             report = json.loads(res.output)
             assert report["checks"] == {"expectation_bound_mc": "not-applicable"}, (n, k, m)
-            assert report["expectation_bound"] is None, (n, k, m)
+            assert report["expectation_bound"] == expectation_bound(n, k, m), (n, k, m)
             assert report["preconditions_ok"][failed] is False, (n, k, m)
             assert sum(not ok for ok in report["preconditions_ok"].values()) == 1, (n, k, m)
             assert report["estimate"] >= m
@@ -345,7 +347,36 @@ class TestVerify:
         if not all(flags.values()):
             assert res.exit_code == 0, res.output
             assert report["checks"] == {"expectation_bound_mc": "not-applicable"}
-            assert report["expectation_bound"] is None
+            assert report["expectation_bound"] == expectation_bound(n, k, m)
+
+    def test_one_sample_interval_unbounded(self, runner):
+        # the one graph drawn here has C = 2: it has no sample variance, so its
+        # 99% interval is unbounded, not [4, 4], and refutes no bound, while the
+        # exact E[2^C] = 2.0056 lies under the bound 2.0819
+        args = ["--n", "19", "--k", "3", "--m", "2", "--samples", "1", "--seed", "256"]
+        code, report = verify_json(runner, "graph-exp", *args)
+        assert code == 0
+        assert report["checks"] == {"expectation_bound_mc": "pass"}
+        assert (report["estimate"], report["ci99_halfwidth"]) == (4.0, math.inf)
+        code, report = verify_json(runner, "chain", *args)
+        assert code == 0
+        assert report["checks"]["expectation_bound_mc"] == "pass"
+        assert "fail" not in report["checks"].values()
+        assert [field(report, f"mc_m_power_c.{end}") for end in ("lo", "value", "hi")] == [-math.inf, 4.0, math.inf]
+
+    @pytest.mark.parametrize("n", [18, 19, 40])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_chain_and_graph_exp_decide_the_expectation_bound_alike(self, runner, n, k):
+        # both draw the same graphs from the same seed and rest on one closed
+        # form, so they must gate and decide it alike, around the edge of
+        # m <= (1/2)(n/e)^(k-1) too: 24.4 at (19, 3), 108 at (40, 3)
+        for m in (2, 5, 24, 25, 100):
+            chain = verify_chain(n, k, m, samples=200, seed=9)
+            code, exp = verify_json(runner, "graph-exp", "--n", str(n), "--k", str(k), "--m", str(m),
+                                    "--samples", "200", "--seed", "9")
+            assert chain["checks"]["expectation_bound_mc"] == exp["checks"]["expectation_bound_mc"], m
+            assert chain["preconditions_ok"]["m-bound"] == exp["preconditions_ok"]["m-bound"], m
+            assert chain["mc_m_power_c"].value == exp["estimate"], m
 
     @pytest.mark.parametrize("m", [["--m", "1"], ["--m-bits", "64"]])
     def test_graph_exp_modulus_out_of_range_exit_2(self, runner, m):

@@ -539,7 +539,7 @@ class TestVerifyChain:
         assert rep["exact_m_power_c"].value == Fraction(35051863075, 17476901442)
         assert rep["lemma3_bound"].provenance == "exact"
         assert abs(rep["theorem1_bound"] - 0.2023) < 1e-4
-        assert rep["preconditions_ok"] == {"n>=19": True, "k>=3": True, "sigma>=1": True}
+        assert rep["preconditions_ok"] == {"n>=19": True, "k>=3": True, "sigma>=1": True, "m-bound": True}
         assert rep["checks"]["expectation_bound_exact"] == "pass"
         assert rep["checks"]["expectation_bound_mc"] == "pass"
         assert rep["checks"]["graph_route_le_theorem1"] == "pass"

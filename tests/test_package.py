@@ -92,11 +92,21 @@ def test_one_stream_site():
 
 
 def test_one_check_decision():
-    # oracle.check alone gives the status "fail", and cli._finish alone exits
-    # on it: every check is decided by one comparison, every exit by one rule
-    assert [site for site, node in _nodes() if isinstance(node, ast.Constant) and node.value == "fail"] == [
-        "cli.py:_finish",
-        "oracle.py:check",
+    # oracle.check alone gives a check its status, "not-applicable" outside
+    # the regime it is given included, and cli._finish alone exits on "fail":
+    # every check is decided by one function, every exit by one rule
+    statuses = ("pass", "fail", "unavailable", "not-applicable")
+    found = sorted(
+        (node.value, site)
+        for site, node in _nodes()
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value in statuses
+    )
+    assert found == [
+        ("fail", "cli.py:_finish"),
+        ("fail", "oracle.py:check"),
+        ("not-applicable", "oracle.py:check"),
+        ("pass", "oracle.py:check"),
+        ("unavailable", "oracle.py:check"),
     ]
 
 

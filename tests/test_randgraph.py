@@ -283,13 +283,16 @@ class TestClosedFormBounds:
         assert expectation_bound(10**9, 3, 2) - 2 < 1e-12
 
     def test_expectation_bound_preconditions(self):
-        with pytest.raises(ValueError):
-            expectation_bound(18, 3, 2)
-        with pytest.raises(ValueError):
-            expectation_bound(19, 2, 2)
-        with pytest.raises(ValueError):
-            expectation_bound(19, 3, 25)
+        # proved only where regime_flags holds, but evaluated everywhere, like
+        # lemma 4's bound: n = 18, k = 2 and m = 25 each leave the regime
+        for n, k, m in ((18, 3, 2), (19, 2, 2), (19, 3, 25)):
+            assert not all(regime_flags(n, k, m=m).values())
+            bound = expectation_bound(n, k, m)
+            assert math.isfinite(bound) and bound == m + m * m * (math.e / n) ** (k - 1)
+        # the float power overflows at n = 1, k = 800: the bound reads inf
+        assert expectation_bound(1, 800, 2) == math.inf
         # m = 24 is inside (1/2)(19/e)^2 ~ 24.4
+        assert all(regime_flags(19, 3, m=24).values())
         assert expectation_bound(19, 3, 24) > 24
 
 
