@@ -32,10 +32,8 @@ import numpy as np
 from . import __version__
 from .oracle import (
     HOEFFDING_CONFIDENCE,
-    CollisionMode,
     check,
-    exact_avg_case_tv,
-    exact_collision_probability,
+    exact_transcript_laws,
     hoeffding_halfwidth,
     lemma1_bound,
     verify_chain,
@@ -105,12 +103,12 @@ def emit_report(report: dict, fmt: str) -> None:
     """Print a report as a table, JSON, or key,value CSV.
 
     The one place a ``Quantity`` becomes JSON: each one in the report prints
-    as its ``to_json()`` dict, in every format. The CSV rows are the
-    flattened (dotted-key) fields of the JSON object, so the two formats
-    carry identical data field-for-field.
+    as its ``to_json()`` dict, in every format. JSON takes one line (no
+    ``indent``, so ``json.dumps`` runs its C encoder); the CSV rows are the
+    flattened (dotted-key) fields of the JSON object, field for field.
     """
     if fmt == "json":
-        _echo(json.dumps(report, sort_keys=True, indent=2, default=Quantity.to_json))
+        _echo(json.dumps(report, sort_keys=True, default=Quantity.to_json))
         return
     flat: dict = {}
     _flatten("", report, flat)
@@ -327,8 +325,8 @@ def verify_tv_exact(n, k, m, m_bits, fmt) -> None:
     """Exact average TV vs the exact collision-probability bound, both
     summed over block histograms; exit 2 past the work budget."""
     m_val = _resolve_m(m, m_bits).m
-    tv = Quantity.exact(exact_avg_case_tv(n, k, m_val))
-    collision = Quantity.exact(exact_collision_probability(n, k, m_val, CollisionMode.V_VS_V))
+    sums = exact_transcript_laws(n, k, m_val, ["exact_avg_tv", "exact_collision_v"])
+    tv, collision = Quantity.exact(sums["exact_avg_tv"]), Quantity.exact(sums["exact_collision_v"])
     radicand = collision.value * m_val ** (k * n - 1) - 1
     report = {
         "params": {"n": n, "k": k, "m": m_val},

@@ -6,7 +6,8 @@ P(v) = P(h(v)) / prod_j multinomial(n; h_j). ``histogram_laws`` builds the
 exact integer law of the histograms as a convolution of the users' share
 rows, one law per input multiset, and the exact total-variation distance
 and collision probabilities are sums over histogram tuples, rationals
-that never touch floats. ``exact_work`` states their cost in histogram
+that never touch floats, which ``exact_transcript_laws`` sums in one walk
+of the laws. ``exact_work`` states each one's own cost in histogram
 updates, and E[m^C]'s in word products, against ``ENUMERATION_BUDGET``;
 beyond it Monte Carlo takes over. ``verify_chain`` assembles both sides
 next to the chain of closed-form bounds, in the report dict that ``verify
@@ -40,7 +41,7 @@ from collections import defaultdict
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -75,7 +76,8 @@ class CollisionMode(enum.Enum):
     E_EVENT = "e-event"
 
 
-_WORK_KEY = {CollisionMode.V_VS_V: "exact_collision_v", CollisionMode.E_EVENT: "exact_collision_e"}
+# the exact_work keys of the sums over histogram tuples, in report order
+TRANSCRIPT_SUMS = ("exact_avg_tv", "exact_collision_v", "exact_collision_e")
 
 
 def _units(exact, *log2_terms: float) -> int | float:
@@ -102,7 +104,9 @@ def exact_work(n: int, k: int, m: int) -> dict[str, int | float]:
 
     in histogram updates: exact ints up to 2^64, floats from logarithms past
     it, so no huge integer is ever built, and math.inf past float range (as
-    ``_inf_past_range`` decides, for a count or its logarithm). L is
+    ``_inf_past_range`` decides, for a count or its logarithm). Each is its
+    quantity's own cost, also where ``exact_transcript_laws`` computes
+    several in one walk, so no request moves another quantity off exact. L is
     estimated by Stirling's formula when min(n, m-1) > 128, where L > 2^128.
     ``exact_m_power_c`` is randgraph's ``m_power_c_work``, in word products.
     """
@@ -144,7 +148,7 @@ def _share_rows(n: int, k: int, m: int) -> list[list[int]]:
     return rows
 
 
-def histogram_laws(n: int, k: int, m: int) -> Iterator[tuple[tuple[int, ...], int, dict[int, int]]]:
+def histogram_laws(n: int, k: int, m: int, rows=None) -> Iterator[tuple[tuple[int, ...], int, dict[int, int]]]:
     """Exact integer law of the k block histograms, one per input class.
 
     Yields (xs, orderings, law) for every sorted input tuple xs, in
@@ -152,10 +156,11 @@ def histogram_laws(n: int, k: int, m: int) -> Iterator[tuple[tuple[int, ...], in
     counts the m^((k-1)n) equally likely share matrices whose blocks have
     the histograms h_1..h_k packed in key = sum of h_j(a) (n+1)^(jm+a) over
     blocks j and residues a. The law is the n-fold convolution of the
-    users' share rows, so it depends on the inputs only through xs.
+    users' share rows (``rows``, built here unless the caller has them), so
+    it depends on the inputs only through xs.
     """
     _check_sizes(n, k, m)
-    rows = _share_rows(n, k, m)
+    rows = rows or _share_rows(n, k, m)
     for xs in combinations_with_replacement(range(m), n):
         law = {0: 1}
         for x in xs:
@@ -167,32 +172,6 @@ def histogram_laws(n: int, k: int, m: int) -> Iterator[tuple[tuple[int, ...], in
         yield xs, math.factorial(n) // math.prod(math.factorial(xs.count(a)) for a in set(xs)), law
 
 
-def exact_avg_case_tv(n: int, k: int, m: int) -> Fraction:
-    """Expected exact TV over uniform equal-sum input pairs.
-
-    A shuffled block is uniform over the orderings of its histogram, so a
-    transcript with histograms h has the same probability N(h) / (D prod_j
-    multinomial(n; h_j)), D = m^((k-1)n), at every ordering, and the TV
-    between inputs x and x' is sum_h |N_x(h) - N_x'(h)| / 2D over histogram
-    tuples. The m^(2n-1) equally likely pairs (x uniform, x' uniform given
-    its sum) are grouped by input class. Raises EnumerationBudgetError when
-    ``exact_work`` puts it over ENUMERATION_BUDGET.
-    """
-    _require_budget(exact_work(n, k, m)["exact_avg_tv"], "histogram updates", "exact_avg_tv", n=n, k=k, m=m)
-    by_sum: defaultdict[int, list[tuple[int, dict[int, int]]]] = defaultdict(list)
-    for xs, orderings, law in histogram_laws(n, k, m):
-        by_sum[sum(xs) % m].append((orderings, law))
-    total = 0
-    for classes in by_sum.values():
-        # each unordered pair of classes twice, halved; a class against itself 0
-        for i, (wa, a) in enumerate(classes):
-            for wb, b in classes[:i]:
-                gap = sum(abs(c - b.get(h, 0)) for h, c in a.items())
-                gap += sum(c for h, c in b.items() if h not in a)
-                total += wa * wb * gap
-    return Fraction(total, m ** ((k - 1) * n) * m ** (2 * n - 1))
-
-
 def _sharing_keys(rows: list[list[int]], xs: tuple[int, ...]) -> list[int]:
     # packed histograms of every ordered unshuffled sharing of xs
     keys = [0]
@@ -201,25 +180,43 @@ def _sharing_keys(rows: list[list[int]], xs: tuple[int, ...]) -> list[int]:
     return keys
 
 
-def exact_collision_probability(n: int, k: int, m: int, mode: CollisionMode) -> Fraction:
-    """Exact collision probability over a uniform input, from the histogram laws.
+def exact_transcript_laws(n: int, k: int, m: int, quantities: Sequence[str]) -> dict[str, Fraction]:
+    """The requested exact transcript quantities, from one walk of ``histogram_laws``.
 
+    ``quantities`` names some of TRANSCRIPT_SUMS; in the order given, each
+    one over ENUMERATION_BUDGET by its own ``exact_work`` raises
+    EnumerationBudgetError. Nothing requested builds nothing and returns {}.
+
+    A shuffled block is uniform over the orderings of its histogram, so a
+    transcript with histograms h has the same probability N(h) / (D prod_j
+    multinomial(n; h_j)), D = m^((k-1)n), at every ordering, and the TV
+    between inputs x and x' is sum_h |N_x(h) - N_x'(h)| / 2D. exact_avg_tv
+    averages it over the m^(2n-1) equally likely pairs (x uniform, x'
+    uniform given its sum), pairing the input classes after the walk.
     With F(h) = prod_j prod_a h_j(a)! = (n!)^k / prod_j multinomial(n; h_j),
-    V_VS_V sums N(h)^2 F(h) over histogram tuples h. E_EVENT is computed
-    apart from it: it walks the D = m^((k-1)n) ordered unshuffled sharings
-    S of each input class and sums N(h(S)) F(h(S)), so the lemma-2
-    identity between the two is checked, not assumed. Both are weighted by
-    the classes' orderings over (n!)^k D^2 m^n. Raises
-    EnumerationBudgetError when ``exact_work`` puts the mode over
-    ENUMERATION_BUDGET.
+    exact_collision_v sums N(h)^2 F(h) over histogram tuples, and
+    exact_collision_e walks the D ordered unshuffled sharings S of each
+    class and sums N(h(S)) F(h(S)), so the lemma-2 identity between the two
+    is checked, not assumed; both weigh the classes' orderings over
+    (n!)^k D^2 m^n.
     """
-    _require_budget(exact_work(n, k, m)[_WORK_KEY[mode]], "histogram updates", _WORK_KEY[mode], n=n, k=k, m=m)
+    work = exact_work(n, k, m)
+    for name in quantities:
+        _require_budget(work[name], "histogram updates", name, n=n, k=k, m=m)
+    if not quantities:
+        return {}
+    tv, cv, ce = (name in quantities for name in TRANSCRIPT_SUMS)
     rows = _share_rows(n, k, m)
     fact = [math.factorial(h) for h in range(n + 1)]
     cell_factorials: dict[int, int] = {}
-    total = 0
-    for xs, orderings, law in histogram_laws(n, k, m):
-        weight = {}
+    by_sum: defaultdict[int, list[tuple[int, dict[int, int]]]] = defaultdict(list)
+    sums = dict.fromkeys(TRANSCRIPT_SUMS, 0)
+    for xs, orderings, law in histogram_laws(n, k, m, rows):
+        if tv:
+            by_sum[sum(xs) % m].append((orderings, law))
+        if not (cv or ce):
+            continue
+        weight = {}  # N(h) F(h)
         for key, count in law.items():
             if key not in cell_factorials:
                 f, rest = 1, key
@@ -228,14 +225,22 @@ def exact_collision_probability(n: int, k: int, m: int, mode: CollisionMode) -> 
                     f *= fact[h]
                 cell_factorials[key] = f
             weight[key] = count * cell_factorials[key]
-        if mode is CollisionMode.V_VS_V:
-            hit = sum(count * weight[key] for key, count in law.items())
-        else:
+        if cv:
+            sums["exact_collision_v"] += orderings * sum(count * weight[key] for key, count in law.items())
+        if ce:
             left, right = _sharing_keys(rows, xs[: n // 2]), _sharing_keys(rows, xs[n // 2 :])
-            hit = sum(weight[a + b] for a in left for b in right)
-        total += orderings * hit
+            sums["exact_collision_e"] += orderings * sum(weight[a + b] for a in left for b in right)
+    for classes in by_sum.values():
+        # each unordered pair of classes twice, halved; a class against itself 0
+        for i, (wa, a) in enumerate(classes):
+            for wb, b in classes[:i]:
+                gap = sum(abs(c - b.get(h, 0)) for h, c in a.items())
+                gap += sum(c for h, c in b.items() if h not in a)
+                sums["exact_avg_tv"] += wa * wb * gap
     d = m ** ((k - 1) * n)
-    return Fraction(total, fact[n] ** k * d * d * m**n)
+    collision = fact[n] ** k * d * d * m**n
+    scale = {"exact_avg_tv": d * m ** (2 * n - 1), "exact_collision_v": collision, "exact_collision_e": collision}
+    return {name: Fraction(sums[name], scale[name]) for name in quantities}
 
 
 _MODE_TAG = {CollisionMode.V_VS_V: 1, CollisionMode.E_EVENT: 2}
@@ -361,11 +366,9 @@ def verify_chain(n: int, k: int, m: int, samples: int, seed: int, shards: int = 
     """
     work = exact_work(n, k, m)
     fits = {name: units <= ENUMERATION_BUDGET for name, units in work.items()}
-    tv = exact_avg_case_tv(n, k, m) if fits["exact_avg_tv"] else None
-    cv = exact_collision_probability(n, k, m, CollisionMode.V_VS_V) if fits["exact_collision_v"] else None
-    ce = exact_collision_probability(n, k, m, CollisionMode.E_EVENT) if fits["exact_collision_e"] else None
+    sums = exact_transcript_laws(n, k, m, [name for name in TRANSCRIPT_SUMS if fits[name]])
     emc = exact_m_power_C(n, k, m) if fits["exact_m_power_c"] else None
-    tv, cv, ce, emc = (None if x is None else Quantity.exact(x) for x in (tv, cv, ce, emc))
+    tv, cv, ce, emc = (None if x is None else Quantity.exact(x) for x in (*map(sums.get, TRANSCRIPT_SUMS), emc))
 
     mc_v = collision_probability(n, k, m, samples, seed, CollisionMode.V_VS_V, shards)
     mc_e = collision_probability(n, k, m, samples, seed, CollisionMode.E_EVENT, shards)

@@ -105,16 +105,14 @@ def aggregate_batch(blocks: np.ndarray, clear: np.ndarray | None, m: Modulus) ->
     residue of a ``run_batch`` result, shape ``(runs,)``. It equals the
     input sum because the blocks are a rearranged set of all shares.
 
-    Numpy sums the low and the high 32 bits of the residues apart, and
-    Python ints join the two sums and reduce them mod m. Each half is
-    below 2**32, so neither uint64 sum wraps while a run holds fewer than
-    2**32 residues: ``shard_batches`` admits k * n <= 10**7, so a run
-    holds at most (k + 1) * n <= 2 * 10**7."""
-    flat = blocks.reshape(len(blocks), -1)
-    if clear is not None:
-        flat = np.concatenate((flat, clear), axis=1)
-    lo = (flat & np.uint64(0xFFFFFFFF)).sum(axis=1, dtype=np.uint64)
-    hi = (flat >> np.uint64(32)).sum(axis=1, dtype=np.uint64)
+    Numpy sums the low and the high 32 bits of the blocks and of the clear
+    block apart, with no joined copy, and Python ints join the sums and
+    reduce them mod m. Each half is below 2**32, so no uint64 sum wraps
+    while a run holds fewer than 2**32 residues: ``shard_batches`` admits
+    k * n <= 10**7, so a run holds at most (k + 1) * n <= 2 * 10**7."""
+    parts = [blocks.reshape(len(blocks), -1)] + ([] if clear is None else [clear])
+    lo = sum((part & np.uint64(0xFFFFFFFF)).sum(axis=1, dtype=np.uint64) for part in parts)
+    hi = sum((part >> np.uint64(32)).sum(axis=1, dtype=np.uint64) for part in parts)
     sums = [((h << 32) + l) % m.m for h, l in zip(hi.tolist(), lo.tolist())]
     return np.array(sums, dtype=np.uint64)
 
@@ -126,10 +124,11 @@ def _row_text(row: np.ndarray) -> str:
     ``(values, d + 2)`` byte table: the d decimal digits of the row's
     largest value, then ", ". One mask drops leading zeros (a value keeps
     its digits from its first nonzero one, and its last digit always) and
-    the separator after the row's last value."""
-    d = len(str(int(row.max())))
+    the separator after the row's last value. Rows below 2**32 use uint32."""
+    top = int(row.max())
+    d = len(str(top))
     size = min(len(row), randgraph._BATCH_ELEMENTS)
-    q, t, r = (np.empty(size, dtype=np.uint64) for _ in range(3))
+    q, t, r = (np.empty(size, dtype=np.uint32 if top < 2**32 else np.uint64) for _ in range(3))
     text = np.empty((size, d + 2), dtype=np.uint8)
     text[:, d:] = np.frombuffer(b", ", dtype=np.uint8)
     keep = np.ones((size, d + 2), dtype=bool)

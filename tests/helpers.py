@@ -6,6 +6,8 @@ import math
 
 from scipy import stats
 
+from shufflesum.oracle import exact_transcript_laws
+
 # significance for every goodness-of-fit assertion in the suite
 SIGNIFICANCE = 1e-6
 
@@ -34,3 +36,8 @@ def two_sample_chisq_pvalue(counts_a: dict, counts_b: dict) -> float:
 
 def binomial_sigma(n: int, p: float) -> float:
     return math.sqrt(n * p * (1.0 - p))
+
+
+def exact_sum(n: int, k: int, m: int, name: str):
+    """One quantity of ``oracle.exact_transcript_laws``, by its exact_work key."""
+    return exact_transcript_laws(n, k, m, [name])[name]

@@ -10,12 +10,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from helpers import SIGNIFICANCE, group_sum, two_sample_chisq_pvalue
+from helpers import SIGNIFICANCE, exact_sum, group_sum, two_sample_chisq_pvalue
 from shufflesum.oracle import (
     CollisionMode,
     collision_probability,
-    exact_avg_case_tv,
-    exact_collision_probability,
     hoeffding_halfwidth,
     theorem_bound,
     verify_chain,
@@ -82,16 +80,16 @@ def test_criterion_04_protocol_sum_conservation():
 
 def test_criterion_05_single_shuffling_identity_exact():
     for n, k, m in ENUMERABLE_INSTANCES:
-        pv = exact_collision_probability(n, k, m, CollisionMode.V_VS_V)
-        pe = exact_collision_probability(n, k, m, CollisionMode.E_EVENT)
+        pv = exact_sum(n, k, m, "exact_collision_v")
+        pe = exact_sum(n, k, m, "exact_collision_e")
         assert pv == pe, (n, k, m)
     report(5, "Pr[V=V'] = Pr[R = S o R'] exactly on all enumerable instances")
 
 
 def test_criterion_06_bound_chain_exact_soundness():
     for n, k, m in ENUMERABLE_INSTANCES:
-        tv = exact_avg_case_tv(n, k, m)
-        p = exact_collision_probability(n, k, m, CollisionMode.V_VS_V)
+        tv = exact_sum(n, k, m, "exact_avg_tv")
+        p = exact_sum(n, k, m, "exact_collision_v")
         radicand = p * m ** (k * n - 1) - 1
         assert tv * tv <= radicand, (n, k, m)
         assert p <= Fraction(exact_m_power_C(n, k, m), m ** (k * n)), (n, k, m)

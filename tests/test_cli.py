@@ -544,7 +544,9 @@ class TestOneExitRule:
             # Pr[C = 1] is near 1, far above a zero bound and its Hoeffding halfwidth
             ("graph-dist", (cli, "lemma4_probability_bound"),
              lambda n, k, c: 0.0 if c == 1 else lemma4_probability_bound(n, k, c), "lemma4_c1"),
-            ("tv-exact", (cli, "exact_avg_case_tv"), lambda n, k, m: Fraction(1), "lemma1_exact_soundness"),
+            ("tv-exact", (cli, "exact_transcript_laws"),
+             lambda n, k, m, names: {**oracle.exact_transcript_laws(n, k, m, names), "exact_avg_tv": Fraction(1)},
+             "lemma1_exact_soundness"),
         ],
     )
     def test_one_failed_check_exits_1(self, runner, monkeypatch, command, target, patch, failing):
@@ -562,6 +564,27 @@ class TestOneExitRule:
         code, report = verify_json(runner, "chain", *args)
         assert code == 0
         assert report["checks"]["expectation_bound_exact"] == "pass"
+
+
+class TestOneWalk:
+    """Every exact transcript quantity of a command comes from one walk of the histogram laws."""
+
+    @pytest.mark.parametrize(
+        "command, walks",
+        [
+            (lambda runner: verify_chain(4, 3, 2, samples=10, seed=1), 1),
+            (lambda runner: run_cli(runner, ["verify", "tv-exact", "--n", "4", "--k", "3", "--m", "2"]), 1),
+            # no exact transcript quantity fits the budget at the reference point
+            (lambda runner: verify_chain(19, 3, 2, samples=10, seed=1), 0),
+        ],
+        ids=["chain", "tv-exact", "chain-over-budget"],
+    )
+    def test_walks(self, runner, monkeypatch, command, walks):
+        calls = []
+        laws = oracle.histogram_laws
+        monkeypatch.setattr(oracle, "histogram_laws", lambda *args: calls.append(args) or laws(*args))
+        command(runner)
+        assert len(calls) == walks
 
 
 class TestBenchmarkPaths:

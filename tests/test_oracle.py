@@ -7,14 +7,14 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import exact_sum
 from shufflesum import oracle, randgraph
 from shufflesum.oracle import (
     HOEFFDING_CONFIDENCE,
+    TRANSCRIPT_SUMS,
     CollisionMode,
     check,
     collision_probability,
-    exact_avg_case_tv,
-    exact_collision_probability,
     hoeffding_halfwidth,
     lemma1_bound,
     theorem_bound,
@@ -121,34 +121,34 @@ class TestExactTv:
 class TestExactAvgTv:
     @pytest.mark.parametrize("n,k,m", SMALL_INSTANCES)
     def test_frozen_values(self, n, k, m):
-        assert exact_avg_case_tv(n, k, m) == FROZEN_AVG_TV[(n, k, m)]
+        assert exact_sum(n, k, m, "exact_avg_tv") == FROZEN_AVG_TV[(n, k, m)]
 
     @pytest.mark.parametrize("k,m", [(1, 2), (2, 3), (3, 5)])
     def test_single_user_is_zero(self, k, m):
         # equal sums force identical inputs when n=1
-        assert exact_avg_case_tv(1, k, m) == 0
+        assert exact_sum(1, k, m, "exact_avg_tv") == 0
 
     def test_budget_guard(self):
         with pytest.raises(EnumerationBudgetError):
-            exact_avg_case_tv(9, 3, 4)
+            exact_sum(9, 3, 4, "exact_avg_tv")
 
 
 class TestExactCollision:
     @pytest.mark.parametrize("n,k,m", SMALL_INSTANCES)
     def test_frozen_values_both_modes(self, n, k, m):
-        pv = exact_collision_probability(n, k, m, CollisionMode.V_VS_V)
-        pe = exact_collision_probability(n, k, m, CollisionMode.E_EVENT)
+        pv = exact_sum(n, k, m, "exact_collision_v")
+        pe = exact_sum(n, k, m, "exact_collision_e")
         assert pv == FROZEN_COLLISION[(n, k, m)]
         assert pv == pe  # single-shuffling identity, exact in the rationals
 
     @pytest.mark.parametrize("n,k,m", SMALL_INSTANCES)
     def test_graph_route_dominates(self, n, k, m):
-        pv = exact_collision_probability(n, k, m, CollisionMode.V_VS_V)
+        pv = exact_sum(n, k, m, "exact_collision_v")
         assert pv <= Fraction(exact_m_power_C(n, k, m), m ** (k * n))
 
     def test_budget_guard(self):
         with pytest.raises(EnumerationBudgetError):
-            exact_collision_probability(19, 3, 2, CollisionMode.V_VS_V)
+            exact_sum(19, 3, 2, "exact_collision_v")
 
 
 # every instance the ordered enumerator in transcript_enumeration reaches
@@ -163,11 +163,9 @@ def packed(histograms, n, m):
 class TestHistogramLaw:
     @pytest.mark.parametrize("n,k,m", REFERENCE_INSTANCES)
     def test_matches_ordered_enumeration(self, n, k, m):
-        assert exact_avg_case_tv(n, k, m) == avg_case_tv_by_enumeration(n, k, m)
-        for mode in CollisionMode:
-            assert exact_collision_probability(n, k, m, mode) == collision_probability_by_enumeration(
-                n, k, m, mode
-            ), mode
+        assert exact_sum(n, k, m, "exact_avg_tv") == avg_case_tv_by_enumeration(n, k, m)
+        for mode, name in [(CollisionMode.V_VS_V, "exact_collision_v"), (CollisionMode.E_EVENT, "exact_collision_e")]:
+            assert exact_sum(n, k, m, name) == collision_probability_by_enumeration(n, k, m, mode), mode
 
     @pytest.mark.parametrize("inputs,k,m", [((0, 1, 1), 2, 2), ((1, 2), 2, 3), ((0, 0, 1), 3, 2)])
     def test_law_gives_every_ordered_outcome(self, inputs, k, m):
@@ -196,27 +194,24 @@ class TestHistogramLaw:
         assert dict(classes)[(0, 1, 2)] == 6 and dict(classes)[(1, 1, 1)] == 1
 
     def test_pinned_values_past_the_ordered_enumeration(self):
-        assert exact_avg_case_tv(4, 3, 2) == Fraction(245, 4096)
-        assert exact_avg_case_tv(5, 2, 2) == Fraction(165, 1024)
-        for mode in CollisionMode:
-            assert exact_collision_probability(4, 3, 2, mode) == Fraction(155, 294912)
-            assert exact_collision_probability(5, 2, 2, mode) == Fraction(13, 5120)
+        assert exact_sum(4, 3, 2, "exact_avg_tv") == Fraction(245, 4096)
+        assert exact_sum(5, 2, 2, "exact_avg_tv") == Fraction(165, 1024)
+        for name in ("exact_collision_v", "exact_collision_e"):
+            assert exact_sum(4, 3, 2, name) == Fraction(155, 294912)
+            assert exact_sum(5, 2, 2, name) == Fraction(13, 5120)
         # exact TV falls with n at k = 3, m = 2
-        assert exact_avg_case_tv(5, 3, 2) == Fraction(985, 16384)
-        assert round(float(exact_avg_case_tv(5, 3, 2)), 4) == 0.0601
-        assert exact_avg_case_tv(10, 3, 2) == Fraction(928207003, 34359738368)
-        assert round(float(exact_avg_case_tv(10, 3, 2)), 4) == 0.0270
+        assert exact_sum(5, 3, 2, "exact_avg_tv") == Fraction(985, 16384)
+        assert round(float(exact_sum(5, 3, 2, "exact_avg_tv")), 4) == 0.0601
+        assert exact_sum(10, 3, 2, "exact_avg_tv") == Fraction(928207003, 34359738368)
+        assert round(float(exact_sum(10, 3, 2, "exact_avg_tv")), 4) == 0.0270
 
     @pytest.mark.parametrize(
         "n,k,m", [(2, 2, 2), (3, 3, 2), (4, 2, 2), (3, 2, 3), (4, 3, 2), (5, 2, 2), (3, 3, 3), (6, 2, 3), (10, 3, 2)]
     )
     def test_collision_equals_graph_route(self, n, k, m):
         # lemma 3 holds with equality: Pr[V = V'] = E[m^C] / m^(kn)
-        p = exact_collision_probability(n, k, m, CollisionMode.V_VS_V)
+        p = exact_sum(n, k, m, "exact_collision_v")
         assert p == Fraction(exact_m_power_C(n, k, m), m ** (k * n))
-
-
-TRANSCRIPT_SUMS = ("exact_avg_tv", "exact_collision_v", "exact_collision_e")
 
 
 class TestExactWork:
@@ -238,15 +233,48 @@ class TestExactWork:
         assert all(work[name] > ENUMERATION_BUDGET for name in TRANSCRIPT_SUMS)
         assert work["exact_m_power_c"] <= ENUMERATION_BUDGET
         with pytest.raises(EnumerationBudgetError, match=f"takes {work['exact_avg_tv']} histogram updates"):
-            exact_avg_case_tv(n, k, m)
+            exact_sum(n, k, m, "exact_avg_tv")
         with pytest.raises(EnumerationBudgetError, match=f"takes {work['exact_collision_v']} histogram"):
-            exact_collision_probability(n, k, m, CollisionMode.V_VS_V)
+            exact_sum(n, k, m, "exact_collision_v")
+
+    @pytest.mark.parametrize(
+        "n, k, m, fitting",
+        [
+            *[(n, k, m, TRANSCRIPT_SUMS) for n, k, m in [(3, 3, 2), (4, 2, 2), (3, 2, 3), (4, 3, 2), (5, 2, 2)]],
+            (10, 3, 2, ("exact_avg_tv", "exact_collision_v")),
+            (15, 1, 4, ("exact_collision_v", "exact_collision_e")),
+        ],
+    )
+    def test_every_request_equals_the_full_one(self, n, k, m, fitting):
+        # the chain-exact instances, and two where only some quantities fit
+        work = oracle.exact_work(n, k, m)
+        assert tuple(name for name in TRANSCRIPT_SUMS if work[name] <= ENUMERATION_BUDGET) == fitting
+        full = oracle.exact_transcript_laws(n, k, m, fitting)
+        assert set(full) == set(fitting)
+        for size in range(1, len(fitting) + 1):
+            for names in itertools.permutations(fitting, size):
+                assert oracle.exact_transcript_laws(n, k, m, names) == {name: full[name] for name in names}
+
+    @pytest.mark.parametrize("n, k, m, names", [
+        (10, 3, 2, ["exact_avg_tv", "exact_collision_e"]),
+        (15, 1, 4, ["exact_collision_v", "exact_avg_tv"]),
+        (19, 3, 2, ["exact_collision_e", "exact_avg_tv"]),
+    ])
+    def test_request_over_the_budget(self, n, k, m, names):
+        # the first quantity over the budget, in the order requested, is refused
+        over = next(name for name in names if oracle.exact_work(n, k, m)[name] > ENUMERATION_BUDGET)
+        with pytest.raises(EnumerationBudgetError, match=f"^{over} takes .* histogram updates, over the budget"):
+            oracle.exact_transcript_laws(n, k, m, names)
+
+    def test_empty_request_builds_nothing(self):
+        # m^(k-1) share tuples per input at k = 384: only a request builds them
+        assert oracle.exact_transcript_laws(19, 384, 2, []) == {}
 
     def test_e_event_can_be_over_alone(self):
         work = oracle.exact_work(10, 3, 2)
         assert work["exact_collision_v"] <= ENUMERATION_BUDGET < work["exact_collision_e"]
         with pytest.raises(EnumerationBudgetError):
-            exact_collision_probability(10, 3, 2, CollisionMode.E_EVENT)
+            exact_sum(10, 3, 2, "exact_collision_e")
 
     def test_large_counts_from_logarithms(self):
         # past 2^64 a float close to the exact count; no huge integer is built
@@ -265,9 +293,9 @@ class TestExactWork:
         n = 2**1023
         assert set(oracle.exact_work(n, 3, 2).values()) == {math.inf}
         with pytest.raises(EnumerationBudgetError, match="takes inf histogram updates"):
-            exact_avg_case_tv(n, 3, 2)
+            exact_sum(n, 3, 2, "exact_avg_tv")
         with pytest.raises(EnumerationBudgetError, match="takes inf histogram updates"):
-            exact_collision_probability(n, 3, 2, CollisionMode.V_VS_V)
+            exact_sum(n, 3, 2, "exact_collision_v")
 
     @pytest.mark.parametrize(
         "n, k, m", [(2, 2**1100, 2), (1, 2**1100, 2**63), (2**1100, 3, 2**63)], ids=["k", "k-m63", "n-m63"]
@@ -277,7 +305,7 @@ class TestExactWork:
         # every count reads inf, so the exact quantities are over the budget
         assert set(oracle.exact_work(n, k, m).values()) == {math.inf}
         with pytest.raises(EnumerationBudgetError, match="takes inf histogram updates"):
-            exact_avg_case_tv(n, k, m)
+            exact_sum(n, k, m, "exact_avg_tv")
 
     @pytest.mark.parametrize("m", [2, 2**32, 2**63])
     @pytest.mark.parametrize("k", [1, 3, 11])

@@ -242,8 +242,9 @@ def assert_line_is_record(blocks, clear, r, m, seed):
         pytest.fail(f"lines part at {at}: {line[at - 20 : at + 20]!r} != {expected[at - 20 : at + 20]!r}")
 
 
-# values on each side of a change of digit count, the largest power of ten below 2^63, and the largest residue
-EDGE_RESIDUES = [0, 9, 10, 99, 100, 10**18, 2**63 - 1]
+# values on each side of a change of digit count and of the writer's uint32/uint64 switch,
+# the largest power of ten below 2^63, and the largest residue
+EDGE_RESIDUES = [0, 9, 10, 99, 100, 2**32 - 1, 2**32, 10**18, 2**63 - 1]
 
 
 class TestSerialization:
