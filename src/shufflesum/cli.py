@@ -3,16 +3,20 @@ and verify the measured quantities against the closed-form bounds.
 
 Every verify report holds ``preconditions_ok`` and ``checks``, one status
 per check, each decided by ``oracle.check``: "pass", "fail" (only where the
-data refute the bound), "unavailable" (past the work budget) or
-"not-applicable" (outside the regime of its closed form, whose flags
-``preconditions_ok`` holds). The checks: chain those of
-``oracle.verify_chain``; graph-exp expectation_bound_mc, on lemma 4's E[m^C]
-bound, for n >= 19, k >= 3, m <= (1/2)(n/e)^(k-1); graph-dist lemma4_c<c>
-per component count c seen, for n >= 19, k >= 3; tv-exact
-lemma1_exact_soundness, everywhere. Exit codes: 0 no check reads "fail", 1
-one does, 2 invalid or over-budget parameters, 3 an unexpected error
-(traceback on stderr). Seeds are always explicit in the output; a seed that
-was not supplied is generated once and recorded.
+data refute the bound), "unavailable" (past the work budget, or, in chain,
+a collision sample not drawn) or "not-applicable" (outside the regime of
+its closed form, whose flags ``preconditions_ok`` holds). A chain report's
+collision_hits_log2_bound, log2(samples) - (k-1) n log2(m), bounds the log2
+of the hits its collision samplers expect; at or below
+log2(oracle.UNINFORMATIVE_HITS) they draw nothing, and mc_collision_{v,e}
+read provenance "uninformative", 0 samples, 0 hits and a null value. The
+checks: chain those of ``oracle.verify_chain``; graph-exp
+expectation_bound_mc, on lemma 4's E[m^C] bound, for n >= 19, k >= 3, m <=
+(1/2)(n/e)^(k-1); graph-dist lemma4_c<c> per component count c seen, for n
+>= 19, k >= 3; tv-exact lemma1_exact_soundness, everywhere. Exit codes: 0
+no check reads "fail", 1 one does, 2 invalid or over-budget parameters, 3
+an unexpected error (traceback on stderr). Seeds are always explicit in
+the output; a seed that was not supplied is generated once and recorded.
 """
 
 from __future__ import annotations

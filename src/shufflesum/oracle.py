@@ -31,6 +31,15 @@ expectation_bound_{exact,mc} (the exact one on the logarithm of E[m^C] - m),
 from lemma 4, for n >= 19, k >= 3 and m <= (1/2)(n/e)^(k-1); and
 graph_route_le_theorem1 and theorem1_dominates_exact_tv, from the theorem,
 for n >= 19, k >= 3 and sigma >= 1: outside, they read "not-applicable".
+
+Two transcripts collide only if the k-1 uniform blocks of the shuffled one
+match, so Pr[collision] <= m^-((k-1)n), and the report's
+collision_hits_log2_bound = log2(samples) - (k-1) n log2(m) bounds the log2
+of the hits a collision sample expects. At or below UNINFORMATIVE_HITS the
+samplers draw nothing: mc_collision_{v,e} read provenance "uninformative",
+0 samples, 0 hits and no value; lemma2_mc_consistency and
+mc_matches_exact_collision_{v,e} read "unavailable"; and lemma1_bound,
+without an exact collision probability, is that same record.
 """
 
 from __future__ import annotations
@@ -62,6 +71,10 @@ from .randgraph import (
 )
 
 HOEFFDING_CONFIDENCE = 0.999
+
+# expected collision hits at or below which verify_chain draws no collision
+# sample: the chance that it records even one hit is at most this
+UNINFORMATIVE_HITS = 1e-6
 
 
 def hoeffding_halfwidth(samples: int) -> float:
@@ -352,16 +365,21 @@ def verify_chain(n: int, k: int, m: int, samples: int, seed: int, shards: int = 
     ``verify chain`` prints.
 
     Each exact quantity is computed wherever its own work fits the budget,
-    else it is None (``exact_work`` gives the work each would take); Monte
-    Carlo estimates are always produced. Every computed number is a
-    ``Quantity``: exact ones are rationals with lo = hi = value, Monte Carlo
-    ones carry their interval, confidence and samples, and the two bounds
-    keep the provenance, interval and work of the quantity under their root.
-    Only ``theorem1_bound``, a closed form, is a plain number. ``checks``
-    holds the status of every inequality of the chain, each decided by
-    ``check``: "pass", "fail", "unavailable" (budget) or "not-applicable"
-    (outside the regime of its closed form; ``preconditions_ok`` holds the
-    theorem's and the E[m^C] bound's). Deterministic given (n, k, m,
+    else it is None (``exact_work`` gives the work each would take). The
+    E[m^C] estimate is always sampled; the two collision estimates only
+    where ``collision_hits_log2_bound``, log2 of an upper bound on their
+    expected hits, is above log2(UNINFORMATIVE_HITS), and otherwise are
+    "uninformative" records with 0 samples, 0 hits and no value, as is
+    lemma1_bound when no exact collision probability exists. Every computed
+    number is a ``Quantity``: exact ones are rationals with lo = hi = value,
+    Monte Carlo ones carry their interval, confidence and samples, and the
+    two bounds keep the provenance, interval and work of the quantity under
+    their root. Only ``theorem1_bound``, a closed form, is a plain number.
+    ``checks`` holds the status of every inequality of the chain, each
+    decided by ``check``: "pass", "fail", "unavailable" (budget, or a
+    collision sample not drawn) or "not-applicable" (outside the regime of
+    its closed form; ``preconditions_ok`` holds the theorem's and the E[m^C]
+    bound's). Deterministic given (n, k, m,
     samples, seed, shards).
     """
     work = exact_work(n, k, m)
@@ -370,9 +388,18 @@ def verify_chain(n: int, k: int, m: int, samples: int, seed: int, shards: int = 
     emc = exact_m_power_C(n, k, m) if fits["exact_m_power_c"] else None
     tv, cv, ce, emc = (None if x is None else Quantity.exact(x) for x in (*map(sums.get, TRANSCRIPT_SUMS), emc))
 
-    mc_v = collision_probability(n, k, m, samples, seed, CollisionMode.V_VS_V, shards)
-    mc_e = collision_probability(n, k, m, samples, seed, CollisionMode.E_EVENT, shards)
+    # first, as it admits the draw of k * n entries that the collision samplers share
     mc_emc = estimate_m_power_C(n, k, m, samples, seed, shards)
+    # Pr[collision] <= m^-((k-1)n): the k-1 uniform blocks of the shuffled
+    # execution must all match, so this bounds the expected hits
+    log2_hits = math.log2(samples) - (k - 1) * n * math.log2(m)
+    mc_v, mc_e = (
+        collision_probability(n, k, m, samples, seed, mode, shards)
+        if log2_hits > math.log2(UNINFORMATIVE_HITS) else None
+        for mode in CollisionMode
+    )
+    p = cv or mc_v
+    unsampled = Quantity.uninformative()
 
     kn = k * n
     # the graph route's radicand E[m^C]/m^(kn) * m^(kn-1) - 1 collapses to E[m^C]/m - 1
@@ -410,10 +437,11 @@ def verify_chain(n: int, k: int, m: int, samples: int, seed: int, shards: int = 
         "exact_collision_e": ce,
         "exact_m_power_c": emc,
         "exact_work": {"budget": ENUMERATION_BUDGET, "unit": unit, **work},
-        "mc_collision_v": mc_v,
-        "mc_collision_e": mc_e,
+        "mc_collision_v": mc_v or unsampled,
+        "mc_collision_e": mc_e or unsampled,
+        "collision_hits_log2_bound": log2_hits,
         "mc_m_power_c": mc_emc,
-        "lemma1_bound": lemma1_bound(cv or mc_v, n, k, m),
+        "lemma1_bound": lemma1_bound(p, n, k, m) if p else unsampled,
         "lemma3_bound": l3,
         "theorem1_bound": thm,
         "preconditions_ok": theorem | graph,

@@ -136,7 +136,7 @@ class Quantity:
     value: Fraction | float | None
     lo: Fraction | float | None
     hi: Fraction | float | None
-    provenance: str  # "exact" or "monte-carlo"
+    provenance: str  # "exact", "monte-carlo" or "uninformative"
     confidence: float | None = None
     samples: int | None = None
     hits: int | None = None
@@ -150,6 +150,11 @@ class Quantity:
         cls, value: float, halfwidth: float, confidence: float, samples: int, hits: int | None = None
     ) -> Quantity:
         return cls(value, value - halfwidth, value + halfwidth, "monte-carlo", confidence, samples, hits)
+
+    @classmethod
+    def uninformative(cls) -> Quantity:
+        """A sample not drawn because it could not inform: no value, 0 samples, 0 hits."""
+        return cls(None, None, None, "uninformative", samples=0, hits=0)
 
     def to_json(self) -> dict:
         """Floats, inf past float range; "fraction" for a rational value; no None work field."""
@@ -234,7 +239,11 @@ def estimate_m_power_C(
     component counts, so no overflow before the final division; the normal
     CI is a fair approximation for small m but optimistic for large m,
     where m^C is heavy-tailed. Mean or halfwidth is inf past float range;
-    one sample has no variance, so its halfwidth is inf, not 0.
+    one sample has no variance, so its halfwidth is inf, not 0. Where every
+    graph had the same C = c, the normal CI has width 0; the interval is
+    then [m, m^c + m^n q] instead, since m <= m^C <= m^n, with q = 1 - (1 -
+    MEAN_CI_CONFIDENCE)^(1/samples) the exact upper limit on Pr[C != c]
+    after no graph with C != c; its upper end reads inf past float range.
     """
     _check_sizes(n, k, m)
     counts = estimate_component_distribution(n, k, samples, seed, shards)
@@ -242,6 +251,11 @@ def estimate_m_power_C(
     mean = _inf_past_range(float, Fraction(total, samples))
     if samples < 2:
         return Quantity.sampled(mean, math.inf, MEAN_CI_CONFIDENCE, samples)
+    if len(counts) == 1:
+        (c,) = counts
+        q = -math.expm1(math.log1p(-MEAN_CI_CONFIDENCE) / samples)
+        hi = _inf_past_range(lambda: float(m) ** c + q * float(m) ** n)
+        return Quantity(mean, float(m), hi, "monte-carlo", MEAN_CI_CONFIDENCE, samples)
     total_sq = sum(cnt * m ** (2 * c) for c, cnt in counts.items())
     var = (Fraction(total_sq) - Fraction(total * total, samples)) / (samples - 1)
     return Quantity.sampled(mean, _Z99 * _sqrt_or_inf(var, samples), MEAN_CI_CONFIDENCE, samples)

@@ -598,7 +598,9 @@ class TestBenchmarkPaths:
         assert isinstance(field(report, "mc_m_power_c.value"), float)
         for mode in ("v", "e"):
             assert field(report, f"mc_collision_{mode}.hits") == 0
-            assert field(report, f"mc_collision_{mode}.value") == 0.0
+            assert field(report, f"mc_collision_{mode}.samples") == 0
+            assert field(report, f"mc_collision_{mode}.value") is None
+            assert field(report, f"mc_collision_{mode}.provenance") == "uninformative"
 
     @pytest.mark.parametrize("n, k, m", [(3, 3, 2), (4, 2, 2), (3, 2, 3), (4, 3, 2), (5, 2, 2)])
     def test_chain_exact_instances(self, runner, n, k, m):
@@ -625,6 +627,23 @@ class TestBenchmarkPaths:
         code, report = verify_json(runner, "graph-dist", "--n", "1000", "--k", "3", "--samples", "500", "--seed", "3")
         assert code == 0
         assert sum(field(report, f"components.{c}.count") for c in report["components"]) == 500
+
+
+@pytest.mark.parametrize(
+    "n, k, m", [(2, 2, 16), (3, 2, 7), (7, 1, 256), (10, 1, 5), (3, 3, 2), (4, 2, 2), (3, 2, 3), (4, 3, 2), (5, 2, 2)]
+)
+def test_informative_collision_samples_are_drawn(runner, n, k, m):
+    # points where a collision sample records hits, and the chain-exact
+    # instances (1.95 to 31 expected hits at 500 samples by samples m^-((k-1)n)):
+    # both samplers draw every sample asked for
+    code, report = verify_json(runner, "chain", "--n", str(n), "--k", str(k), "--m", str(m),
+                               "--samples", "500", "--seed", "5")
+    assert code == 0
+    assert report["collision_hits_log2_bound"] == math.log2(500) - (k - 1) * n * math.log2(m)
+    for mode in ("v", "e"):
+        assert field(report, f"mc_collision_{mode}.provenance") == "monte-carlo"
+        assert field(report, f"mc_collision_{mode}.samples") == 500
+    assert report["checks"]["lemma2_mc_consistency"] == "pass"
 
 
 @pytest.mark.parametrize(

@@ -562,7 +562,7 @@ class TestVerifyChain:
     def test_large_instance_uses_monte_carlo(self):
         rep = verify_chain(19, 3, 2, samples=2000, seed=44)
         assert (rep["exact_avg_tv"], rep["exact_collision_v"], rep["exact_collision_e"]) == (None, None, None)
-        assert rep["lemma1_bound"].provenance == "monte-carlo"
+        assert rep["lemma1_bound"] == Quantity(None, None, None, "uninformative", samples=0, hits=0)
         # E[m^C] is exact at any n the recursion's budget allows
         assert rep["exact_m_power_c"].value == Fraction(35051863075, 17476901442)
         assert rep["lemma3_bound"].provenance == "exact"
@@ -612,8 +612,9 @@ class TestVerifyChain:
         for report in (parsed, ref):
             for entry in report.values():
                 if isinstance(entry, dict) and "value" in entry:
-                    assert entry["provenance"] in ("exact", "monte-carlo"), entry
-        assert ref["lemma1_bound"]["provenance"] == "monte-carlo"
+                    assert entry["provenance"] in ("exact", "monte-carlo", "uninformative"), entry
+        uninformative = {"value": None, "lo": None, "hi": None, "provenance": "uninformative", "samples": 0, "hits": 0}
+        assert ref["lemma1_bound"] == uninformative
 
     def test_exact_collision_without_e_event(self):
         # E_EVENT's ordered walk is over budget at (10, 3, 2), V_VS_V is not
@@ -642,6 +643,55 @@ class TestVerifyChain:
         }
         assert work["exact_collision_v"] == 12_160_000 > work["budget"]
         assert work["exact_m_power_c"] <= work["budget"]
+
+
+class TestCollisionSkip:
+    """verify_chain draws no collision sample that expects at most
+    UNINFORMATIVE_HITS hits, by the bound Pr[collision] <= m^-((k-1)n)."""
+
+    @pytest.mark.parametrize(
+        "n,k,m", sorted(set(REFERENCE_INSTANCES) | {(4, 3, 2), (5, 2, 2), (3, 3, 3), (6, 2, 3), (10, 3, 2), (15, 1, 4)})
+    )
+    def test_exact_collision_within_the_bound(self, n, k, m):
+        work = oracle.exact_work(n, k, m)
+        names = [name for name in ("exact_collision_v", "exact_collision_e") if work[name] <= ENUMERATION_BUDGET]
+        assert names
+        for p in oracle.exact_transcript_laws(n, k, m, names).values():
+            assert p <= Fraction(1, m ** ((k - 1) * n))
+
+    def test_frozen_collision_within_the_bound(self):
+        for (n, k, m), p in FROZEN_COLLISION.items():
+            assert p <= Fraction(1, m ** ((k - 1) * n)), (n, k, m)
+
+    def test_skip_edge(self):
+        # at (21, 2, 2) a sample expects at most 2^-21 hits: 2 samples (2^-20
+        # <= 10^-6) are skipped, 3 (1.4e-6) are drawn
+        assert 2**-20 <= oracle.UNINFORMATIVE_HITS < 3 * 2**-21
+        skipped = verify_chain(21, 2, 2, samples=2, seed=3)
+        drawn = verify_chain(21, 2, 2, samples=3, seed=3)
+        assert skipped["collision_hits_log2_bound"] == -20
+        assert drawn["collision_hits_log2_bound"] == math.log2(3) - 21
+        unsampled = Quantity(None, None, None, "uninformative", samples=0, hits=0)
+        assert skipped["mc_collision_v"] == skipped["mc_collision_e"] == unsampled
+        assert drawn["mc_collision_v"].samples == drawn["mc_collision_e"].samples == 3
+        for name in ("lemma2_mc_consistency", "mc_matches_exact_collision_v", "mc_matches_exact_collision_e"):
+            assert skipped["checks"][name] == "unavailable", name
+        assert drawn["checks"]["lemma2_mc_consistency"] == "pass"
+        assert drawn["checks"]["mc_matches_exact_collision_v"] == "pass"
+        # the exact collision probability still gives lemma 1's bound
+        assert skipped["lemma1_bound"] == drawn["lemma1_bound"]
+        assert skipped["lemma1_bound"].provenance == "exact"
+        # the graph sampler's stream does not depend on the skip
+        assert skipped["mc_m_power_c"] == randgraph.estimate_m_power_C(21, 2, 2, 2, seed=3)
+
+    def test_skipped_sampler_draws_nothing(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("collision sampled")
+
+        monkeypatch.setattr(oracle, "collision_probability", refuse)
+        rep = verify_chain(19, 3, 2, samples=2000, seed=909, shards=3)
+        assert rep["collision_hits_log2_bound"] == math.log2(2000) - 38
+        assert rep["mc_collision_v"].hits == rep["mc_collision_e"].hits == 0
 
 
 def test_hoeffding_halfwidth_value():

@@ -14,6 +14,7 @@ from shufflesum import oracle, randgraph
 from shufflesum.oracle import hoeffding_halfwidth
 from shufflesum.planner import regime_flags
 from shufflesum.randgraph import (
+    MEAN_CI_CONFIDENCE,
     EnumerationBudgetError,
     Quantity,
     _component_counts_from_perms,
@@ -396,6 +397,20 @@ class TestEstimators:
         hw = est.hi - est.value
         assert math.isclose(hw, exact, rel_tol=1e-9)
         assert math.isclose(hw, 3.8303e281, rel_tol=1e-4)
+
+    def test_m_power_interval_when_every_graph_has_one_count(self):
+        # every graph connected: the normal CI would be [2, 2], which excludes
+        # the exact E[2^C] > 2; the interval is [m, m^c + m^n q] instead
+        n, k, m, samples = 19, 6, 2, 200
+        assert estimate_component_distribution(n, k, samples, seed=1) == {1: samples}
+        est = estimate_m_power_C(n, k, m, samples, seed=1)
+        assert est.value == m
+        assert est.lo <= exact_m_power_C(n, k, m) <= est.hi
+        q = 1 - (1 - MEAN_CI_CONFIDENCE) ** (1 / samples)
+        assert math.isclose(est.hi, m + m**n * q, rel_tol=1e-12)
+        # m^n past float range: the upper end reads inf
+        assert estimate_component_distribution(200, k, samples, seed=1) == {1: samples}
+        assert estimate_m_power_C(200, k, 2**63, samples, seed=1).hi == math.inf
 
     def test_m_power_deterministic(self):
         assert estimate_m_power_C(19, 3, 2, 5000, seed=7, shards=2) == estimate_m_power_C(
