@@ -9,14 +9,15 @@ its closed form, whose flags ``preconditions_ok`` holds). A chain report's
 collision_hits_log2_bound, log2(samples) - (k-1) n log2(m), bounds the log2
 of the hits its collision samplers expect; at or below
 log2(oracle.UNINFORMATIVE_HITS) they draw nothing, and mc_collision_{v,e}
-read provenance "uninformative", 0 samples, 0 hits and a null value. The
-checks: chain those of ``oracle.verify_chain``; graph-exp
-expectation_bound_mc, on lemma 4's E[m^C] bound, for n >= 19, k >= 3, m <=
-(1/2)(n/e)^(k-1); graph-dist lemma4_c<c> per component count c seen, for n
->= 19, k >= 3; tv-exact lemma1_exact_soundness, everywhere. Exit codes: 0
-no check reads "fail", 1 one does, 2 invalid or over-budget parameters, 3
-an unexpected error (traceback on stderr). Seeds are always explicit in
-the output; a seed that was not supplied is generated once and recorded.
+read provenance "uninformative", 0 samples, 0 hits and a null value.
+graph-exp prints its E[m^C] record as mc_m_power_c, as chain does, and its
+mean also as estimate. The checks: chain those of ``oracle.verify_chain``;
+graph-exp expectation_bound_mc, on lemma 4's E[m^C] bound, for n >= 19, k >=
+3, m <= (1/2)(n/e)^(k-1); graph-dist lemma4_c<c> per component count c seen,
+for n >= 19, k >= 3; tv-exact lemma1_exact_soundness, everywhere. Exit codes:
+0 no check reads "fail", 1 one does, 2 invalid or over-budget parameters, 3
+an unexpected error (traceback on stderr). Seeds are always explicit in the
+output; a seed that was not supplied is generated once and recorded.
 """
 
 from __future__ import annotations
@@ -313,7 +314,7 @@ def verify_graph_exp(n, k, m, m_bits, samples, seed, shards, fmt) -> None:
         "seed": seed,
         "shards": shards,
         "estimate": estimate.value,
-        "ci99_halfwidth": estimate.hi - estimate.value,
+        "mc_m_power_c": estimate,
         "expectation_bound": bound,
         "preconditions_ok": preconditions,
         "checks": {"expectation_bound_mc": check(estimate, "<=", bound, preconditions)},

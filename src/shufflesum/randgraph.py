@@ -10,10 +10,9 @@ closed forms
     E[m^C]     <=  m + m^2 * (n/e)^(1-k)      (needs m <= (1/2)(n/e)^(k-1))
 
 hold, where ``planner.regime_flags`` says so. This module evaluates the
-bounds, computes E[m^C] exactly by Dixon's recursion over connected
-permutation tuples, and estimates the distribution and the expectation by
-Monte Carlo: numpy samples batches of graphs and counts their components
-by label propagation.
+bounds, computes E[m^C] exactly from Burnside's identity, and estimates
+the distribution and the expectation by Monte Carlo: numpy samples
+batches of graphs and counts their components by label propagation.
 """
 
 from __future__ import annotations
@@ -238,19 +237,17 @@ def estimate_m_power_C(
     estimate_component_distribution. Accumulation is exact over integer
     component counts, so no overflow before the final division; the normal
     CI is a fair approximation for small m but optimistic for large m,
-    where m^C is heavy-tailed. Mean or halfwidth is inf past float range;
-    one sample has no variance, so its halfwidth is inf, not 0. Where every
-    graph had the same C = c, the normal CI has width 0; the interval is
-    then [m, m^c + m^n q] instead, since m <= m^C <= m^n, with q = 1 - (1 -
-    MEAN_CI_CONFIDENCE)^(1/samples) the exact upper limit on Pr[C != c]
-    after no graph with C != c; its upper end reads inf past float range.
+    where m^C is heavy-tailed. Mean or halfwidth is inf past float range.
+    Where every graph had the same C = c, one sample included, the normal
+    CI has width 0 or none; the interval is then [m, m^c + m^n q] instead,
+    since m <= m^C <= m^n, with q = 1 - (1 - MEAN_CI_CONFIDENCE)^(1/samples)
+    the exact upper limit on Pr[C != c] after no graph with C != c; its
+    upper end reads inf past float range.
     """
     _check_sizes(n, k, m)
     counts = estimate_component_distribution(n, k, samples, seed, shards)
     total = sum(cnt * m**c for c, cnt in counts.items())
     mean = _inf_past_range(float, Fraction(total, samples))
-    if samples < 2:
-        return Quantity.sampled(mean, math.inf, MEAN_CI_CONFIDENCE, samples)
     if len(counts) == 1:
         (c,) = counts
         q = -math.expm1(math.log1p(-MEAN_CI_CONFIDENCE) / samples)
@@ -262,10 +259,12 @@ def estimate_m_power_C(
 
 
 def m_power_c_work(n: int, k: int, m: int) -> float:
-    """Word products exact_m_power_C takes, inf past float range: about n^2
-    products of integers of up to w = ceil((k log2(n!) + n log2(m)) / 64)
-    words, each about w^log2(3) word products (Karatsuba), then one w-word
-    gcd, n^2 w^log2(3) + w^2 in all."""
+    """Word products exact_m_power_C takes at most, inf past float range:
+    about n^2 products of integers of up to w = ceil((k log2(n!) + n
+    log2(m)) / 64) words, each about w^log2(3) word products (Karatsuba),
+    then one w-word gcd, n^2 w^log2(3) + w^2 in all. It bounds Miller's
+    products, whose integers carry (k-1) factorial powers, not k; kept so
+    that the budget edge does not move."""
     def work() -> float:
         words = math.ceil((k * math.lgamma(n + 1) / math.log(2) + n * math.log2(m)) / 64)
         return n * n * words ** math.log2(3) + words * words
@@ -274,23 +273,22 @@ def m_power_c_work(n: int, k: int, m: int) -> float:
 
 
 def exact_m_power_C(n: int, k: int, m: int) -> Fraction:
-    """Exact E[m^C] by Dixon's recursion (Math. Z. 110, 1969), as a rational.
+    """Exact E[m^C] = sum_h multinom(n; h)^(1-k) (Burnside), over the
+    histograms h of n vertices in m colours, as a rational. Proof: m^C
+    counts the colourings c: [n] -> Z_m fixed by every permutation; a
+    uniform one fixes c with probability 1/multinom(n; h(c)); the k
+    permutations are independent; multinom(n; h) colourings have histogram h.
 
-    Of the a_j = (j!)^k tuples on j points, t_j are connected; splitting
-    off the component of point 1 gives t_j = a_j - sum_{i<j} C(j-1, i-1)
-    t_i a_{j-i}, and B_j, the sum of m^C over all tuples, satisfies B_0 = 1
-    and B_j = m sum_{i<=j} C(j-1, i-1) t_i B_{j-i}. E[m^C] = B_n / a_n.
-    Raises EnumerationBudgetError when its cost, ``m_power_c_work``,
-    exceeds ENUMERATION_BUDGET.
+    So E[m^C] (n!)^(k-1) = b_n, the z^n coefficient of (sum_j a_j z^j)^m
+    with a_j = (j!)^(k-1), by J. C. P. Miller's recurrence (TAOCP vol. 2,
+    4.7): b_0 = 1, j b_j = sum_{i=1..j} ((m+1) i - j) a_i b_{j-i}, each
+    division exact. Raises EnumerationBudgetError when its cost,
+    ``m_power_c_work``, exceeds ENUMERATION_BUDGET.
     """
     _check_sizes(n, k, m)
     _require_budget(m_power_c_work(n, k, m), "word products", "exact_m_power_c", n=n, k=k, m=m)
-    a = [math.factorial(j) ** k for j in range(n + 1)]
-    t = [0] * (n + 1)
+    a = [math.factorial(j) ** (k - 1) for j in range(n + 1)]
     b = [1] + [0] * n
     for j in range(1, n + 1):
-        # ct[i] = C(j-1, i-1) t_i: point 1's component has i points, i < j
-        ct = [0] + [math.comb(j - 1, i - 1) * t[i] for i in range(1, j)]
-        t[j] = a[j] - sum(ct[i] * a[j - i] for i in range(1, j))
-        b[j] = m * (t[j] + sum(ct[i] * b[j - i] for i in range(1, j)))
+        b[j] = sum(((m + 1) * i - j) * a[i] * b[j - i] for i in range(1, j + 1)) // j
     return Fraction(b[n], a[n])

@@ -349,20 +349,22 @@ class TestVerify:
             assert report["checks"] == {"expectation_bound_mc": "not-applicable"}
             assert report["expectation_bound"] == expectation_bound(n, k, m)
 
-    def test_one_sample_interval_unbounded(self, runner):
-        # the one graph drawn here has C = 2: it has no sample variance, so its
-        # 99% interval is unbounded, not [4, 4], and refutes no bound, while the
-        # exact E[2^C] = 2.0056 lies under the bound 2.0819
+    def test_one_sample_interval_exact_limit(self, runner):
+        # the one graph drawn here has C = 2: like any sample of one count, its
+        # 99% interval is [m, m^c + m^n q] with q = 1 - 0.01^1, not [4, 4], and
+        # refutes no bound, while the exact E[2^C] = 2.0056 lies under 2.0819
         args = ["--n", "19", "--k", "3", "--m", "2", "--samples", "1", "--seed", "256"]
         code, report = verify_json(runner, "graph-exp", *args)
         assert code == 0
         assert report["checks"] == {"expectation_bound_mc": "pass"}
-        assert (report["estimate"], report["ci99_halfwidth"]) == (4.0, math.inf)
+        assert report["estimate"] == 4.0
+        ends = [field(report, f"mc_m_power_c.{end}") for end in ("lo", "value", "hi")]
+        assert ends == pytest.approx([2.0, 4.0, 519049.12], rel=1e-12)
         code, report = verify_json(runner, "chain", *args)
         assert code == 0
         assert report["checks"]["expectation_bound_mc"] == "pass"
         assert "fail" not in report["checks"].values()
-        assert [field(report, f"mc_m_power_c.{end}") for end in ("lo", "value", "hi")] == [-math.inf, 4.0, math.inf]
+        assert [field(report, f"mc_m_power_c.{end}") for end in ("lo", "value", "hi")] == ends
 
     @pytest.mark.parametrize("n", [18, 19, 40])
     @pytest.mark.parametrize("k", [2, 3])

@@ -9,11 +9,13 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
+from helpers import dixon_m_power_C
 
 from shufflesum import oracle, randgraph
 from shufflesum.oracle import hoeffding_halfwidth
 from shufflesum.planner import regime_flags
 from shufflesum.randgraph import (
+    ENUMERATION_BUDGET,
     MEAN_CI_CONFIDENCE,
     EnumerationBudgetError,
     Quantity,
@@ -23,6 +25,7 @@ from shufflesum.randgraph import (
     exact_m_power_C,
     expectation_bound,
     lemma4_probability_bound,
+    m_power_c_work,
     shard_batches,
 )
 
@@ -481,6 +484,26 @@ class TestExactExpectation:
             for m in (2, 3, 5):
                 expected = Fraction(sum(cnt * m**c for c, cnt in counts.items()), tuples)
                 assert exact_m_power_C(n, k, m) == expected, (n, k, m)
+
+    def test_matches_dixon(self):
+        # every in-budget instance with n <= 30, k <= 5, and three at the edge
+        grid = product(range(1, 31), range(1, 6), (2, 3, 5, 16, 257, 2**63))
+        instances = [*grid, (154, 3, 2), (82, 3, 2**63), (19, 697, 2)]
+        assert all(m_power_c_work(*instance) <= ENUMERATION_BUDGET for instance in instances)
+        for n, k, m in instances:
+            assert exact_m_power_C(n, k, m) == dixon_m_power_C(n, k, m), (n, k, m)
+
+    @pytest.mark.parametrize("n, k", [(19, 3), (40, 5), (154, 3)])
+    def test_m2_burnside_sum(self, n, k):
+        # m = 2: a histogram is the size h of colour 0, E[2^C] = sum_h C(n, h)^(1-k)
+        expected = sum(Fraction(1, math.comb(n, h) ** (k - 1)) for h in range(n + 1))
+        assert exact_m_power_C(n, k, 2) == expected
+
+    @pytest.mark.parametrize("m", [2, 7, 2**63])
+    def test_one_permutation_closed_form(self, m):
+        # k = 1: every histogram weighs 1, so E[m^C] counts them, C(n+m-1, n)
+        for n in (1, 2, 5, 19, 40):
+            assert exact_m_power_C(n, 1, m) == math.comb(n + m - 1, n), n
 
     def test_reference_point(self):
         got = exact_m_power_C(19, 3, 2)
