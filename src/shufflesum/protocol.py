@@ -49,8 +49,11 @@ class Modulus:
 
 
 def _sub(a: np.ndarray, b: np.ndarray, m: np.uint64) -> np.ndarray:
-    # m - b lies in (0, m], so a + (m - b) < 2m <= 2**64 never wraps
-    return (a + (m - b)) % m
+    # residues a, b < m <= 2**63: where a >= b, d = a - b < d + m < 2**64;
+    # where a < b, d wraps to 2**64 + a - b >= 2**63 and d + m wraps back to
+    # a - b + m < m. So the smaller of the two is the residue, with no division
+    d = a - b
+    return np.minimum(d, d + m, out=d)
 
 
 def share_batch(

@@ -11,8 +11,10 @@ closed forms
 
 hold, where ``planner.regime_flags`` says so. This module evaluates the
 bounds, computes E[m^C] exactly from Burnside's identity, and estimates
-the distribution and the expectation by Monte Carlo: numpy samples
-batches of graphs and counts their components by label propagation.
+the distribution and the expectation by Monte Carlo: numpy draws each
+batch of graphs' permutations straight into the flat layout of the
+label-propagation counter, which stops at the first labelling that every
+edge agrees with.
 """
 
 from __future__ import annotations
@@ -70,10 +72,13 @@ _Z99 = 2.5758293035489004
 
 # elements per batch of shard_batches, the one driver and unit of work of
 # both Monte Carlo samplers, so it sets their peak memory. At 2^17 the
-# counter's flat permutations (1 MiB) and labels fit a 2 MiB L2 cache;
-# 2^16 measured the same, 2^18 lost a third of the gain. Component counts
-# do not depend on it (rng.permuted draws row after row), but collision
-# hits do: each batch draws inputs, shares, permutations, so it stays fixed.
+# graph sampler's one buffer, allocated per call and reused by every batch,
+# holds k * batch * n int64 of permutations (at most 1 MiB) and 4 rows of
+# batch * n labels for the counter, 2.4 MiB at k = 3: about one 2 MiB L2
+# cache. 2^16 measured the same, 2^18 lost a third of the gain. Component
+# counts do not depend on it (rng.permuted draws row after row), but
+# collision hits do: each batch draws inputs, shares, permutations, so it
+# stays fixed.
 _BATCH_ELEMENTS = 1 << 17
 
 
@@ -166,40 +171,51 @@ class Quantity:
         return out | {name: x for name, x in work.items() if x is not None}
 
 
-def _component_counts_from_perms(perms: np.ndarray) -> np.ndarray:
-    """Component counts for a batch of graphs, perms shaped (batch, k, n).
+def _component_counts(edges: np.ndarray, n: int, work: np.ndarray) -> np.ndarray:
+    """Component counts for a batch of graphs on n vertices each, from edges
+    shaped (k, batch * n): graph b's vertex v is b*n + v, and row i holds
+    b*n + p_i(v) there, p_i the graph's i-th permutation. work is an int64
+    array of 4 rows of at least batch * n: row 0 holds arange, which the
+    counter reads; it overwrites rows 1 to 3, so no round allocates.
 
-    Minimum-label propagation on one flat label array, where graph b's
-    vertex v is b*n + v. Each round pulls p(v)'s label into v and pushes
-    v's label to p(v) (one scatter: a permutation repeats no index); then
-    it hooks each old label onto the least new label of the vertices that
-    held it, and jumps every label to its label's label (Shiloach and
-    Vishkin, J. Algorithms 1982). The hook moves a label along a whole
-    cycle of labels at once, so the rounds grow like log n even at k = 1,
-    where propagation alone moves a label one cycle step per round.
+    Minimum-label propagation on one flat label array. Each round pulls
+    p(v)'s label into v and pushes v's label to p(v) (one scatter: a
+    permutation repeats no index); then it hooks each old label onto the
+    least new label of the vertices that held it, and jumps every label to
+    its label's label (Shiloach and Vishkin, J. Algorithms 1982). The hook
+    moves a label along a whole cycle of labels at once, so the rounds grow
+    like log n even at k = 1, where propagation alone moves a label one
+    cycle step per round. Gathers write into the work rows with
+    mode="clip", which keeps every valid index: with out=, numpy's default
+    mode="raise" buffers the result in a new array.
 
     Invariant: a vertex's label is a vertex of its own component, and no
-    larger than the vertex itself. So a graph whose vertices all carry one
-    label is connected, and its label is its vertex 0: the loop stops once
-    every graph of the batch is like that, or at the fixed point. Either
-    way a vertex keeps its own index iff it is the minimum of its component.
+    larger than the vertex itself. From round 2 on (round 1 is not checked:
+    at n = 1000 every graph needs a second), the loop stops once every edge
+    joins equal labels: new[p] == new for each p. A vertex then keeps its own index iff it is its
+    component's label, so exactly one per component does:
+    - every edge joins equal labels, so labels are constant on a component;
+    - that label is a vertex of the component (the invariant), labelled itself;
+    - every other vertex of the component carries it too, not its own index.
+    While some edge joins unequal labels, the next round lowers a label, so
+    the loop ends.
     """
-    batch, k, n = perms.shape
-    vertices = np.arange(batch * n)
-    flat = (perms + n * np.arange(batch)[:, None, None]).transpose(1, 0, 2).reshape(k, -1)
-    labels = vertices
+    vertices, labels, new, pulled = work[:, : edges.shape[1]]
+    np.copyto(labels, vertices)
+    first = True
     while True:
-        new = labels.copy()
-        for p in flat:
-            np.minimum(new, new[p], out=new)
-            new[p] = np.minimum(new[p], new)
+        np.copyto(new, labels)
+        for p in edges:
+            np.minimum(new, np.take(new, p, out=pulled, mode="clip"), out=new)
+            new[p] = np.minimum(np.take(new, p, out=pulled, mode="clip"), new, out=pulled)
         np.minimum.at(new, labels, new)
-        new = new[new]
-        grid = new.reshape(batch, n)
-        if (grid == grid[:, :1]).all() or np.array_equal(new, labels):
+        np.take(new, new, out=labels, mode="clip")
+        if not first and all(
+            np.array_equal(np.take(labels, p, out=pulled, mode="clip"), labels) for p in edges
+        ):
             break
-        labels = new
-    return (new == vertices).reshape(batch, n).sum(axis=1)
+        first = False
+    return (labels == vertices).reshape(-1, n).sum(axis=1)
 
 
 def estimate_component_distribution(
@@ -210,12 +226,32 @@ def estimate_component_distribution(
 
     ``shard_batches`` admits and seeds the draws; the merged counts are
     integers, so the result is bit-identical for a fixed (seed, shards).
+
+    One buffer serves every batch of the call: k rows of permutations, then
+    the counter's 4 work rows, each as long as the first batch, the largest.
+    Each batch of `size` graphs is drawn straight into the counter's (k,
+    size * n) layout: rng.permuted shuffles the template arange(size * n),
+    seen as (size, k, n) with graph b's row b*n + arange(n) repeated k
+    times, into the (size, k, n) transposed view of the k rows. numpy
+    shuffles the rows of that view in the same (graph, permutation) order
+    as those of a contiguous array, each from its own copy of the template
+    row, so the stream and the counts are those of shuffling
+    np.tile(np.arange(n), (size, k, 1)) and then adding b*n to graph b.
+    Allocating once also spares a fresh process the page faults of arrays
+    allocated and freed every round: the C allocator can hand their pages
+    back to the system, and the next array faults them in again.
     """
     batches = shard_batches(samples, shards, n, k, seed)
     totals = np.zeros(n + 1, dtype=np.int64)
+    buffer = None
     for rng, size in batches:
-        perms = rng.permuted(np.tile(np.arange(n), (size, k, 1)), axis=-1)
-        totals += np.bincount(_component_counts_from_perms(perms), minlength=n + 1)
+        if buffer is None:  # the first batch is the largest
+            buffer = np.empty((k + 4, size * n), dtype=np.int64)
+            buffer[k] = np.arange(size * n)
+        edges, work = buffer[:k, : size * n], buffer[k:]
+        template = np.broadcast_to(work[0, : size * n].reshape(size, 1, n), (size, k, n))
+        rng.permuted(template, axis=-1, out=edges.reshape(k, size, n).transpose(1, 0, 2))
+        totals += np.bincount(_component_counts(edges, n, work), minlength=n + 1)
     return {c: int(count) for c, count in enumerate(totals) if count}
 
 

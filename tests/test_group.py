@@ -93,6 +93,15 @@ class TestArithmetic:
         assert add(a, 0, m) == a
         assert add(a, neg(a, m), m) == 0
 
+    @given(mod_and_elements(2))
+    def test_sub_matches_bigint(self, case):
+        # a - b wraps in uint64 where a < b; the residue must still be exact,
+        # up to m = 2**63, and at the extreme pairs of each modulus
+        m, (a, b) = case
+        pairs = [(a, b), (0, m.m - 1), (m.m - 1, 0), (m.m - 1, m.m - 1)]
+        got = _sub(*(np.array(xs, np.uint64) for xs in zip(*pairs)), np.uint64(m.m))
+        assert got.tolist() == [(x - y) % m.m for x, y in pairs]
+
 
 
 class TestUniformElement:

@@ -19,7 +19,7 @@ from shufflesum.randgraph import (
     MEAN_CI_CONFIDENCE,
     EnumerationBudgetError,
     Quantity,
-    _component_counts_from_perms,
+    _component_counts,
     estimate_component_distribution,
     estimate_m_power_C,
     exact_m_power_C,
@@ -185,17 +185,50 @@ def union_find_counts(perms: np.ndarray) -> list[int]:
     ]
 
 
+def flat_edges(perms: np.ndarray) -> np.ndarray:
+    """The counter's (k, batch * n) layout of a (batch, k, n) array: graph
+    b's permutations offset by b * n, then transposed and flattened."""
+    batch, k, n = perms.shape
+    return (perms + n * np.arange(batch)[:, None, None]).transpose(1, 0, 2).reshape(k, -1)
+
+
+def batch_counts(perms: np.ndarray) -> list[int]:
+    """_component_counts of a (batch, k, n) array, built into its layout,
+    with work rows one longer than the batch: the counter reads only its width."""
+    batch, _, n = perms.shape
+    work = np.full((4, batch * n + 1), -1)
+    work[0] = np.arange(batch * n + 1)
+    return _component_counts(flat_edges(perms), n, work).tolist()
+
+
+def count_rounds(monkeypatch) -> list[int]:
+    """A one-element list that counts the counter's rounds from now on:
+    each round hooks labels by one np.minimum.at call."""
+    minimum, rounds = np.minimum, [0]
+
+    class Counted:
+        def __call__(self, *args, **kwargs):
+            return minimum(*args, **kwargs)
+
+        def at(self, *args):
+            rounds[0] += 1
+            return minimum.at(*args)
+
+    monkeypatch.setattr(np, "minimum", Counted())
+    return rounds
+
+
 class TestBatchCounts:
     def test_matches_union_find(self):
         # k = 1 and 2 at large n: few edges, long label chains
         rng = np.random.default_rng(4)
         for n, k in [(1, 1), (2, 3), (5, 2), (8, 3), (13, 4), (100, 1), (1000, 1), (300, 2), (1000, 2)]:
             perms = rng.permuted(np.tile(np.arange(n), (64, k, 1)), axis=-1)
-            assert _component_counts_from_perms(perms).tolist() == union_find_counts(perms), (n, k)
+            assert batch_counts(perms) == union_find_counts(perms), (n, k)
 
     def test_connected_identity_and_mixed_batches(self):
-        # a batch all connected (the early exit), one of identity graphs
-        # (C = n), one with mixed counts
+        # a batch all connected, one of identity graphs (C = n: every edge is
+        # a self-loop), one with mixed counts
         n, k = 10, 2
         cycle = np.tile(np.roll(np.arange(n), 1), (4, k, 1))
         identity = np.tile(np.arange(n), (4, k, 1))
@@ -203,34 +236,34 @@ class TestBatchCounts:
         mixed[0] = identity[0]
         counts = {}
         for name, perms in [("cycle", cycle), ("identity", identity), ("mixed", mixed)]:
-            counts[name] = _component_counts_from_perms(perms).tolist()
+            counts[name] = batch_counts(perms)
             assert counts[name] == union_find_counts(perms), name
         assert counts["cycle"] == [1] * 4 and counts["identity"] == [n] * 4
         assert len(set(counts["mixed"])) > 1
 
     def test_rounds_grow_like_log_n(self, monkeypatch):
         # k = 1: each graph is one permutation's cycles, and propagation
-        # alone moves a label one cycle step a round (about 300 rounds here);
-        # np.array_equal runs once a round while some graph is unconnected
-        calls = []
-        array_equal = np.array_equal
-
-        def counted(a, b):
-            calls.append(1)
-            return array_equal(a, b)
-
+        # alone moves a label one cycle step a round (about 300 rounds here)
         n = 1000
         perms = np.random.default_rng(7).permuted(np.tile(np.arange(n), (20, 1, 1)), axis=-1)
-        monkeypatch.setattr(np, "array_equal", counted)
-        assert _component_counts_from_perms(perms).tolist() == union_find_counts(perms)
-        assert 1 <= len(calls) <= 4 * math.ceil(math.log2(n))
+        rounds = count_rounds(monkeypatch)
+        assert batch_counts(perms) == union_find_counts(perms)
+        assert 1 <= rounds[0] <= 4 * math.ceil(math.log2(n))
+
+    def test_stops_at_first_consistent_labelling(self, monkeypatch):
+        # at (19, 3) every batch of 2299 graphs holds disconnected ones, and
+        # two rounds label each component; a third that changes nothing is waste
+        rounds = count_rounds(monkeypatch)
+        assert len([size for _, size in shard_batches(7500, 1, 19, 3, 7)]) == 4
+        estimate_component_distribution(19, 3, 7500, seed=7)
+        assert rounds[0] == 2 * 4
 
     def test_single_cycle_worst_case(self):
         # k=1 cycle: slowest label propagation, still exact
         n = 40
         cycle = np.arange(1, n + 1) % n
         perms = np.broadcast_to(cycle, (3, 1, n)).copy()
-        assert list(_component_counts_from_perms(perms)) == [1, 1, 1]
+        assert batch_counts(perms) == [1, 1, 1] == union_find_counts(perms)
 
     def test_no_leakage_between_graphs(self):
         # graph b's vertex v sits at b*n + v in one flat array; a wrong
@@ -242,8 +275,34 @@ class TestBatchCounts:
             randoms = rng.permuted(np.tile(np.arange(n), (4, k, 1)), axis=-1)
             rows = [identity, cycle, randoms[0], identity, randoms[1], randoms[2], cycle, randoms[3]]
             for perms in (np.stack(rows), np.stack(rows[:1]), np.stack(rows[1:2])):
-                assert _component_counts_from_perms(perms).tolist() == union_find_counts(perms)
-            assert _component_counts_from_perms(np.stack(rows))[[0, 1]].tolist() == [n, 1]
+                assert batch_counts(perms) == union_find_counts(perms)
+            assert batch_counts(np.stack(rows))[:2] == [n, 1]
+
+    @pytest.mark.parametrize(
+        "n, k, samples, shards, cap",
+        [(19, 3, 7500, 1, None), (19, 3, 7500, 3, None), (1000, 3, 50, 1, None),
+         (5, 2, 37, 3, 64), (7, 1, 9, 2, 7), (1, 2, 5, 1, None)],
+    )
+    def test_draws_equal_tiled_permutations(self, monkeypatch, n, k, samples, shards, cap):
+        # the sampler permutes into the (k, batch * n) buffer; it must hold
+        # exactly the tiled draw plus offsets, transposed, batch by batch,
+        # the short last batch of each shard included (7500 = 3 * 2299 + 603)
+        if cap is not None:
+            monkeypatch.setattr(randgraph, "_BATCH_ELEMENTS", cap)
+        expected = [
+            flat_edges(rng.permuted(np.tile(np.arange(n), (size, k, 1)), axis=-1))
+            for rng, size in shard_batches(samples, shards, n, k, 11)
+        ]
+        drawn, counter = [], randgraph._component_counts
+
+        def recorded(edges, *args):
+            drawn.append(edges.copy())
+            return counter(edges, *args)
+
+        monkeypatch.setattr(randgraph, "_component_counts", recorded)
+        estimate_component_distribution(n, k, samples, seed=11, shards=shards)
+        assert len(drawn) == len(expected)
+        assert all(np.array_equal(d, e) for d, e in zip(drawn, expected))
 
 
 class TestClosedFormBounds:
