@@ -1,23 +1,17 @@
 """Command-line front end: plan message counts, simulate protocol runs,
 and verify the measured quantities against the closed-form bounds.
 
-Every verify report holds ``preconditions_ok`` and ``checks``, one status
-per check, each decided by ``oracle.check``: "pass", "fail" (only where the
-data refute the bound), "unavailable" (past the work budget, or, in chain,
-a collision sample not drawn) or "not-applicable" (outside the regime of
-its closed form, whose flags ``preconditions_ok`` holds). A chain report's
-collision_hits_log2_bound, log2(samples) - (k-1) n log2(m), bounds the log2
-of the hits its collision samplers expect; at or below
-log2(oracle.UNINFORMATIVE_HITS) they draw nothing, and mc_collision_{v,e}
-read provenance "uninformative", 0 samples, 0 hits and a null value.
-graph-exp prints its E[m^C] record as mc_m_power_c, as chain does, and its
-mean also as estimate. The checks: chain those of ``oracle.verify_chain``;
-graph-exp expectation_bound_mc, on lemma 4's E[m^C] bound, for n >= 19, k >=
-3, m <= (1/2)(n/e)^(k-1); graph-dist lemma4_c<c> per component count c seen,
-for n >= 19, k >= 3; tv-exact lemma1_exact_soundness, everywhere. Exit codes:
-0 no check reads "fail", 1 one does, 2 invalid or over-budget parameters, 3
-an unexpected error (traceback on stderr). Seeds are always explicit in the
-output; a seed that was not supplied is generated once and recorded.
+Every verify report holds ``preconditions_ok`` and ``checks``, each status
+decided by ``oracle.check``. Chain's checks, and its collision records, are
+those of ``oracle.verify_chain``. graph-exp checks expectation_bound_mc, on
+lemma 4's E[m^C] bound, and prints its E[m^C] record as mc_m_power_c, as
+chain does, and its mean also as estimate; graph-dist checks lemma4_c<c> per
+component count c seen; tv-exact checks lemma1_exact_soundness. Formats:
+table, one-line JSON, or key,value CSV (``emit_report``). Exit codes: 0 no
+check reads "fail", 1 one does (simulate: a conservation check failed), 2
+invalid or over-budget parameters, 3 an unexpected error (traceback on
+stderr). Seeds are always explicit in the output; a seed that was not
+supplied is generated once and recorded.
 """
 
 from __future__ import annotations
@@ -36,11 +30,12 @@ import numpy as np
 
 from . import __version__
 from .oracle import (
-    HOEFFDING_CONFIDENCE,
     check,
     exact_transcript_laws,
     hoeffding_halfwidth,
     lemma1_bound,
+    lemma1_radicand,
+    sampled_frequency,
     verify_chain,
 )
 from .planner import baseline_k_lower_bound, plan_shuffled_k, regime_flags
@@ -54,7 +49,6 @@ from .randgraph import (
     lemma4_probability_bound,
     shard_batches,
 )
-from .rng import derive_seed
 
 EXIT_VIOLATION = 1
 
@@ -253,7 +247,8 @@ def simulate(n, k, m, m_bits, variant, seed, runs, out) -> None:
                 f"conserved={'yes' if conserved else 'NO'}",
                 err=True,
             )
-            print(transcript_line(blocks, clear_block, 0, mod, derive_seed(seed, r)), file=fh)
+            clear_row = None if clear_block is None else clear_block[0]
+            print(transcript_line(blocks[0], clear_row, mod, rng.bit_generator.seed_seq.entropy), file=fh)
     if out is not None:
         _echo(f"wrote {runs} transcript(s) to {out}", err=True)
     _echo(f"seed={seed}", err=True)
@@ -275,12 +270,11 @@ def verify_graph_dist(n, k, samples, seed, shards, fmt) -> None:
     """Empirical component-count law vs its closed-form bound."""
     seed = _resolve_seed(seed)
     counts = estimate_component_distribution(n, k, samples, seed, shards)
-    halfwidth = hoeffding_halfwidth(samples)
     preconditions = regime_flags(n, k)
     rows, checks = {}, {}
     for c, count in counts.items():
         bound = lemma4_probability_bound(n, k, c)
-        freq = Quantity.sampled(count / samples, halfwidth, HOEFFDING_CONFIDENCE, samples, count)
+        freq = sampled_frequency(count, samples)
         rows[str(c)] = {"count": count, "frequency": freq.value, "lemma4_bound": bound}
         checks[f"lemma4_c{c}"] = check(freq, "<=", bound, preconditions)
     report = {
@@ -288,7 +282,7 @@ def verify_graph_dist(n, k, samples, seed, shards, fmt) -> None:
         "samples": samples,
         "seed": seed,
         "shards": shards,
-        "hoeffding_halfwidth": halfwidth,
+        "hoeffding_halfwidth": hoeffding_halfwidth(samples),
         "components": rows,
         "preconditions_ok": preconditions,
         "checks": checks,
@@ -332,7 +326,7 @@ def verify_tv_exact(n, k, m, m_bits, fmt) -> None:
     m_val = _resolve_m(m, m_bits).m
     sums = exact_transcript_laws(n, k, m_val, ["exact_avg_tv", "exact_collision_v"])
     tv, collision = Quantity.exact(sums["exact_avg_tv"]), Quantity.exact(sums["exact_collision_v"])
-    radicand = collision.value * m_val ** (k * n - 1) - 1
+    radicand = lemma1_radicand(collision.value, k * n - 1, m_val)
     report = {
         "params": {"n": n, "k": k, "m": m_val},
         "exact_avg_tv": tv,

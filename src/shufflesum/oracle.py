@@ -82,6 +82,11 @@ def hoeffding_halfwidth(samples: int) -> float:
     return math.sqrt(math.log(2.0 / (1.0 - HOEFFDING_CONFIDENCE)) / (2.0 * samples))
 
 
+def sampled_frequency(hits: int, samples: int) -> Quantity:
+    """The frequency of an event seen in `hits` of `samples` draws, with its Hoeffding interval."""
+    return Quantity.sampled(hits / samples, hoeffding_halfwidth(samples), HOEFFDING_CONFIDENCE, samples, hits)
+
+
 class CollisionMode(enum.Enum):
     # two full independent executions on a shared uniform input
     V_VS_V = "v-vs-v"
@@ -93,14 +98,18 @@ class CollisionMode(enum.Enum):
 TRANSCRIPT_SUMS = ("exact_avg_tv", "exact_collision_v", "exact_collision_e")
 
 
-def _units(exact, *log2_terms: float) -> int | float:
-    # the exact count below 2^64, a float from its terms' logarithms past it
+def _units(classes: int | None, log_l: float, n: int, m: int, terms) -> int | float:
+    # sum of L^a n^b m^c over the (a, b, c) terms, L = classes: exact below 2^64, from logarithms past it
+    log2_terms = [
+        _inf_past_range(float, a) * log_l + b * math.log2(n) + _inf_past_range(float, c) * math.log2(m)
+        for a, b, c in terms
+    ]
     top = max(log2_terms)
     if top == math.inf:
         return math.inf
     log2 = top + math.log2(sum(2.0 ** (t - top) for t in log2_terms))
     if log2 <= 64:
-        return exact()
+        return sum(classes**a * n**b * m**c for a, b, c in terms)
     return _inf_past_range(pow, 2.0, log2)
 
 
@@ -115,8 +124,9 @@ def exact_work(n: int, k: int, m: int) -> dict[str, int | float]:
         exact_avg_tv        L U S + L^2 S             (class pairs)
         exact_collision_e   L U S + L m^((k-1)n)      (ordered sharings)
 
-    in histogram updates: exact ints up to 2^64, floats from logarithms past
-    it, so no huge integer is ever built, and math.inf past float range (as
+    in histogram updates, each term written once as the exponents (a, b, c)
+    of L^a n^b m^c: exact ints up to 2^64, floats from logarithms past it,
+    so no huge integer is ever built, and math.inf past float range (as
     ``_inf_past_range`` decides, for a count or its logarithm). Each is its
     quantity's own cost, also where ``exact_transcript_laws`` computes
     several in one walk, so no request moves another quantity off exact. L is
@@ -129,24 +139,17 @@ def exact_work(n: int, k: int, m: int) -> dict[str, int | float]:
         classes = math.comb(n + m - 1, r)
         log_l = math.log2(classes)
     else:  # log C(r+s, r) without the cancellation of lgamma(n+m) - lgamma(m); inf once s is past float range
-        s = n + m - 1 - r
+        classes, s = None, n + m - 1 - r
         head = _inf_past_range(lambda: (s + 0.5) * math.log1p(r / s))
         log_l = (head + r * math.log(s + r) - r - math.lgamma(r + 1)) / math.log(2)
-    k_float = _inf_past_range(float, k)
-    log_conv = (k_float + 1) * log_l + math.log2(n) + (k_float - 1) * math.log2(m)
-
-    def conv() -> int:
-        return classes ** (k + 1) * n * m ** (k - 1)
-
-    return {
-        "exact_avg_tv": _units(lambda: conv() + classes ** (k + 2), log_conv, (k_float + 2) * log_l),
-        "exact_collision_v": _units(conv, log_conv),
-        "exact_collision_e": _units(
-            lambda: conv() + classes * m ** ((k - 1) * n), log_conv,
-            log_l + _inf_past_range(float, (k - 1) * n) * math.log2(m),
-        ),
-        "exact_m_power_c": m_power_c_work(n, k, m),
+    conv = (k + 1, 1, k - 1)  # L U S
+    costs = {
+        "exact_avg_tv": [conv, (k + 2, 0, 0)],
+        "exact_collision_v": [conv],
+        "exact_collision_e": [conv, (1, 0, (k - 1) * n)],
     }
+    work = {name: _units(classes, log_l, n, m, terms) for name, terms in costs.items()}
+    return work | {"exact_m_power_c": m_power_c_work(n, k, m)}
 
 
 def _share_rows(n: int, k: int, m: int) -> list[list[int]]:
@@ -292,7 +295,13 @@ def collision_probability(
             first, _ = share_batch(x, k, mod, rng)
         second, _ = run_batch(x, k, mod, rng)
         hits += int((first == second).all(axis=(1, 2)).sum())
-    return Quantity.sampled(hits / samples, hoeffding_halfwidth(samples), HOEFFDING_CONFIDENCE, samples, hits)
+    return sampled_frequency(hits, samples)
+
+
+def lemma1_radicand(x: Fraction, exponent: int, m: int) -> Fraction:
+    """Lemma 1's radicand x m^exponent - 1, exactly: x = Pr[collision] at exponent kn - 1,
+    or, on the graph route, x = E[m^C] at exponent -1."""
+    return x * Fraction(m) ** exponent - 1
 
 
 def _root(x: Fraction | float, exponent: int, m: int) -> float | None:
@@ -300,7 +309,7 @@ def _root(x: Fraction | float, exponent: int, m: int) -> float | None:
     clamped. The sign is decided exactly for a rational x and by logarithms
     for a float; the root reads inf past float range."""
     if isinstance(x, (int, Fraction)):
-        radicand = x * Fraction(m) ** exponent - 1
+        radicand = lemma1_radicand(x, exponent, m)
         return None if radicand < 0 else _sqrt_or_inf(radicand)
     if x <= 0:
         return None
@@ -308,9 +317,9 @@ def _root(x: Fraction | float, exponent: int, m: int) -> float | None:
     log_arg = _inf_past_range(float, exponent) * math.log(m) + math.log(x)
     if log_arg < 0:
         return None
-    if log_arg > 700:
-        return _inf_past_range(math.exp, log_arg / 2)
-    return math.sqrt(math.expm1(log_arg))
+    # as _sqrt_or_inf: by the logarithm only where the radicand is past float range
+    root = _inf_past_range(lambda: math.sqrt(math.expm1(log_arg)))
+    return root if root < math.inf else _inf_past_range(math.exp, log_arg / 2)
 
 
 def _root_bound(q: Quantity, exponent: int, m: int) -> Quantity:
@@ -413,7 +422,7 @@ def verify_chain(n: int, k: int, m: int, samples: int, seed: int, shards: int = 
     # from k = 21 at n = 19, m = 2, and it underflows to 0.0 from k = 385
     log_excess = 2 * math.log(m) + (k - 1) * (1 - math.log(n))
     checks = {
-        "lemma1_exact_soundness": check(tv and tv.value**2, "<=", cv and cv.value * m ** (kn - 1) - 1),
+        "lemma1_exact_soundness": check(tv and tv.value**2, "<=", cv and lemma1_radicand(cv.value, kn - 1, m)),
         "lemma2_exact_identity": check(cv, "==", ce),
         "lemma3_exact_soundness": check(cv, "<=", route),
         "lemma3_exact_identity": check(cv, "==", route),

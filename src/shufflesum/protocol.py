@@ -16,7 +16,7 @@ subtraction: both operands are below m, so no intermediate reaches
 2m <= 2**64, which is why ``Modulus`` caps m at ``MAX_MODULUS`` = 2**63.
 ``aggregate_batch`` sums a run exactly, over the 32-bit halves of its
 residues.
-``transcript_line`` writes run r of a result as the JSON line that
+``transcript_line`` writes one run of a result as the JSON line that
 ``simulate`` prints. Numpy formats the residues, with no Python int per
 residue, and the text is byte-identical to ``json.dumps`` of the record
 {n, k, m, variant, blocks, clear_block, seed} with ``sort_keys=True``.
@@ -157,15 +157,16 @@ def _row_text(row: np.ndarray) -> str:
     return b"".join(parts).decode("ascii")
 
 
-def transcript_line(blocks: np.ndarray, clear: np.ndarray | None, r: int, m: Modulus, seed: int) -> str:
-    """Run r of a ``run_batch`` result as one JSON object, without a newline:
+def transcript_line(blocks: np.ndarray, clear: np.ndarray | None, m: Modulus, seed: int) -> str:
+    """One run of a ``run_batch`` result, its (k, n) blocks and its clear
+    block (None in the plain variant), as one JSON object, without a newline:
     {"blocks", "clear_block", "k", "m", "n", "seed", "variant"}, byte for
     byte what ``json.dumps(record, sort_keys=True)`` prints for the record
     of those keys, its blocks and clear block as lists of ints (null in the
     plain variant)."""
-    _, k, n = blocks.shape
-    rows = ", ".join(f"[{_row_text(row)}]" for row in blocks[r])
-    clear_block = "null" if clear is None else f"[{_row_text(clear[r])}]"
+    k, n = blocks.shape
+    rows = ", ".join(f"[{_row_text(row)}]" for row in blocks)
+    clear_block = "null" if clear is None else f"[{_row_text(clear)}]"
     variant = "plain" if clear is None else "randomized"
     return (
         f'{{"blocks": [{rows}], "clear_block": {clear_block}, "k": {k}, "m": {m.m}, '

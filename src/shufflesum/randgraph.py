@@ -19,14 +19,13 @@ edge agrees with.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
 import numpy as np
-
-from .rng import derive_seed
 
 ENUMERATION_BUDGET = 10**7
 
@@ -82,6 +81,12 @@ _Z99 = 2.5758293035489004
 _BATCH_ELEMENTS = 1 << 17
 
 
+def derive_seed(seed: int, *path: int) -> int:
+    """Collapse (seed, path...) into a stable 64-bit child seed."""
+    tag = ":".join(str(p) for p in (seed, *path)).encode()
+    return int.from_bytes(hashlib.sha256(tag).digest()[:8], "big")
+
+
 def shard_batches(
     samples: int, shards: int, n: int, k: int, seed: int, *tag: int
 ) -> Iterator[tuple[np.random.Generator, int]]:
@@ -89,7 +94,14 @@ def shard_batches(
     admission of a draw, which refuses sizes below 1 and k * n over ENUMERATION_BUDGET
     when called. Shard s < samples takes samples // shards draws, one more if s <
     samples % shards, from default_rng(derive_seed(seed, *tag, s)), in batches of
-    at most _BATCH_ELEMENTS // (k * n) draws."""
+    at most _BATCH_ELEMENTS // (k * n) draws.
+
+    The one place that seeds a numpy stream: every stochastic entry point
+    takes a (seed, shards) pair and draws from these streams. Hashing the
+    seed with the index path (tag, shard) keeps runs, shards and samplers on
+    independent streams that reproduce exactly across processes and
+    platforms; a stream's seed is its ``bit_generator.seed_seq.entropy``.
+    None of this is cryptographic randomness."""
     if min(samples, shards, n, k) < 1:
         raise ValueError(f"need samples, shards, n, k >= 1, got {samples}, {shards}, {n}, {k}")
     _require_budget(k * n, "entries", "one draw", n=n, k=k)

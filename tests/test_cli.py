@@ -188,6 +188,14 @@ class TestSimulate:
         assert res.exit_code == 0
         assert hashlib.sha256(res.stdout_bytes).hexdigest() == digest
 
+    def test_failed_conservation_exits_1(self, runner, monkeypatch):
+        # a wrong sum is reported on stderr and exits 1, as a violated bound does
+        aggregate = cli.aggregate_batch
+        monkeypatch.setattr(cli, "aggregate_batch", lambda *args: aggregate(*args) + 1)
+        res = run_cli(runner, ["simulate", "--n", "3", "--k", "2", "--m", "11", "--seed", "5"])
+        assert res.exit_code == 1
+        assert "conserved=NO" in res.stderr and "1 conservation check(s) FAILED" in res.stderr
+
     def test_paper_point_memory(self, runner, tmp_path):
         # tracemalloc sees numpy's buffers: numpy formats the residues, so the
         # peak is a few share blocks, not a Python int and a str per residue
@@ -557,6 +565,16 @@ class TestOneExitRule:
         assert code == 1
         assert [name for name, status in report["checks"].items() if status == "fail"] == [failing]
 
+    def test_one_lemma1_radicand(self, runner, monkeypatch):
+        # chain and tv-exact both decide lemma 1 on oracle.lemma1_radicand
+        assert cli.lemma1_radicand is oracle.lemma1_radicand
+        for module in (oracle, cli):
+            monkeypatch.setattr(module, "lemma1_radicand", lambda x, exponent, m: Fraction(-1))
+        for args in (["chain", "--n", "4", "--k", "3", "--m", "2", "--samples", "100", "--seed", "1"],
+                     ["tv-exact", "--n", "3", "--k", "2", "--m", "2"]):
+            code, report = verify_json(runner, *args)
+            assert code == 1 and report["checks"]["lemma1_exact_soundness"] == "fail"
+
     def test_bound_at_the_planners_k(self, runner):
         # the float m + m^2 (e/n)^(k-1) rounds to m here, while the exact
         # E[2^C] is 2 + 1.6e-37: the check decides on the excess over m
@@ -566,6 +584,45 @@ class TestOneExitRule:
         code, report = verify_json(runner, "chain", *args)
         assert code == 0
         assert report["checks"]["expectation_bound_exact"] == "pass"
+
+
+class TestReportBytesPin:
+    """Reports pinned byte for byte, digests taken before the cost, radicand,
+    frequency and float-range helpers were each given one site."""
+
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            (["chain", "--n", "19", "--k", "3", "--m", "2", "--samples", "500", "--seed", "1"],
+             "198398b02a021892560c1df4bf1a7737916fb27c5b9185b76bfe7b37f9963569"),
+            (["chain", "--n", "3", "--k", "3", "--m", "2", "--samples", "500", "--seed", "2"],
+             "e6e38079448545f9441faf462190f5efd273e64c6e5c514632d4e070e775883b"),
+            (["chain", "--n", "4", "--k", "2", "--m", "2", "--samples", "500", "--seed", "3"],
+             "163ea4eb3d8a7fb22091e951cdaa6995f2e45777b5299bd4ca41665531a07197"),
+            (["chain", "--n", "3", "--k", "2", "--m", "3", "--samples", "500", "--seed", "4"],
+             "80737e5e693638f240490cdc5ea2f5436883a36958bd2940990319cf408a419f"),
+            (["chain", "--n", "4", "--k", "3", "--m", "2", "--samples", "500", "--seed", "5"],
+             "e6a915fdd6d74ab4fa9c90d4001b88cef14ac4820c069c9cf08aec61582ed917"),
+            (["chain", "--n", "5", "--k", "2", "--m", "2", "--samples", "500", "--seed", "6"],
+             "b55ca577357de6422d381ab0a7fb65a096e8d6e4babf7128f3a91bd8079136b9"),
+            (["chain", "--n", "19", "--k", "385", "--m", "2", "--samples", "100", "--seed", "7"],
+             "0e22c14e3c593ad95c6983e4ac5eecc2cb31ac40c4571c3f1a67c7f705eb4804"),
+            (["chain", "--n", "60", "--k", "1", "--m-bits", "32", "--samples", "200", "--seed", "8"],
+             "27f594307644b45b9e8d9b74935f711d370931b9ab497e5874990fd1eeb58804"),
+            (["tv-exact", "--n", "3", "--k", "2", "--m", "2"],
+             "590db536c53991b9d263c82d02d331b89f57c2af457eeb272f62714bbde30aef"),
+            (["graph-exp", "--n", "19", "--k", "3", "--m", "5", "--samples", "2000", "--seed", "9"],
+             "00c29cdb0f7ac12c8847d25599873a513ff413d2e04da7d1ef3acd7760c7f7e7"),
+            (["graph-dist", "--n", "1000", "--k", "3", "--samples", "200", "--seed", "10"],
+             "82a7a6256dec0bec33fa0d36be3833171228789a78581a32e09e146f6447a6b3"),
+        ],
+        ids=["chain-ref", "chain-332", "chain-422", "chain-323", "chain-432", "chain-522", "chain-k385",
+             "chain-k1-m32", "tv-exact", "graph-exp", "graph-dist"],
+    )
+    def test_report_bytes_pin(self, runner, args, digest):
+        res = run_cli(runner, ["verify", *args, "--format", "json"])
+        assert res.exit_code == 0
+        assert hashlib.sha256(res.stdout_bytes).hexdigest() == digest
 
 
 class TestOneWalk:

@@ -226,6 +226,21 @@ class TestExactWork:
             "exact_m_power_c": 19 * 19 * 3 ** math.log2(3) + 3 * 3,
         }
         assert conv == 12_160_000
+        # the chain-exact instances and two where only some sums fit: L U S,
+        # L^2 S class pairs and L m^((k-1)n) ordered sharings, U = n m^(k-1)
+        for (n, k, m), (conv, pairs, sharings) in {
+            (3, 3, 2): (4 * 12 * 4**3, 4**2 * 4**3, 4 * 2**6),
+            (4, 2, 2): (5 * 8 * 5**2, 5**2 * 5**2, 5 * 2**4),
+            (10, 3, 2): (11 * 40 * 11**3, 11**2 * 11**3, 11 * 2**20),
+            (15, 1, 4): (816 * 15 * 816, 816**2 * 816, 816 * 4**0),
+        }.items():
+            work = {name: oracle.exact_work(n, k, m)[name] for name in TRANSCRIPT_SUMS}
+            assert work == {
+                "exact_avg_tv": conv + pairs,
+                "exact_collision_v": conv,
+                "exact_collision_e": conv + sharings,
+            }
+            assert {type(units) for units in work.values()} == {int}
 
     @pytest.mark.parametrize("n,k,m", [(19, 3, 2), (9, 3, 4)])
     def test_over_budget(self, n, k, m):

@@ -91,6 +91,32 @@ def test_one_stream_site():
     assert _sites(ast.Call, "func", "default_rng") == ["randgraph.py:shard_batches"]
 
 
+def test_one_seed_derivation():
+    # randgraph.shard_batches alone derives a stream's seed, and a transcript
+    # prints the seed of the stream it was drawn from; no rng module remains
+    assert _sites(ast.Call, "func", "derive_seed") == ["randgraph.py:shard_batches"]
+    assert not (PACKAGE / "rng.py").exists()
+
+
+def test_one_sampled_frequency():
+    # oracle.sampled_frequency alone builds the record of a sampled
+    # frequency, its Hoeffding interval at HOEFFDING_CONFIDENCE
+    sites = [
+        site
+        for site, node in _nodes()
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func).endswith("Quantity.sampled")
+        and "HOEFFDING_CONFIDENCE" in ast.unparse(node)
+    ]
+    assert sites == ["oracle.py:sampled_frequency"]
+
+
+def test_one_cost_evaluation():
+    # oracle.exact_work writes each transcript cost once, as exponent
+    # triples, and evaluates all of them at one _units call
+    assert _sites(ast.Call, "func", "_units") == ["oracle.py:exact_work"]
+
+
 def test_one_check_decision():
     # oracle.check alone gives a check its status, "not-applicable" outside
     # the regime it is given included, and cli._finish alone exits on "fail":
@@ -128,7 +154,8 @@ def test_one_json_form_of_a_quantity():
 
 def test_one_float_range_site():
     # randgraph._inf_past_range alone decides past float range: one handler,
-    # and no constant says where the range ends (exp's 709.78, 2^1024)
+    # and no constant says where the range ends (exp's 709.78, 2^1024), or
+    # near it (700)
     assert _sites(ast.ExceptHandler, "type", "OverflowError") == ["randgraph.py:_inf_past_range"]
     edges = [
         f"{path.name}:{node.lineno} {node.value!r}"
@@ -136,7 +163,7 @@ def test_one_float_range_site():
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Constant)
         and type(node.value) in (int, float)
-        and node.value in (709.0, 1024)
+        and node.value in (700, 709.0, 1024)
     ]
     assert edges == []
 

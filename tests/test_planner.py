@@ -4,6 +4,7 @@ import random
 import pytest
 
 from shufflesum.planner import (
+    LOG2_E,
     baseline_k_lower_bound,
     plan_shuffled_k,
     regime_flags,
@@ -104,6 +105,23 @@ class TestPlan:
             k = res.k_shuffled
             assert res.achieved_sigma == sigma_for(k, n, m) >= sigma
             assert sigma_for(k - 1, n, m) < sigma
+
+    @pytest.mark.parametrize(
+        "sigma, n, m, ceiling, planned",
+        [
+            # just above sigma_for(12): the float ceiling reads 12, one too few
+            (math.nextafter(sigma_for(12, 19, 2), math.inf), 19, 2, 12, 13),
+            # exactly sigma_for(56): the float ceiling reads 57, one too many
+            (sigma_for(56, 10**4, 2**9), 10**4, 2**9, 57, 56),
+        ],
+        ids=["raise", "lower"],
+    )
+    def test_float_ceiling_corrected(self, sigma, n, m, ceiling, planned):
+        # sigma on a boundary, where sigma_for must move the float ceiling
+        assert math.ceil((2 * sigma + math.log2(m)) / (math.log2(n) - LOG2_E) + 1) == ceiling
+        k = plan_shuffled_k(sigma, n, m).k_shuffled
+        assert k == planned
+        assert sigma_for(k, n, m) >= sigma > sigma_for(k - 1, n, m)
 
     def test_nonincreasing_in_n(self):
         ks = [plan_shuffled_k(40, n, 2**32).k_shuffled for n in (20, 100, 10**3, 10**4, 10**6, 10**9)]

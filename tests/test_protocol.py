@@ -234,7 +234,7 @@ def transcript_record(blocks: np.ndarray, clear: np.ndarray | None, r: int, m: M
 
 
 def assert_line_is_record(blocks, clear, r, m, seed):
-    line = transcript_line(blocks, clear, r, m, seed)
+    line = transcript_line(blocks[r], None if clear is None else clear[r], m, seed)
     expected = json.dumps(transcript_record(blocks, clear, r, m, seed), sort_keys=True)
     if line != expected:
         # where the lines part, rather than pytest's diff of two strings of up to megabytes
@@ -251,7 +251,7 @@ class TestSerialization:
     def test_schema_and_roundtrip(self):
         m = Modulus(7)
         blocks, clear = run_batch(tiled([1, 2, 3], 2), 2, m, np.random.default_rng(19), clear=True)
-        d = json.loads(transcript_line(blocks, clear, 1, m, seed=123))
+        d = json.loads(transcript_line(blocks[1], clear[1], m, seed=123))
         assert set(d) == {"n", "k", "m", "variant", "blocks", "clear_block", "seed"}
         assert d["variant"] == "randomized" and d["seed"] == 123
         assert (d["n"], d["k"], d["m"]) == (3, 2, 7)
@@ -261,7 +261,7 @@ class TestSerialization:
     def test_plain_has_null_clear_block(self):
         m = Modulus(7)
         blocks, clear = run_batch(tiled([1, 2], 1), 3, m, np.random.default_rng(20))
-        d = json.loads(transcript_line(blocks, clear, 0, m, seed=0))
+        d = json.loads(transcript_line(blocks[0], clear, m, seed=0))
         assert d["clear_block"] is None and d["variant"] == "plain"
 
     @pytest.mark.parametrize("m", [2, 10, 97, 2**32, 2**63])
