@@ -62,10 +62,6 @@ def _resolve_m(m: int | None, m_bits: int | None) -> Modulus:
         raise click.UsageError(str(exc)) from exc
 
 
-def _resolve_seed(seed: int | None) -> int:
-    return seed if seed is not None else secrets.randbits(32)
-
-
 def _echo(text: str, err: bool = False, nl: bool = True) -> None:
     """click.echo to the current sys.stdout or sys.stderr.
 
@@ -89,8 +85,6 @@ def _stdout_may_close():
 
 
 def _flatten(prefix: str, value, out: dict) -> None:
-    if isinstance(value, Quantity):
-        value = value.to_json()
     if isinstance(value, dict):
         for key, sub in value.items():
             _flatten(f"{prefix}.{key}" if prefix else str(key), sub, out)
@@ -101,16 +95,18 @@ def _flatten(prefix: str, value, out: dict) -> None:
 def emit_report(report: dict, fmt: str) -> None:
     """Print a report as a table, JSON, or key,value CSV.
 
-    The one place a ``Quantity`` becomes JSON: each one in the report prints
-    as its ``to_json()`` dict, in every format. JSON takes one line (no
-    ``indent``, so ``json.dumps`` runs its C encoder); the CSV rows are the
-    flattened (dotted-key) fields of the JSON object, field for field.
+    The one place a ``Quantity`` becomes JSON: the report is dumped once,
+    each ``Quantity`` as its ``to_json()`` dict, on one line (no ``indent``,
+    so ``json.dumps`` runs its C encoder). ``--format json`` prints that
+    text; table and CSV are views of it, the flattened (dotted-key) fields of
+    the object it parses to, field for field.
     """
+    text = json.dumps(report, sort_keys=True, default=Quantity.to_json)
     if fmt == "json":
-        _echo(json.dumps(report, sort_keys=True, default=Quantity.to_json))
+        _echo(text)
         return
     flat: dict = {}
-    _flatten("", report, flat)
+    _flatten("", json.loads(text), flat)
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -156,7 +152,9 @@ _MODULUS = _options(
     click.option("--m", type=int, default=None, help="Group size."),
     click.option("--m-bits", type=_POSITIVE, default=None, help="Group size as 2**bits."),
 )
-_SEED = click.option("--seed", type=int, default=None, help="Base seed (generated and printed if omitted).")
+# the one site that generates a seed: click calls the default only when --seed is absent
+_SEED = click.option("--seed", type=int, default=lambda: secrets.randbits(32),
+                     help="Base seed (generated and printed if omitted).")
 _SAMPLING = _options(
     click.option("--samples", type=_POSITIVE, default=100_000, show_default=True),
     _SEED,
@@ -229,7 +227,6 @@ def plan(sigma: float, n: int, m: int | None, m_bits: int | None, fmt: str) -> N
 def simulate(n, k, m, m_bits, variant, seed, runs, out) -> None:
     """Run the protocol and record transcripts plus conservation checks."""
     mod = _resolve_m(m, m_bits)
-    seed = _resolve_seed(seed)
     clear = variant == "randomized"
     failures = 0
     # run r is shard r's one draw, written as soon as it is made: memory stays at one run's worth
@@ -268,7 +265,6 @@ def verify() -> None:
 @_FORMAT
 def verify_graph_dist(n, k, samples, seed, shards, fmt) -> None:
     """Empirical component-count law vs its closed-form bound."""
-    seed = _resolve_seed(seed)
     counts = estimate_component_distribution(n, k, samples, seed, shards)
     preconditions = regime_flags(n, k)
     rows, checks = {}, {}
@@ -298,7 +294,6 @@ def verify_graph_dist(n, k, samples, seed, shards, fmt) -> None:
 def verify_graph_exp(n, k, m, m_bits, samples, seed, shards, fmt) -> None:
     """Monte Carlo E[m^C] vs its closed-form bound."""
     m_val = _resolve_m(m, m_bits).m
-    seed = _resolve_seed(seed)
     estimate = estimate_m_power_C(n, k, m_val, samples, seed, shards)
     preconditions = regime_flags(n, k, m=m_val)
     bound = expectation_bound(n, k, m_val)
@@ -347,7 +342,7 @@ def verify_tv_exact(n, k, m, m_bits, fmt) -> None:
 def verify_chain_cmd(n, k, m, m_bits, samples, seed, shards, fmt) -> None:
     """Full bound-chain report: exact within the work budget, Monte Carlo always."""
     m_val = _resolve_m(m, m_bits).m
-    _finish(verify_chain(n, k, m_val, samples, _resolve_seed(seed), shards), fmt)
+    _finish(verify_chain(n, k, m_val, samples, seed, shards), fmt)
 
 
 if __name__ == "__main__":

@@ -24,13 +24,8 @@ with equality, and the report checks that identity too. Every number is a
 ``randgraph.Quantity`` with an interval [lo, hi] (lo = hi when exact),
 which only the printer, ``cli.emit_report``, turns into JSON, and
 ``check`` decides every inequality from two intervals: "fail", which makes
-a command exit 1, only where they refute it. Its checks: lemma1_exact_soundness,
-lemma2_exact_identity, lemma3_exact_soundness, lemma3_exact_identity,
-lemma2_mc_consistency and mc_matches_exact_collision_{v,e} everywhere;
-expectation_bound_{exact,mc} (the exact one on the logarithm of E[m^C] - m),
-from lemma 4, for n >= 19, k >= 3 and m <= (1/2)(n/e)^(k-1); and
-graph_route_le_theorem1 and theorem1_dominates_exact_tv, from the theorem,
-for n >= 19, k >= 3 and sigma >= 1: outside, they read "not-applicable".
+a command exit 1, only where they refute it. The checks, and the regime
+each closed-form one rests on, are ``verify_chain``'s ``checks``.
 
 Two transcripts collide only if the k-1 uniform blocks of the shuffled one
 match, so Pr[collision] <= m^-((k-1)n), and the report's
@@ -68,6 +63,7 @@ from .randgraph import (
     expectation_bound,
     m_power_c_work,
     shard_batches,
+    within_budget,
 )
 
 HOEFFDING_CONFIDENCE = 0.999
@@ -392,9 +388,8 @@ def verify_chain(n: int, k: int, m: int, samples: int, seed: int, shards: int = 
     samples, seed, shards).
     """
     work = exact_work(n, k, m)
-    fits = {name: units <= ENUMERATION_BUDGET for name, units in work.items()}
-    sums = exact_transcript_laws(n, k, m, [name for name in TRANSCRIPT_SUMS if fits[name]])
-    emc = exact_m_power_C(n, k, m) if fits["exact_m_power_c"] else None
+    sums = exact_transcript_laws(n, k, m, [name for name in TRANSCRIPT_SUMS if within_budget(work[name])])
+    emc = exact_m_power_C(n, k, m) if within_budget(work["exact_m_power_c"]) else None
     tv, cv, ce, emc = (None if x is None else Quantity.exact(x) for x in (*map(sums.get, TRANSCRIPT_SUMS), emc))
 
     # first, as it admits the draw of k * n entries that the collision samplers share

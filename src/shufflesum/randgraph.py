@@ -40,9 +40,14 @@ def _figure(value: int | float) -> str:
     return f"2^{math.log2(value):.1f}" if isinstance(value, int) and value >= 2**64 else str(value)
 
 
+def within_budget(units: int | float) -> bool:
+    """Whether work of `units` fits ENUMERATION_BUDGET: the one budget edge, for the refusal and every gate."""
+    return units <= ENUMERATION_BUDGET
+
+
 def _require_budget(units: int | float, unit: str, quantity: str, **sizes: int) -> None:
     """The one raise past ENUMERATION_BUDGET, in one format for every exact quantity and draw."""
-    if units > ENUMERATION_BUDGET:
+    if not within_budget(units):
         given = ", ".join(f"{name}={_figure(value)}" for name, value in sizes.items())
         raise EnumerationBudgetError(
             f"{quantity} takes {_figure(units)} {unit}, over the budget {ENUMERATION_BUDGET}, for {given}"
@@ -124,6 +129,7 @@ def lemma4_probability_bound(n: int, k: int, c: int) -> float:
     Proved for n >= 19 and k >= 3 (``planner.regime_flags``), but evaluated
     everywhere: c = 1 gives exactly 1, and past float range it is inf.
     """
+    _check_sizes(n, k, 2)  # the bound has no m: check n and k
     if c < 1 or c > n:
         raise ValueError(f"component count must satisfy 1 <= c <= n, got c={c}")
     log_bound = (
@@ -140,6 +146,7 @@ def expectation_bound(n: int, k: int, m: int) -> float:
     Proved where ``planner.regime_flags(n, k, m=m)`` holds, but evaluated
     everywhere: past float range (n = 1, k = 800) it is inf.
     """
+    _check_sizes(n, k, m)
     return _inf_past_range(lambda: m + m * m * (math.e / n) ** (k - 1))
 
 
@@ -311,8 +318,8 @@ def m_power_c_work(n: int, k: int, m: int) -> float:
     about n^2 products of integers of up to w = ceil((k log2(n!) + n
     log2(m)) / 64) words, each about w^log2(3) word products (Karatsuba),
     then one w-word gcd, n^2 w^log2(3) + w^2 in all. It bounds Miller's
-    products, whose integers carry (k-1) factorial powers, not k; kept so
-    that the budget edge does not move."""
+    products by integers of k factorial powers, where Miller's integers
+    carry k - 1."""
     def work() -> float:
         words = math.ceil((k * math.lgamma(n + 1) / math.log(2) + n * math.log2(m)) / 64)
         return n * n * words ** math.log2(3) + words * words

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -253,6 +254,29 @@ class TestSimulate:
                 "--runs", str(runs), "--variant", variant, "--seed", "1"]
         res = run_cli(CliRunner(), args)
         assert res.exit_code in (0, 1, 2), res.output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "chain", "--n", "19", "--k", "3", "--m", "2", "--samples", "200", "--format", "json"],
+        ["verify", "graph-exp", "--n", "19", "--k", "3", "--m", "2", "--samples", "200", "--format", "json"],
+        ["verify", "graph-dist", "--n", "19", "--k", "3", "--samples", "200", "--format", "json"],
+        ["simulate", "--n", "4", "--k", "2", "--m", "7", "--runs", "2"],
+    ],
+    ids=["chain", "graph-exp", "graph-dist", "simulate"],
+)
+def test_generated_seed_round_trip(runner, args):
+    # a seed left out is generated and printed; passing it back reproduces the run
+    first = run_cli(runner, args)
+    assert first.exit_code in (0, 1)  # a sampled check may read "fail" at some seed
+    if args[0] == "simulate":
+        seed = int(re.search(r"^seed=(\d+)$", first.stderr, re.MULTILINE).group(1))
+    else:
+        seed = json.loads(first.stdout)["seed"]
+    again = run_cli(runner, [*args, "--seed", str(seed)])
+    assert again.exit_code == first.exit_code
+    assert again.stdout_bytes == first.stdout_bytes
 
 
 class TestVerify:
@@ -588,7 +612,8 @@ class TestOneExitRule:
 
 class TestReportBytesPin:
     """Reports pinned byte for byte, digests taken before the cost, radicand,
-    frequency and float-range helpers were each given one site."""
+    frequency and float-range helpers were each given one site; the table and
+    CSV digests before those views were parsed from the JSON text."""
 
     @pytest.mark.parametrize(
         "args, digest",
@@ -621,6 +646,35 @@ class TestReportBytesPin:
     )
     def test_report_bytes_pin(self, runner, args, digest):
         res = run_cli(runner, ["verify", *args, "--format", "json"])
+        assert res.exit_code == 0
+        assert hashlib.sha256(res.stdout_bytes).hexdigest() == digest
+
+    VIEWS = {
+        "chain-ref": ["verify", "chain", "--n", "19", "--k", "3", "--m", "2", "--samples", "500", "--seed", "1"],
+        "tv-exact": ["verify", "tv-exact", "--n", "3", "--k", "2", "--m", "2"],
+        "graph-exp": ["verify", "graph-exp", "--n", "19", "--k", "3", "--m", "5", "--samples", "2000", "--seed", "9"],
+        "graph-dist": ["verify", "graph-dist", "--n", "1000", "--k", "3", "--samples", "200", "--seed", "10"],
+        "plan": ["plan", "--sigma", "40", "--n", "10000", "--m-bits", "32"],
+    }
+
+    @pytest.mark.parametrize(
+        "name, fmt, digest",
+        [
+            ("chain-ref", "table", "16682be5dfddb6cdb6abfa2e656fd70a0ddeea6c5a23291e3fcd97521b059cc4"),
+            ("chain-ref", "csv", "6a9ea5ca03860daed11329aceef9cf7a4173f77fcc2238e9a03d96e4725c6bc7"),
+            ("tv-exact", "table", "30261be6ca2f8c400d0af417ed086eaf118e84a6ca8fe32846935aa38377856a"),
+            ("tv-exact", "csv", "f27a83184a68d34c5c2fdefd0526031c205f703fafd20e39f264b0148dda2f6a"),
+            ("graph-exp", "table", "6d99cf9b014d324ff48b6e12a7d1b941e1825351c19decf2d30d80b1de1a40b2"),
+            ("graph-exp", "csv", "afb82f044d265156c487dcfb56fc7715ce2c4312446228f0f64688044bcb735d"),
+            ("graph-dist", "table", "28accb0841fd3fae39b7eb625f6ee1d71c9e99e84cc31976c642366fc179eb8f"),
+            ("graph-dist", "csv", "83ff543c4339555a20f2350c1a7b9aaa10fe328d8f6acee28bb9c42ce3725680"),
+            ("plan", "table", "5b294bb6924df1509ee3d64537350eed6530a96c91c27e4c53a86e6f144b3624"),
+            ("plan", "csv", "b4a2ebb7b3ab9e609705acabf356d5caf46b4f0d1a99317dba60ce19b9f8f3ae"),
+        ],
+        ids=[f"{name}-{fmt}" for name in VIEWS for fmt in ("table", "csv")],
+    )
+    def test_view_bytes_pin(self, runner, name, fmt, digest):
+        res = run_cli(runner, [*self.VIEWS[name], "--format", fmt])
         assert res.exit_code == 0
         assert hashlib.sha256(res.stdout_bytes).hexdigest() == digest
 

@@ -144,12 +144,23 @@ def test_one_transcript_writer():
 
 
 def test_one_json_form_of_a_quantity():
-    # cli.emit_report alone turns a Quantity into JSON, in every format:
+    # cli.emit_report alone turns a Quantity into JSON, once, for every format:
     # reports hold Quantity records until they are printed
-    assert sorted({site for site, node in _nodes() if isinstance(node, ast.Attribute) and node.attr == "to_json"}) == [
-        "cli.py:_flatten",
-        "cli.py:emit_report",
-    ]
+    sites = [site for site, node in _nodes() if isinstance(node, ast.Attribute) and node.attr == "to_json"]
+    assert sites == ["cli.py:emit_report"]
+
+
+def test_one_seed_generator():
+    # the module-level --seed option alone generates a seed, as its default,
+    # which click calls only when --seed is absent
+    assert _sites(ast.Call, "func", "randbits") == ["cli.py:"]
+
+
+def test_one_budget_edge():
+    # randgraph.within_budget alone compares work with ENUMERATION_BUDGET:
+    # the refusal and every exact gate ask it
+    sites = [site for site, node in _nodes() if isinstance(node, ast.Compare) and "ENUMERATION_BUDGET" in ast.unparse(node)]
+    assert sites == ["randgraph.py:within_budget"]
 
 
 def test_one_float_range_site():

@@ -337,6 +337,15 @@ class TestClosedFormBounds:
         assert lemma4_probability_bound(2, 2314, 2) == math.exp(log_bound)
         assert math.isclose(lemma4_probability_bound(2, 2314, 2), 1.3056e308, rel_tol=1e-4)
 
+    @pytest.mark.parametrize(
+        "bound, sizes", [(expectation_bound, (0, 3, 2)), (expectation_bound, (19, 3, 0)),
+                         (expectation_bound, (-3, 3, 2)), (lemma4_probability_bound, (19, 0, 2))],
+    )
+    def test_rejects_bad_sizes(self, bound, sizes):
+        # unchecked, these would read ZeroDivisionError, 0.0, 5.28 and 5.24 (a probability bound above 1)
+        with pytest.raises(ValueError, match="need n, k >= 1 and m >= 2"):
+            bound(*sizes)
+
     def test_expectation_bound_value(self):
         got = expectation_bound(19, 3, 2)
         assert abs(got - (2 + 4 * (math.e / 19) ** 2)) < 1e-12
@@ -459,6 +468,10 @@ class TestEstimators:
         hw = est.hi - est.value
         assert math.isclose(hw, exact, rel_tol=1e-9)
         assert math.isclose(hw, 3.8303e281, rel_tol=1e-4)
+
+    def test_z99_is_the_quantile_of_the_confidence(self):
+        # _Z99 is the normal quantile of MEAN_CI_CONFIDENCE written as a literal: the two agree within an ulp
+        assert math.isclose(randgraph._Z99, NormalDist().inv_cdf((1 + MEAN_CI_CONFIDENCE) / 2), rel_tol=1e-15)
 
     def test_m_power_interval_when_every_graph_has_one_count(self):
         # every graph connected: the normal CI would be [2, 2], which excludes
