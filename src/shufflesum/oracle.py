@@ -5,7 +5,7 @@ transcript's probability depends only on its k block histograms over Z_m:
 P(v) = P(h(v)) / prod_j multinomial(n; h_j). ``histogram_laws`` builds the
 exact integer law of the histograms as a convolution of the users' share
 rows, one law per input multiset, and the exact total-variation distance
-and collision probabilities are sums over histogram tuples, rationals
+and collision probability are sums over histogram tuples, rationals
 that never touch floats, which ``exact_transcript_laws`` sums in one walk
 of the laws. ``exact_work`` states each one's own cost in histogram
 updates, and E[m^C]'s in word products, against ``ENUMERATION_BUDGET``;
@@ -20,12 +20,15 @@ chain`` prints:
     avg TV  <=  sqrt(m (e/n)^(k-1)) = 2^-sigma               (theorem)
 
 and reports the status of every inequality. The lemma-3 inequality holds
-with equality, and the report checks that identity too. Every number is a
-``randgraph.Quantity`` with an interval [lo, hi] (lo = hi when exact),
-which only the printer, ``cli.emit_report``, turns into JSON, and
-``check`` decides every inequality from two intervals: "fail", which makes
-a command exit 1, only where they refute it. The checks, and the regime
-each closed-form one rests on, are ``verify_chain``'s ``checks``.
+with equality, and the report checks that identity too. The exact
+collision sum is lemma 2's E regrouped (``exact_transcript_laws``), so the
+report gives it as both exact collisions and checks lemma 2 against the
+engine's two samplers. Every number is a ``randgraph.Quantity`` with an
+interval [lo, hi] (lo = hi when exact), which only the printer,
+``cli.emit_report``, turns into JSON, and ``check`` decides every
+inequality from two intervals: "fail", which makes a command exit 1, only
+where they refute it. The checks, and the regime each closed-form one
+rests on, are ``verify_chain``'s ``checks``.
 
 Two transcripts collide only if the k-1 uniform blocks of the shuffled one
 match, so Pr[collision] <= m^-((k-1)n), and the report's
@@ -91,7 +94,7 @@ class CollisionMode(enum.Enum):
 
 
 # the exact_work keys of the sums over histogram tuples, in report order
-TRANSCRIPT_SUMS = ("exact_avg_tv", "exact_collision_v", "exact_collision_e")
+TRANSCRIPT_SUMS = ("exact_avg_tv", "exact_collision_v")
 
 
 def _units(classes: int | None, log_l: float, n: int, m: int, terms) -> int | float:
@@ -118,7 +121,6 @@ def exact_work(n: int, k: int, m: int) -> dict[str, int | float]:
 
         exact_collision_v   L U S
         exact_avg_tv        L U S + L^2 S             (class pairs)
-        exact_collision_e   L U S + L m^((k-1)n)      (ordered sharings)
 
     in histogram updates, each term written once as the exponents (a, b, c)
     of L^a n^b m^c: exact ints up to 2^64, floats from logarithms past it,
@@ -139,11 +141,7 @@ def exact_work(n: int, k: int, m: int) -> dict[str, int | float]:
         head = _inf_past_range(lambda: (s + 0.5) * math.log1p(r / s))
         log_l = (head + r * math.log(s + r) - r - math.lgamma(r + 1)) / math.log(2)
     conv = (k + 1, 1, k - 1)  # L U S
-    costs = {
-        "exact_avg_tv": [conv, (k + 2, 0, 0)],
-        "exact_collision_v": [conv],
-        "exact_collision_e": [conv, (1, 0, (k - 1) * n)],
-    }
+    costs = {"exact_avg_tv": [conv, (k + 2, 0, 0)], "exact_collision_v": [conv]}
     work = {name: _units(classes, log_l, n, m, terms) for name, terms in costs.items()}
     return work | {"exact_m_power_c": m_power_c_work(n, k, m)}
 
@@ -160,7 +158,7 @@ def _share_rows(n: int, k: int, m: int) -> list[list[int]]:
     return rows
 
 
-def histogram_laws(n: int, k: int, m: int, rows=None) -> Iterator[tuple[tuple[int, ...], int, dict[int, int]]]:
+def histogram_laws(n: int, k: int, m: int) -> Iterator[tuple[tuple[int, ...], int, dict[int, int]]]:
     """Exact integer law of the k block histograms, one per input class.
 
     Yields (xs, orderings, law) for every sorted input tuple xs, in
@@ -168,11 +166,10 @@ def histogram_laws(n: int, k: int, m: int, rows=None) -> Iterator[tuple[tuple[in
     counts the m^((k-1)n) equally likely share matrices whose blocks have
     the histograms h_1..h_k packed in key = sum of h_j(a) (n+1)^(jm+a) over
     blocks j and residues a. The law is the n-fold convolution of the
-    users' share rows (``rows``, built here unless the caller has them), so
-    it depends on the inputs only through xs.
+    users' share rows, so it depends on the inputs only through xs.
     """
     _check_sizes(n, k, m)
-    rows = rows or _share_rows(n, k, m)
+    rows = _share_rows(n, k, m)
     for xs in combinations_with_replacement(range(m), n):
         law = {0: 1}
         for x in xs:
@@ -182,14 +179,6 @@ def histogram_laws(n: int, k: int, m: int, rows=None) -> Iterator[tuple[tuple[in
                     grown[key + step] += count
             law = grown
         yield xs, math.factorial(n) // math.prod(math.factorial(xs.count(a)) for a in set(xs)), law
-
-
-def _sharing_keys(rows: list[list[int]], xs: tuple[int, ...]) -> list[int]:
-    # packed histograms of every ordered unshuffled sharing of xs
-    keys = [0]
-    for x in xs:
-        keys = [key + step for key in keys for step in rows[x]]
-    return keys
 
 
 def exact_transcript_laws(n: int, k: int, m: int, quantities: Sequence[str]) -> dict[str, Fraction]:
@@ -206,29 +195,30 @@ def exact_transcript_laws(n: int, k: int, m: int, quantities: Sequence[str]) -> 
     averages it over the m^(2n-1) equally likely pairs (x uniform, x'
     uniform given its sum), pairing the input classes after the walk.
     With F(h) = prod_j prod_a h_j(a)! = (n!)^k / prod_j multinomial(n; h_j),
-    exact_collision_v sums N(h)^2 F(h) over histogram tuples, and
-    exact_collision_e walks the D ordered unshuffled sharings S of each
-    class and sums N(h(S)) F(h(S)), so the lemma-2 identity between the two
-    is checked, not assumed; both weigh the classes' orderings over
-    (n!)^k D^2 m^n.
+    exact_collision_v sums N(h)^2 F(h) over histogram tuples, weighing the
+    classes' orderings over (n!)^k D^2 m^n. That is also lemma 2's E, a
+    fresh sharing equal to a shuffled one: N(h), the convolution of the
+    same share rows, counts the D ordered unshuffled sharings S of a class
+    with h(S) = h, so E's sum_S N(h(S)) F(h(S)) = sum_h N(h)^2 F(h). Lemma 2
+    is checked where it can fail: ``verify_chain`` against the engine's two
+    samplers, the tests against an ordered enumeration.
     """
     work = exact_work(n, k, m)
     for name in quantities:
         _require_budget(work[name], "histogram updates", name, n=n, k=k, m=m)
     if not quantities:
         return {}
-    tv, cv, ce = (name in quantities for name in TRANSCRIPT_SUMS)
-    rows = _share_rows(n, k, m)
+    tv, cv = (name in quantities for name in TRANSCRIPT_SUMS)
     fact = [math.factorial(h) for h in range(n + 1)]
     cell_factorials: dict[int, int] = {}
     by_sum: defaultdict[int, list[tuple[int, dict[int, int]]]] = defaultdict(list)
     sums = dict.fromkeys(TRANSCRIPT_SUMS, 0)
-    for xs, orderings, law in histogram_laws(n, k, m, rows):
+    for xs, orderings, law in histogram_laws(n, k, m):
         if tv:
             by_sum[sum(xs) % m].append((orderings, law))
-        if not (cv or ce):
+        if not cv:
             continue
-        weight = {}  # N(h) F(h)
+        collisions = 0  # sum of N(h)^2 F(h)
         for key, count in law.items():
             if key not in cell_factorials:
                 f, rest = 1, key
@@ -236,12 +226,8 @@ def exact_transcript_laws(n: int, k: int, m: int, quantities: Sequence[str]) -> 
                     rest, h = divmod(rest, n + 1)
                     f *= fact[h]
                 cell_factorials[key] = f
-            weight[key] = count * cell_factorials[key]
-        if cv:
-            sums["exact_collision_v"] += orderings * sum(count * weight[key] for key, count in law.items())
-        if ce:
-            left, right = _sharing_keys(rows, xs[: n // 2]), _sharing_keys(rows, xs[n // 2 :])
-            sums["exact_collision_e"] += orderings * sum(weight[a + b] for a in left for b in right)
+            collisions += count * count * cell_factorials[key]
+        sums["exact_collision_v"] += orderings * collisions
     for classes in by_sum.values():
         # each unordered pair of classes twice, halved; a class against itself 0
         for i, (wa, a) in enumerate(classes):
@@ -250,8 +236,7 @@ def exact_transcript_laws(n: int, k: int, m: int, quantities: Sequence[str]) -> 
                 gap += sum(c for h, c in b.items() if h not in a)
                 sums["exact_avg_tv"] += wa * wb * gap
     d = m ** ((k - 1) * n)
-    collision = fact[n] ** k * d * d * m**n
-    scale = {"exact_avg_tv": d * m ** (2 * n - 1), "exact_collision_v": collision, "exact_collision_e": collision}
+    scale = {"exact_avg_tv": d * m ** (2 * n - 1), "exact_collision_v": fact[n] ** k * d * d * m**n}
     return {name: Fraction(sums[name], scale[name]) for name in quantities}
 
 
@@ -380,17 +365,18 @@ def verify_chain(n: int, k: int, m: int, samples: int, seed: int, shards: int = 
     Monte Carlo ones carry their interval, confidence and samples, and the
     two bounds keep the provenance, interval and work of the quantity under
     their root. Only ``theorem1_bound``, a closed form, is a plain number.
-    ``checks`` holds the status of every inequality of the chain, each
-    decided by ``check``: "pass", "fail", "unavailable" (budget, or a
-    collision sample not drawn) or "not-applicable" (outside the regime of
-    its closed form; ``preconditions_ok`` holds the theorem's and the E[m^C]
-    bound's). Deterministic given (n, k, m,
-    samples, seed, shards).
+    exact_collision_e is the exact_collision_v record, lemma 2's E regrouped
+    (``exact_transcript_laws``). ``checks`` holds the status of every
+    inequality of the chain, each decided by ``check``: "pass", "fail",
+    "unavailable" (budget, or a collision sample not drawn) or
+    "not-applicable" (outside the regime of its closed form;
+    ``preconditions_ok`` holds the theorem's and the E[m^C] bound's).
+    Deterministic given (n, k, m, samples, seed, shards).
     """
     work = exact_work(n, k, m)
     sums = exact_transcript_laws(n, k, m, [name for name in TRANSCRIPT_SUMS if within_budget(work[name])])
     emc = exact_m_power_C(n, k, m) if within_budget(work["exact_m_power_c"]) else None
-    tv, cv, ce, emc = (None if x is None else Quantity.exact(x) for x in (*map(sums.get, TRANSCRIPT_SUMS), emc))
+    tv, cv, emc = (None if x is None else Quantity.exact(x) for x in (*map(sums.get, TRANSCRIPT_SUMS), emc))
 
     # first, as it admits the draw of k * n entries that the collision samplers share
     mc_emc = estimate_m_power_C(n, k, m, samples, seed, shards)
@@ -418,12 +404,11 @@ def verify_chain(n: int, k: int, m: int, samples: int, seed: int, shards: int = 
     log_excess = 2 * math.log(m) + (k - 1) * (1 - math.log(n))
     checks = {
         "lemma1_exact_soundness": check(tv and tv.value**2, "<=", cv and lemma1_radicand(cv.value, kn - 1, m)),
-        "lemma2_exact_identity": check(cv, "==", ce),
         "lemma3_exact_soundness": check(cv, "<=", route),
         "lemma3_exact_identity": check(cv, "==", route),
         "lemma2_mc_consistency": check(mc_v, "==", mc_e),
         "mc_matches_exact_collision_v": check(mc_v, "==", cv),
-        "mc_matches_exact_collision_e": check(mc_e, "==", ce),
+        "mc_matches_exact_collision_e": check(mc_e, "==", cv),
         "expectation_bound_exact": check(emc and _ln(emc.value - m), "<=", log_excess, graph),
         "expectation_bound_mc": check(mc_emc, "<=", expectation_bound(n, k, m), graph),
         "graph_route_le_theorem1": check(l3, "<=", thm, theorem),
@@ -438,7 +423,7 @@ def verify_chain(n: int, k: int, m: int, samples: int, seed: int, shards: int = 
         "shards": shards,
         "exact_avg_tv": tv,
         "exact_collision_v": cv,
-        "exact_collision_e": ce,
+        "exact_collision_e": cv,
         "exact_m_power_c": emc,
         "exact_work": {"budget": ENUMERATION_BUDGET, "unit": unit, **work},
         "mc_collision_v": mc_v or unsampled,

@@ -28,7 +28,7 @@ from shufflesum.randgraph import (
     expectation_bound,
     lemma4_probability_bound,
 )
-from transcript_enumeration import exact_output_distribution
+from transcript_enumeration import collision_probability_by_enumeration, exact_output_distribution
 
 ENUMERABLE_INSTANCES = [(2, 2, 2), (2, 2, 3), (3, 2, 2), (2, 3, 2), (2, 1, 2), (2, 1, 3), (1, 2, 2)]
 
@@ -81,7 +81,7 @@ def test_criterion_04_protocol_sum_conservation():
 def test_criterion_05_single_shuffling_identity_exact():
     for n, k, m in ENUMERABLE_INSTANCES:
         pv = exact_sum(n, k, m, "exact_collision_v")
-        pe = exact_sum(n, k, m, "exact_collision_e")
+        pe = collision_probability_by_enumeration(n, k, m, CollisionMode.E_EVENT)
         assert pv == pe, (n, k, m)
     report(5, "Pr[V=V'] = Pr[R = S o R'] exactly on all enumerable instances")
 

@@ -506,7 +506,7 @@ class TestVerify:
         )
         assert res.exit_code == 0
         report = json.loads(res.output)
-        assert report["checks"]["lemma2_exact_identity"] == "pass"
+        assert report["exact_collision_e"] == report["exact_collision_v"]
         assert report["version"]
 
     @pytest.mark.parametrize("args", [
@@ -613,27 +613,29 @@ class TestOneExitRule:
 class TestReportBytesPin:
     """Reports pinned byte for byte, digests taken before the cost, radicand,
     frequency and float-range helpers were each given one site; the table and
-    CSV digests before those views were parsed from the JSON text."""
+    CSV digests before those views were parsed from the JSON text. The chain
+    digests were re-taken once exact_collision_e became exact_collision_v's
+    record, without a cost or identity check of its own."""
 
     @pytest.mark.parametrize(
         "args, digest",
         [
             (["chain", "--n", "19", "--k", "3", "--m", "2", "--samples", "500", "--seed", "1"],
-             "198398b02a021892560c1df4bf1a7737916fb27c5b9185b76bfe7b37f9963569"),
+             "44c5fe2731da87cafd442041813ad99388f22ac8e174b012314154a98e41b688"),
             (["chain", "--n", "3", "--k", "3", "--m", "2", "--samples", "500", "--seed", "2"],
-             "e6e38079448545f9441faf462190f5efd273e64c6e5c514632d4e070e775883b"),
+             "dc5b9998e071215c306231a2026f3a5437bca74da3eadbdc1b5d68be3f8ecf31"),
             (["chain", "--n", "4", "--k", "2", "--m", "2", "--samples", "500", "--seed", "3"],
-             "163ea4eb3d8a7fb22091e951cdaa6995f2e45777b5299bd4ca41665531a07197"),
+             "84e911dc37b817544b264dfac1ff17403536d4125ffc73499c1572ec6a8781f0"),
             (["chain", "--n", "3", "--k", "2", "--m", "3", "--samples", "500", "--seed", "4"],
-             "80737e5e693638f240490cdc5ea2f5436883a36958bd2940990319cf408a419f"),
+             "938a85ad5dad5ba0da5314c773c2d6ff4f28259cf472027c7bc2574cf7c68f42"),
             (["chain", "--n", "4", "--k", "3", "--m", "2", "--samples", "500", "--seed", "5"],
-             "e6a915fdd6d74ab4fa9c90d4001b88cef14ac4820c069c9cf08aec61582ed917"),
+             "7a1e1a9e5621e62ff775a7eba33a870b3152afb1bdb642252beacb0a09d14074"),
             (["chain", "--n", "5", "--k", "2", "--m", "2", "--samples", "500", "--seed", "6"],
-             "b55ca577357de6422d381ab0a7fb65a096e8d6e4babf7128f3a91bd8079136b9"),
+             "b520224e94c589e88b96470a44ceb4abf9fb95e77b29f54858b4935522685c7d"),
             (["chain", "--n", "19", "--k", "385", "--m", "2", "--samples", "100", "--seed", "7"],
-             "0e22c14e3c593ad95c6983e4ac5eecc2cb31ac40c4571c3f1a67c7f705eb4804"),
+             "3a95c2df3befa1ca0b03ddffc6a4ed7d2e2acb1aefd5ecf14d02c1b8ebe6ccc0"),
             (["chain", "--n", "60", "--k", "1", "--m-bits", "32", "--samples", "200", "--seed", "8"],
-             "27f594307644b45b9e8d9b74935f711d370931b9ab497e5874990fd1eeb58804"),
+             "071ae955dfb179d86a7bd0010ce65a508f83baf5b1fdf904d5960ecc7dfe22eb"),
             (["tv-exact", "--n", "3", "--k", "2", "--m", "2"],
              "590db536c53991b9d263c82d02d331b89f57c2af457eeb272f62714bbde30aef"),
             (["graph-exp", "--n", "19", "--k", "3", "--m", "5", "--samples", "2000", "--seed", "9"],
@@ -660,8 +662,8 @@ class TestReportBytesPin:
     @pytest.mark.parametrize(
         "name, fmt, digest",
         [
-            ("chain-ref", "table", "16682be5dfddb6cdb6abfa2e656fd70a0ddeea6c5a23291e3fcd97521b059cc4"),
-            ("chain-ref", "csv", "6a9ea5ca03860daed11329aceef9cf7a4173f77fcc2238e9a03d96e4725c6bc7"),
+            ("chain-ref", "table", "59e55fa59f96e82d954f301ff059be5a5adfbcd533eff20c75704980a802747b"),
+            ("chain-ref", "csv", "2a6261907661f3097d601beac26d1810abb6f945101c8e1f9e8a0a33fe3552f1"),
             ("tv-exact", "table", "30261be6ca2f8c400d0af417ed086eaf118e84a6ca8fe32846935aa38377856a"),
             ("tv-exact", "csv", "f27a83184a68d34c5c2fdefd0526031c205f703fafd20e39f264b0148dda2f6a"),
             ("graph-exp", "table", "6d99cf9b014d324ff48b6e12a7d1b941e1825351c19decf2d30d80b1de1a40b2"),
@@ -687,10 +689,12 @@ class TestOneWalk:
         [
             (lambda runner: verify_chain(4, 3, 2, samples=10, seed=1), 1),
             (lambda runner: run_cli(runner, ["verify", "tv-exact", "--n", "4", "--k", "3", "--m", "2"]), 1),
+            # both quantities fit, and E is V's record
+            (lambda runner: verify_chain(10, 3, 2, samples=10, seed=1), 1),
             # no exact transcript quantity fits the budget at the reference point
             (lambda runner: verify_chain(19, 3, 2, samples=10, seed=1), 0),
         ],
-        ids=["chain", "tv-exact", "chain-over-budget"],
+        ids=["chain", "tv-exact", "chain-1032", "chain-over-budget"],
     )
     def test_walks(self, runner, monkeypatch, command, walks):
         calls = []

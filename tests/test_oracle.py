@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import math
@@ -137,9 +138,10 @@ class TestExactCollision:
     @pytest.mark.parametrize("n,k,m", SMALL_INSTANCES)
     def test_frozen_values_both_modes(self, n, k, m):
         pv = exact_sum(n, k, m, "exact_collision_v")
-        pe = exact_sum(n, k, m, "exact_collision_e")
         assert pv == FROZEN_COLLISION[(n, k, m)]
-        assert pv == pe  # single-shuffling identity, exact in the rationals
+        # single-shuffling identity, exact in the rationals, against the
+        # ordered enumeration of fresh sharings
+        assert pv == collision_probability_by_enumeration(n, k, m, CollisionMode.E_EVENT)
 
     @pytest.mark.parametrize("n,k,m", SMALL_INSTANCES)
     def test_graph_route_dominates(self, n, k, m):
@@ -164,8 +166,9 @@ class TestHistogramLaw:
     @pytest.mark.parametrize("n,k,m", REFERENCE_INSTANCES)
     def test_matches_ordered_enumeration(self, n, k, m):
         assert exact_sum(n, k, m, "exact_avg_tv") == avg_case_tv_by_enumeration(n, k, m)
-        for mode, name in [(CollisionMode.V_VS_V, "exact_collision_v"), (CollisionMode.E_EVENT, "exact_collision_e")]:
-            assert exact_sum(n, k, m, name) == collision_probability_by_enumeration(n, k, m, mode), mode
+        # lemma 2: the one exact collision sum is both V's and E's
+        for mode in CollisionMode:
+            assert exact_sum(n, k, m, "exact_collision_v") == collision_probability_by_enumeration(n, k, m, mode), mode
 
     @pytest.mark.parametrize("inputs,k,m", [((0, 1, 1), 2, 2), ((1, 2), 2, 3), ((0, 0, 1), 3, 2)])
     def test_law_gives_every_ordered_outcome(self, inputs, k, m):
@@ -186,6 +189,14 @@ class TestHistogramLaw:
             assert count == mass[key], v
             seen.add(key)
         assert seen == set(law)
+        # law counts the ordered unshuffled sharings of the inputs by their
+        # block histograms, so lemma 2's E is V's sum regrouped
+        tuples = [[t for t in itertools.product(range(m), repeat=k) if sum(t) % m == x] for x in inputs]
+        sharings = collections.Counter(
+            packed([[[t[j] for t in sharing].count(a) for a in range(m)] for j in range(k)], n, m)
+            for sharing in itertools.product(*tuples)
+        )
+        assert sharings == law
 
     def test_classes_and_orderings(self):
         classes = [(xs, w) for xs, w, _ in oracle.histogram_laws(3, 2, 3)]
@@ -196,9 +207,8 @@ class TestHistogramLaw:
     def test_pinned_values_past_the_ordered_enumeration(self):
         assert exact_sum(4, 3, 2, "exact_avg_tv") == Fraction(245, 4096)
         assert exact_sum(5, 2, 2, "exact_avg_tv") == Fraction(165, 1024)
-        for name in ("exact_collision_v", "exact_collision_e"):
-            assert exact_sum(4, 3, 2, name) == Fraction(155, 294912)
-            assert exact_sum(5, 2, 2, name) == Fraction(13, 5120)
+        assert exact_sum(4, 3, 2, "exact_collision_v") == Fraction(155, 294912)
+        assert exact_sum(5, 2, 2, "exact_collision_v") == Fraction(13, 5120)
         # exact TV falls with n at k = 3, m = 2
         assert exact_sum(5, 3, 2, "exact_avg_tv") == Fraction(985, 16384)
         assert round(float(exact_sum(5, 3, 2, "exact_avg_tv")), 4) == 0.0601
@@ -221,25 +231,20 @@ class TestExactWork:
         assert oracle.exact_work(19, 3, 2) == {
             "exact_avg_tv": conv + 20**2 * 8000,
             "exact_collision_v": conv,
-            "exact_collision_e": conv + 20 * 2**38,
             # n^2 w^log2(3) + w^2 word products, w = 3 words
             "exact_m_power_c": 19 * 19 * 3 ** math.log2(3) + 3 * 3,
         }
         assert conv == 12_160_000
-        # the chain-exact instances and two where only some sums fit: L U S,
-        # L^2 S class pairs and L m^((k-1)n) ordered sharings, U = n m^(k-1)
-        for (n, k, m), (conv, pairs, sharings) in {
-            (3, 3, 2): (4 * 12 * 4**3, 4**2 * 4**3, 4 * 2**6),
-            (4, 2, 2): (5 * 8 * 5**2, 5**2 * 5**2, 5 * 2**4),
-            (10, 3, 2): (11 * 40 * 11**3, 11**2 * 11**3, 11 * 2**20),
-            (15, 1, 4): (816 * 15 * 816, 816**2 * 816, 816 * 4**0),
+        # the chain-exact instances, (10, 3, 2) and (15, 1, 4), where only V
+        # fits: L U S and L^2 S class pairs, U = n m^(k-1)
+        for (n, k, m), (conv, pairs) in {
+            (3, 3, 2): (4 * 12 * 4**3, 4**2 * 4**3),
+            (4, 2, 2): (5 * 8 * 5**2, 5**2 * 5**2),
+            (10, 3, 2): (11 * 40 * 11**3, 11**2 * 11**3),
+            (15, 1, 4): (816 * 15 * 816, 816**2 * 816),
         }.items():
             work = {name: oracle.exact_work(n, k, m)[name] for name in TRANSCRIPT_SUMS}
-            assert work == {
-                "exact_avg_tv": conv + pairs,
-                "exact_collision_v": conv,
-                "exact_collision_e": conv + sharings,
-            }
+            assert work == {"exact_avg_tv": conv + pairs, "exact_collision_v": conv}
             assert {type(units) for units in work.values()} == {int}
 
     @pytest.mark.parametrize("n,k,m", [(19, 3, 2), (9, 3, 4)])
@@ -256,12 +261,13 @@ class TestExactWork:
         "n, k, m, fitting",
         [
             *[(n, k, m, TRANSCRIPT_SUMS) for n, k, m in [(3, 3, 2), (4, 2, 2), (3, 2, 3), (4, 3, 2), (5, 2, 2)]],
-            (10, 3, 2, ("exact_avg_tv", "exact_collision_v")),
-            (15, 1, 4, ("exact_collision_v", "exact_collision_e")),
+            (10, 3, 2, TRANSCRIPT_SUMS),
+            (15, 1, 4, ("exact_collision_v",)),
         ],
     )
     def test_every_request_equals_the_full_one(self, n, k, m, fitting):
-        # the chain-exact instances, and two where only some quantities fit
+        # the chain-exact instances, (10, 3, 2), and one where only the
+        # collision probability fits
         work = oracle.exact_work(n, k, m)
         assert tuple(name for name in TRANSCRIPT_SUMS if work[name] <= ENUMERATION_BUDGET) == fitting
         full = oracle.exact_transcript_laws(n, k, m, fitting)
@@ -271,9 +277,9 @@ class TestExactWork:
                 assert oracle.exact_transcript_laws(n, k, m, names) == {name: full[name] for name in names}
 
     @pytest.mark.parametrize("n, k, m, names", [
-        (10, 3, 2, ["exact_avg_tv", "exact_collision_e"]),
+        (10, 2, 3, ["exact_avg_tv", "exact_collision_v"]),
         (15, 1, 4, ["exact_collision_v", "exact_avg_tv"]),
-        (19, 3, 2, ["exact_collision_e", "exact_avg_tv"]),
+        (19, 3, 2, ["exact_collision_v", "exact_avg_tv"]),
     ])
     def test_request_over_the_budget(self, n, k, m, names):
         # the first quantity over the budget, in the order requested, is refused
@@ -285,12 +291,6 @@ class TestExactWork:
         # m^(k-1) share tuples per input at k = 384: only a request builds them
         assert oracle.exact_transcript_laws(19, 384, 2, []) == {}
 
-    def test_e_event_can_be_over_alone(self):
-        work = oracle.exact_work(10, 3, 2)
-        assert work["exact_collision_v"] <= ENUMERATION_BUDGET < work["exact_collision_e"]
-        with pytest.raises(EnumerationBudgetError):
-            exact_sum(10, 3, 2, "exact_collision_e")
-
     def test_large_counts_from_logarithms(self):
         # past 2^64 a float close to the exact count; no huge integer is built
         # (C(499, 200) takes the Stirling estimate)
@@ -300,7 +300,6 @@ class TestExactWork:
         work = oracle.exact_work(10**4, 11, 2**32)
         assert {work[name] for name in TRANSCRIPT_SUMS} == {math.inf}
         assert ENUMERATION_BUDGET < work["exact_m_power_c"] < math.inf
-        assert oracle.exact_work(10**9, 3, 2)["exact_collision_e"] == math.inf
 
     def test_log_space_product_past_float_range(self):
         # n = 2^1023 is a float, (k-1) n log2(m) is not: every count reads
@@ -552,12 +551,7 @@ class TestVerifyChain:
         assert rep["exact_avg_tv"].value == Fraction(3, 16)
         assert rep["exact_collision_v"].value == Fraction(1, 24)
         assert rep["lemma1_bound"].provenance == "exact"
-        for name in (
-            "lemma1_exact_soundness",
-            "lemma2_exact_identity",
-            "lemma3_exact_soundness",
-            "lemma2_mc_consistency",
-        ):
+        for name in ("lemma1_exact_soundness", "lemma3_exact_soundness", "lemma2_mc_consistency"):
             assert rep["checks"][name] == "pass", name
         assert "fail" not in rep["checks"].values()
 
@@ -632,13 +626,14 @@ class TestVerifyChain:
         assert ref["lemma1_bound"] == uninformative
 
     def test_exact_collision_without_e_event(self):
-        # E_EVENT's ordered walk is over budget at (10, 3, 2), V_VS_V is not
+        # E is V's sum regrouped, so one exact collision probability is both,
+        # wherever V fits the budget: at (10, 3, 2) the E sampler meets it
         rep = verify_chain(10, 3, 2, samples=2000, seed=47)
         assert rep["exact_collision_v"].value == Fraction(28523, 15152644620288)
-        assert rep["exact_collision_e"] is None
+        assert rep["exact_collision_e"] == rep["exact_collision_v"]
         assert rep["lemma1_bound"].provenance == "exact"
-        assert rep["checks"]["lemma2_exact_identity"] == "unavailable"
-        assert rep["checks"]["mc_matches_exact_collision_e"] == "unavailable"
+        assert rep["checks"]["mc_matches_exact_collision_e"] == "pass"
+        assert "lemma2_exact_identity" not in rep["checks"]
         assert rep["checks"]["lemma3_exact_identity"] == "pass"
         assert "fail" not in rep["checks"].values()
 
@@ -647,7 +642,6 @@ class TestVerifyChain:
         rep = verify_chain(n, k, m, samples=1000, seed=48)
         assert rep["checks"]["lemma3_exact_identity"] == "pass"
         assert rep["checks"]["lemma3_exact_soundness"] == "pass"
-        assert rep["checks"]["lemma2_exact_identity"] == "pass"
 
     def test_report_states_work_against_budget(self):
         work = verify_chain(19, 3, 2, samples=100, seed=49)["exact_work"]
@@ -668,11 +662,7 @@ class TestCollisionSkip:
         "n,k,m", sorted(set(REFERENCE_INSTANCES) | {(4, 3, 2), (5, 2, 2), (3, 3, 3), (6, 2, 3), (10, 3, 2), (15, 1, 4)})
     )
     def test_exact_collision_within_the_bound(self, n, k, m):
-        work = oracle.exact_work(n, k, m)
-        names = [name for name in ("exact_collision_v", "exact_collision_e") if work[name] <= ENUMERATION_BUDGET]
-        assert names
-        for p in oracle.exact_transcript_laws(n, k, m, names).values():
-            assert p <= Fraction(1, m ** ((k - 1) * n))
+        assert exact_sum(n, k, m, "exact_collision_v") <= Fraction(1, m ** ((k - 1) * n))
 
     def test_frozen_collision_within_the_bound(self):
         for (n, k, m), p in FROZEN_COLLISION.items():

@@ -1,7 +1,9 @@
 import ast
+import inspect
 from pathlib import Path
 
 import shufflesum
+from shufflesum import oracle
 
 PACKAGE = Path(shufflesum.__file__).parent
 
@@ -115,6 +117,14 @@ def test_one_cost_evaluation():
     # oracle.exact_work writes each transcript cost once, as exponent
     # triples, and evaluates all of them at one _units call
     assert _sites(ast.Call, "func", "_units") == ["oracle.py:exact_work"]
+
+
+def test_one_enumeration_of_sharings():
+    # oracle.histogram_laws alone builds the users' share rows, and takes
+    # none from a caller: the exact collision probability is one sum over
+    # its laws, with no second walk of ordered sharings beside it
+    assert _sites(ast.Call, "func", "_share_rows") == ["oracle.py:histogram_laws"]
+    assert "rows" not in inspect.signature(oracle.histogram_laws).parameters
 
 
 def test_one_check_decision():
