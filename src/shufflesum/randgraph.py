@@ -75,15 +75,15 @@ MEAN_CI_CONFIDENCE = 0.99
 _Z99 = 2.5758293035489004
 
 # elements per batch of shard_batches, the one driver and unit of work of
-# both Monte Carlo samplers, so it sets their peak memory. At 2^17 the
+# both Monte Carlo samplers, so it sets their peak memory. At 2^16 the
 # graph sampler's one buffer, allocated per call and reused by every batch,
-# holds k * batch * n int64 of permutations (at most 1 MiB) and 4 rows of
-# batch * n labels for the counter, 2.4 MiB at k = 3: about one 2 MiB L2
-# cache. 2^16 measured the same, 2^18 lost a third of the gain. Component
-# counts do not depend on it (rng.permuted draws row after row), but
-# collision hits do: each batch draws inputs, shares, permutations, so it
-# stays fixed.
-_BATCH_ELEMENTS = 1 << 17
+# holds k rows of batch * n permutations, k rows of their inverses and 4
+# label rows, (2k + 4) / k * 2^16 words: 1.7 MiB at k = 3, inside one 2 MiB
+# L2 cache, which 2^17 (3.3 MiB) would spill out of. Component counts do
+# not depend on it (rng.permuted draws row after row), but collision hits
+# do: each batch draws inputs, shares, permutations, so where one shard
+# draws more than 2^16 residues its hits follow the batches of this cap.
+_BATCH_ELEMENTS = 1 << 16
 
 
 def derive_seed(seed: int, *path: int) -> int:
@@ -194,17 +194,21 @@ def _component_counts(edges: np.ndarray, n: int, work: np.ndarray) -> np.ndarray
     """Component counts for a batch of graphs on n vertices each, from edges
     shaped (k, batch * n): graph b's vertex v is b*n + v, and row i holds
     b*n + p_i(v) there, p_i the graph's i-th permutation. work is an int64
-    array of 4 rows of at least batch * n: row 0 holds arange, which the
-    counter reads; it overwrites rows 1 to 3, so no round allocates.
+    array of 4 + k rows of at least batch * n: row 0 holds arange, which the
+    counter reads; it overwrites the other rows, so no round allocates.
+    Rows 4 on take the inverse q_i of each permutation, written once per
+    batch (q[p] = vertices); zip(..., strict=True) refuses a work array
+    without one inverse row per permutation.
 
-    Minimum-label propagation on one flat label array. Each round pulls
-    p(v)'s label into v and pushes v's label to p(v) (one scatter: a
-    permutation repeats no index); then it hooks each old label onto the
-    least new label of the vertices that held it, and jumps every label to
-    its label's label (Shiloach and Vishkin, J. Algorithms 1982). The hook
-    moves a label along a whole cycle of labels at once, so the rounds grow
-    like log n even at k = 1, where propagation alone moves a label one
-    cycle step per round. Gathers write into the work rows with
+    Minimum-label propagation on one flat label array, by gathers only.
+    Each round pulls p(v)'s label into v, then q(v)'s: pulling q(u)'s label
+    into u = p(v) pushes v's label to p(v), new[p(v)] = min(new[p(v)],
+    new[v]), element by element, with no scatter. Then it hooks each old
+    label onto the least new label of the vertices that held it, and jumps
+    every label to its label's label (Shiloach and Vishkin, J. Algorithms
+    1982). The hook moves a label along a whole cycle of labels at once, so
+    the rounds grow like log n even at k = 1, where propagation alone moves
+    a label one cycle step per round. Gathers write into the work rows with
     mode="clip", which keeps every valid index: with out=, numpy's default
     mode="raise" buffers the result in a new array.
 
@@ -219,14 +223,16 @@ def _component_counts(edges: np.ndarray, n: int, work: np.ndarray) -> np.ndarray
     While some edge joins unequal labels, the next round lowers a label, so
     the loop ends.
     """
-    vertices, labels, new, pulled = work[:, : edges.shape[1]]
+    vertices, labels, new, pulled, *inverse = work[:, : edges.shape[1]]
+    for p, q in zip(edges, inverse, strict=True):
+        q[p] = vertices
     np.copyto(labels, vertices)
     first = True
     while True:
         np.copyto(new, labels)
-        for p in edges:
+        for p, q in zip(edges, inverse, strict=True):
             np.minimum(new, np.take(new, p, out=pulled, mode="clip"), out=new)
-            new[p] = np.minimum(np.take(new, p, out=pulled, mode="clip"), new, out=pulled)
+            np.minimum(new, np.take(new, q, out=pulled, mode="clip"), out=new)
         np.minimum.at(new, labels, new)
         np.take(new, new, out=labels, mode="clip")
         if not first and all(
@@ -247,7 +253,10 @@ def estimate_component_distribution(
     integers, so the result is bit-identical for a fixed (seed, shards).
 
     One buffer serves every batch of the call: k rows of permutations, then
-    the counter's 4 work rows, each as long as the first batch, the largest.
+    the counter's 4 + k work rows (4 label rows and the k inverses), 2k + 4
+    rows in all, each as long as the first batch, the largest. Past the cap,
+    where one graph alone fills a batch (k * n > 2^16), that is 2k + 4 words
+    per vertex: 267 MB for one graph at the budget edge k * n = 10^7, k = 3.
     Each batch of `size` graphs is drawn straight into the counter's (k,
     size * n) layout: rng.permuted shuffles the template arange(size * n),
     seen as (size, k, n) with graph b's row b*n + arange(n) repeated k
@@ -265,7 +274,7 @@ def estimate_component_distribution(
     buffer = None
     for rng, size in batches:
         if buffer is None:  # the first batch is the largest
-            buffer = np.empty((k + 4, size * n), dtype=np.int64)
+            buffer = np.empty((2 * k + 4, size * n), dtype=np.int64)
             buffer[k] = np.arange(size * n)
         edges, work = buffer[:k, : size * n], buffer[k:]
         template = np.broadcast_to(work[0, : size * n].reshape(size, 1, n), (size, k, n))

@@ -431,7 +431,7 @@ class TestMonteCarloCollision:
 
     def test_memory_follows_batch_cap_not_samples(self):
         # tracemalloc sees numpy's buffers; the peak follows the batch cap,
-        # a few MB for either sampler, whatever the sample count
+        # an L2-sized buffer for either sampler, whatever the sample count
         peaks = []
         tracemalloc.start()
         try:
@@ -442,7 +442,7 @@ class TestMonteCarloCollision:
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        assert max(peaks) < 8 * 2**20, peaks
+        assert max(peaks) < 3 * 2**20, peaks
 
 
 def sampled(p):

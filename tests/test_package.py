@@ -226,3 +226,20 @@ def test_no_definition_only_tests_use():
         if not (node.name.startswith("__") and node.name.endswith("__")) and node.name not in used
     ]
     assert unused == []
+
+
+def test_component_rounds_gather_only():
+    # randgraph._component_counts propagates labels by gathers alone: each
+    # permutation's inverse is written once per batch, before the loop, so
+    # the round loop assigns to no subscript (no fancy-index scatter)
+    (loop,) = [
+        node
+        for site, node in _nodes()
+        if site == "randgraph.py:_component_counts" and isinstance(node, ast.While)
+    ]
+    stores = [
+        ast.unparse(node)
+        for node in ast.walk(loop)
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+    ]
+    assert stores == []

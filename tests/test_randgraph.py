@@ -194,9 +194,9 @@ def flat_edges(perms: np.ndarray) -> np.ndarray:
 
 def batch_counts(perms: np.ndarray) -> list[int]:
     """_component_counts of a (batch, k, n) array, built into its layout,
-    with work rows one longer than the batch: the counter reads only its width."""
-    batch, _, n = perms.shape
-    work = np.full((4, batch * n + 1), -1)
+    with 4 + k work rows one longer than the batch: the counter reads only its width."""
+    batch, k, n = perms.shape
+    work = np.full((4 + k, batch * n + 1), -1)
     work[0] = np.arange(batch * n + 1)
     return _component_counts(flat_edges(perms), n, work).tolist()
 
@@ -251,12 +251,13 @@ class TestBatchCounts:
         assert 1 <= rounds[0] <= 4 * math.ceil(math.log2(n))
 
     def test_stops_at_first_consistent_labelling(self, monkeypatch):
-        # at (19, 3) every batch of 2299 graphs holds disconnected ones, and
-        # two rounds label each component; a third that changes nothing is waste
+        # at (19, 3) every batch of 1149 graphs (and the last of 606) holds
+        # disconnected ones, and two rounds label each component; a third
+        # that changes nothing is waste
         rounds = count_rounds(monkeypatch)
-        assert len([size for _, size in shard_batches(7500, 1, 19, 3, 7)]) == 4
+        assert len([size for _, size in shard_batches(7500, 1, 19, 3, 7)]) == 7
         estimate_component_distribution(19, 3, 7500, seed=7)
-        assert rounds[0] == 2 * 4
+        assert rounds[0] == 2 * 7
 
     def test_single_cycle_worst_case(self):
         # k=1 cycle: slowest label propagation, still exact
@@ -286,7 +287,7 @@ class TestBatchCounts:
     def test_draws_equal_tiled_permutations(self, monkeypatch, n, k, samples, shards, cap):
         # the sampler permutes into the (k, batch * n) buffer; it must hold
         # exactly the tiled draw plus offsets, transposed, batch by batch,
-        # the short last batch of each shard included (7500 = 3 * 2299 + 603)
+        # the short last batch of each shard included (7500 = 6 * 1149 + 606)
         if cap is not None:
             monkeypatch.setattr(randgraph, "_BATCH_ELEMENTS", cap)
         expected = [
