@@ -6,12 +6,14 @@ decided by ``oracle.check``. Chain's checks, and its collision records, are
 those of ``oracle.verify_chain``. graph-exp checks expectation_bound_mc, on
 lemma 4's E[m^C] bound, and prints its E[m^C] record as mc_m_power_c, as
 chain does, and its mean also as estimate; graph-dist checks lemma4_c<c> per
-component count c seen; tv-exact checks lemma1_exact_soundness. Formats:
-table, one-line JSON, or key,value CSV (``emit_report``). Exit codes: 0 no
-check reads "fail", 1 one does (simulate: a conservation check failed), 2
-invalid or over-budget parameters, 3 an unexpected error (traceback on
-stderr). Seeds are always explicit in the output; a seed that was not
-supplied is generated once and recorded.
+component count c seen; tv-exact checks lemma1_exact_soundness on the
+walk's exact TV and chain's exact_collision_v, E[m^C] / m^(kn), refusing
+TV's work first. Formats: table, one-line JSON, or key,value CSV
+(``emit_report``). Exit codes: 0 no check reads "fail", 1 one does
+(simulate: a conservation check failed), 2 invalid or over-budget
+parameters, 3 an unexpected error (traceback on stderr). Seeds are always
+explicit in the output; a seed that was not supplied is generated once and
+recorded.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ import numpy as np
 from . import __version__
 from .oracle import (
     check,
-    exact_transcript_laws,
+    exact_avg_tv,
+    exact_collision,
     hoeffding_halfwidth,
     lemma1_bound,
     lemma1_radicand,
@@ -45,6 +48,7 @@ from .randgraph import (
     Quantity,
     estimate_component_distribution,
     estimate_m_power_C,
+    exact_m_power_C,
     expectation_bound,
     lemma4_probability_bound,
     shard_batches,
@@ -316,11 +320,11 @@ def verify_graph_exp(n, k, m, m_bits, samples, seed, shards, fmt) -> None:
 @_MODULUS
 @_FORMAT
 def verify_tv_exact(n, k, m, m_bits, fmt) -> None:
-    """Exact average TV vs the exact collision-probability bound, both
-    summed over block histograms; exit 2 past the work budget."""
+    """Exact average TV, summed over block histograms, vs lemma 1's bound on
+    the exact collision probability E[m^C] / m^(kn); exit 2 past the work budget."""
     m_val = _resolve_m(m, m_bits).m
-    sums = exact_transcript_laws(n, k, m_val, ["exact_avg_tv", "exact_collision_v"])
-    tv, collision = Quantity.exact(sums["exact_avg_tv"]), Quantity.exact(sums["exact_collision_v"])
+    tv = Quantity.exact(exact_avg_tv(n, k, m_val))
+    collision = Quantity.exact(exact_collision(n, k, m_val, exact_m_power_C(n, k, m_val)))
     radicand = lemma1_radicand(collision.value, k * n - 1, m_val)
     report = {
         "params": {"n": n, "k": k, "m": m_val},

@@ -4,14 +4,14 @@ Each block of the transcript is shuffled by a uniform permutation, so a
 transcript's probability depends only on its k block histograms over Z_m:
 P(v) = P(h(v)) / prod_j multinomial(n; h_j). ``histogram_laws`` builds the
 exact integer law of the histograms as a convolution of the users' share
-rows, one law per input multiset, and the exact total-variation distance
-and collision probability are sums over histogram tuples, rationals
-that never touch floats, which ``exact_transcript_laws`` sums in one walk
-of the laws. ``exact_work`` states each one's own cost in histogram
-updates, and E[m^C]'s in word products, against ``ENUMERATION_BUDGET``;
-beyond it Monte Carlo takes over. ``verify_chain`` assembles both sides
-next to the chain of closed-form bounds, in the report dict that ``verify
-chain`` prints:
+rows, one law per input multiset, and ``exact_avg_tv`` sums the exact
+total-variation distance over histogram tuples, a rational that never
+touches floats. The exact collision probability needs no walk:
+``exact_collision`` is E[m^C] / m^(kn). ``exact_work`` states each exact
+quantity's own cost, TV's in histogram updates and the others' in word
+products, against ``ENUMERATION_BUDGET``; beyond it Monte Carlo takes
+over. ``verify_chain`` assembles both sides next to the chain of
+closed-form bounds, in the report dict that ``verify chain`` prints:
 
     avg TV  <=  sqrt(m^(kn-1) * Pr[collision] - 1)          (lemma 1)
     Pr[two transcripts collide] = Pr[fresh sharing = shuffled sharing]
@@ -19,11 +19,19 @@ chain`` prints:
     Pr[collision]  <=  E[m^C] / m^(kn)   (C from randgraph)  (lemma 3)
     avg TV  <=  sqrt(m (e/n)^(k-1)) = 2^-sigma               (theorem)
 
-and reports the status of every inequality. The lemma-3 inequality holds
-with equality, and the report checks that identity too. The exact
-collision sum is lemma 2's E regrouped (``exact_transcript_laws``), so the
-report gives it as both exact collisions and checks lemma 2 against the
-engine's two samplers. Every number is a ``randgraph.Quantity`` with an
+and reports the status of every inequality. Lemma 3 holds with equality.
+Fix the k permutations pi, whose graph has C components. A uniform share
+matrix S in Z_m^(kn), the sharing of a uniform input, has the same user
+sums after shuffling as before with probability m^(C-n): the linear map S
+-> colsum(pi(S)) - colsum(S) is onto the vectors that sum to 0 on each
+component, since its image is spanned by the differences e_v - e_p(v)
+along the graph's edges. A fresh sharing R of the same input then equals
+pi(S) with probability m^(-(k-1)n), which gives m^C / m^(kn); average over
+pi, and lemma 2 makes it both collision probabilities. So the report gives
+``exact_collision`` as both exact collisions and checks lemmas 2 and 3
+where they can fail: against the engine's two samplers here, and in the
+tests against an independent sum over the histogram laws and an ordered
+enumeration. Every number is a ``randgraph.Quantity`` with an
 interval [lo, hi] (lo = hi when exact), which only the printer,
 ``cli.emit_report``, turns into JSON, and ``check`` decides every
 inequality from two intervals: "fail", which makes a command exit 1, only
@@ -48,7 +56,7 @@ from collections import defaultdict
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -93,10 +101,6 @@ class CollisionMode(enum.Enum):
     E_EVENT = "e-event"
 
 
-# the exact_work keys of the sums over histogram tuples, in report order
-TRANSCRIPT_SUMS = ("exact_avg_tv", "exact_collision_v")
-
-
 def _units(classes: int | None, log_l: float, n: int, m: int, terms) -> int | float:
     # sum of L^a n^b m^c over the (a, b, c) terms, L = classes: exact below 2^64, from logarithms past it
     log2_terms = [
@@ -115,21 +119,21 @@ def _units(classes: int | None, log_l: float, n: int, m: int, terms) -> int | fl
 def exact_work(n: int, k: int, m: int) -> dict[str, int | float]:
     """The work each exact quantity takes, against ENUMERATION_BUDGET.
 
-    With L = C(n+m-1, n) input classes, S = L^k histogram tuples (each
-    block's histogram is one of C(n+m-1, m-1) = L) and U = n m^(k-1)
-    updates per tuple:
+    exact_avg_tv walks the histogram laws. With L = C(n+m-1, n) input
+    classes, S = L^k histogram tuples (each block's histogram is one of
+    C(n+m-1, m-1) = L) and U = n m^(k-1) updates per tuple, it takes L U S
+    + L^2 S histogram updates (the convolution, then the class pairs), each
+    term written once as the exponents (a, b, c) of L^a n^b m^c: exact ints
+    up to 2^64, floats from logarithms past it, so no huge integer is ever
+    built. L is estimated by Stirling's formula when min(n, m-1) > 128,
+    where L > 2^128.
 
-        exact_collision_v   L U S
-        exact_avg_tv        L U S + L^2 S             (class pairs)
-
-    in histogram updates, each term written once as the exponents (a, b, c)
-    of L^a n^b m^c: exact ints up to 2^64, floats from logarithms past it,
-    so no huge integer is ever built, and math.inf past float range (as
-    ``_inf_past_range`` decides, for a count or its logarithm). Each is its
-    quantity's own cost, also where ``exact_transcript_laws`` computes
-    several in one walk, so no request moves another quantity off exact. L is
-    estimated by Stirling's formula when min(n, m-1) > 128, where L > 2^128.
-    ``exact_m_power_c`` is randgraph's ``m_power_c_work``, in word products.
+    The other two are in word products. exact_m_power_c is randgraph's
+    ``m_power_c_work``. exact_collision_v is that plus w^2, w the 64-bit
+    words of its denominator (n!)^(k-1) m^(kn): the division's gcd and the
+    fraction's decimal digits, which CPython writes in quadratic time. Every
+    cost reads math.inf past float range, as ``_inf_past_range`` decides,
+    for a count or its logarithm.
     """
     _check_sizes(n, k, m)
     r = min(n, m - 1)
@@ -140,10 +144,17 @@ def exact_work(n: int, k: int, m: int) -> dict[str, int | float]:
         classes, s = None, n + m - 1 - r
         head = _inf_past_range(lambda: (s + 0.5) * math.log1p(r / s))
         log_l = (head + r * math.log(s + r) - r - math.lgamma(r + 1)) / math.log(2)
-    conv = (k + 1, 1, k - 1)  # L U S
-    costs = {"exact_avg_tv": [conv, (k + 2, 0, 0)], "exact_collision_v": [conv]}
-    work = {name: _units(classes, log_l, n, m, terms) for name, terms in costs.items()}
-    return work | {"exact_m_power_c": m_power_c_work(n, k, m)}
+    miller = m_power_c_work(n, k, m)
+
+    def collision() -> float:
+        words = math.ceil(((k - 1) * math.lgamma(n + 1) / math.log(2) + k * n * math.log2(m)) / 64)
+        return miller + words * words
+
+    return {
+        "exact_avg_tv": _units(classes, log_l, n, m, [(k + 1, 1, k - 1), (k + 2, 0, 0)]),
+        "exact_collision_v": _inf_past_range(collision),
+        "exact_m_power_c": miller,
+    }
 
 
 def _share_rows(n: int, k: int, m: int) -> list[list[int]]:
@@ -181,63 +192,38 @@ def histogram_laws(n: int, k: int, m: int) -> Iterator[tuple[tuple[int, ...], in
         yield xs, math.factorial(n) // math.prod(math.factorial(xs.count(a)) for a in set(xs)), law
 
 
-def exact_transcript_laws(n: int, k: int, m: int, quantities: Sequence[str]) -> dict[str, Fraction]:
-    """The requested exact transcript quantities, from one walk of ``histogram_laws``.
-
-    ``quantities`` names some of TRANSCRIPT_SUMS; in the order given, each
-    one over ENUMERATION_BUDGET by its own ``exact_work`` raises
-    EnumerationBudgetError. Nothing requested builds nothing and returns {}.
+def exact_avg_tv(n: int, k: int, m: int) -> Fraction:
+    """The exact average TV between inputs, from one walk of ``histogram_laws``;
+    past its ``exact_work`` it raises EnumerationBudgetError.
 
     A shuffled block is uniform over the orderings of its histogram, so a
     transcript with histograms h has the same probability N(h) / (D prod_j
     multinomial(n; h_j)), D = m^((k-1)n), at every ordering, and the TV
-    between inputs x and x' is sum_h |N_x(h) - N_x'(h)| / 2D. exact_avg_tv
-    averages it over the m^(2n-1) equally likely pairs (x uniform, x'
-    uniform given its sum), pairing the input classes after the walk.
-    With F(h) = prod_j prod_a h_j(a)! = (n!)^k / prod_j multinomial(n; h_j),
-    exact_collision_v sums N(h)^2 F(h) over histogram tuples, weighing the
-    classes' orderings over (n!)^k D^2 m^n. That is also lemma 2's E, a
-    fresh sharing equal to a shuffled one: N(h), the convolution of the
-    same share rows, counts the D ordered unshuffled sharings S of a class
-    with h(S) = h, so E's sum_S N(h(S)) F(h(S)) = sum_h N(h)^2 F(h). Lemma 2
-    is checked where it can fail: ``verify_chain`` against the engine's two
-    samplers, the tests against an ordered enumeration.
+    between inputs x and x' is sum_h |N_x(h) - N_x'(h)| / 2D. This averages
+    it over the m^(2n-1) equally likely pairs (x uniform, x' uniform given
+    its sum), pairing the input classes after the walk.
     """
-    work = exact_work(n, k, m)
-    for name in quantities:
-        _require_budget(work[name], "histogram updates", name, n=n, k=k, m=m)
-    if not quantities:
-        return {}
-    tv, cv = (name in quantities for name in TRANSCRIPT_SUMS)
-    fact = [math.factorial(h) for h in range(n + 1)]
-    cell_factorials: dict[int, int] = {}
+    _require_budget(exact_work(n, k, m)["exact_avg_tv"], "histogram updates", "exact_avg_tv", n=n, k=k, m=m)
     by_sum: defaultdict[int, list[tuple[int, dict[int, int]]]] = defaultdict(list)
-    sums = dict.fromkeys(TRANSCRIPT_SUMS, 0)
     for xs, orderings, law in histogram_laws(n, k, m):
-        if tv:
-            by_sum[sum(xs) % m].append((orderings, law))
-        if not cv:
-            continue
-        collisions = 0  # sum of N(h)^2 F(h)
-        for key, count in law.items():
-            if key not in cell_factorials:
-                f, rest = 1, key
-                for _ in range(k * m):
-                    rest, h = divmod(rest, n + 1)
-                    f *= fact[h]
-                cell_factorials[key] = f
-            collisions += count * count * cell_factorials[key]
-        sums["exact_collision_v"] += orderings * collisions
+        by_sum[sum(xs) % m].append((orderings, law))
+    total = 0
     for classes in by_sum.values():
         # each unordered pair of classes twice, halved; a class against itself 0
         for i, (wa, a) in enumerate(classes):
             for wb, b in classes[:i]:
                 gap = sum(abs(c - b.get(h, 0)) for h, c in a.items())
                 gap += sum(c for h, c in b.items() if h not in a)
-                sums["exact_avg_tv"] += wa * wb * gap
-    d = m ** ((k - 1) * n)
-    scale = {"exact_avg_tv": d * m ** (2 * n - 1), "exact_collision_v": fact[n] ** k * d * d * m**n}
-    return {name: Fraction(sums[name], scale[name]) for name in quantities}
+                total += wa * wb * gap
+    return Fraction(total, m ** ((k - 1) * n) * m ** (2 * n - 1))
+
+
+def exact_collision(n: int, k: int, m: int, m_power_c: Fraction) -> Fraction:
+    """Pr[collision] = E[m^C] / m^(kn) exactly, for V and for E alike (lemmas 2
+    and 3, proved in the module docstring), from m_power_c = E[m^C]; past its
+    ``exact_work`` it raises EnumerationBudgetError."""
+    _require_budget(exact_work(n, k, m)["exact_collision_v"], "word products", "exact_collision_v", n=n, k=k, m=m)
+    return m_power_c / m ** (k * n)
 
 
 _MODE_TAG = {CollisionMode.V_VS_V: 1, CollisionMode.E_EVENT: 2}
@@ -365,8 +351,13 @@ def verify_chain(n: int, k: int, m: int, samples: int, seed: int, shards: int = 
     Monte Carlo ones carry their interval, confidence and samples, and the
     two bounds keep the provenance, interval and work of the quantity under
     their root. Only ``theorem1_bound``, a closed form, is a plain number.
-    exact_collision_e is the exact_collision_v record, lemma 2's E regrouped
-    (``exact_transcript_laws``). ``checks`` holds the status of every
+    exact_collision_v and exact_collision_e are one record,
+    ``exact_collision``'s E[m^C] / m^(kn): given the permutations, a uniform
+    share matrix keeps its user sums under the shuffle with probability
+    m^(C-n), the shuffle's difference map being onto the vectors with zero
+    sum on each component, and a fresh sharing of the same input then
+    matches it with probability m^(-(k-1)n); lemma 2 makes that both V and
+    E, and lemma 3 an identity. ``checks`` holds the status of every
     inequality of the chain, each decided by ``check``: "pass", "fail",
     "unavailable" (budget, or a collision sample not drawn) or
     "not-applicable" (outside the regime of its closed form;
@@ -374,9 +365,10 @@ def verify_chain(n: int, k: int, m: int, samples: int, seed: int, shards: int = 
     Deterministic given (n, k, m, samples, seed, shards).
     """
     work = exact_work(n, k, m)
-    sums = exact_transcript_laws(n, k, m, [name for name in TRANSCRIPT_SUMS if within_budget(work[name])])
-    emc = exact_m_power_C(n, k, m) if within_budget(work["exact_m_power_c"]) else None
-    tv, cv, emc = (None if x is None else Quantity.exact(x) for x in (*map(sums.get, TRANSCRIPT_SUMS), emc))
+    tv = Quantity.exact(exact_avg_tv(n, k, m)) if within_budget(work["exact_avg_tv"]) else None
+    emc = Quantity.exact(exact_m_power_C(n, k, m)) if within_budget(work["exact_m_power_c"]) else None
+    # V's cost includes E[m^C]'s, so emc exists wherever V fits
+    cv = Quantity.exact(exact_collision(n, k, m, emc.value)) if within_budget(work["exact_collision_v"]) else None
 
     # first, as it admits the draw of k * n entries that the collision samplers share
     mc_emc = estimate_m_power_C(n, k, m, samples, seed, shards)
@@ -398,14 +390,11 @@ def verify_chain(n: int, k: int, m: int, samples: int, seed: int, shards: int = 
     theorem = regime_flags(n, k, sigma_for(k, n, m) if n >= 2 else -math.inf)
     graph = regime_flags(n, k, m=m)
 
-    route = emc and Quantity.exact(emc.value / m**kn)
     # E[m^C] - m against m^2 (e/n)^(k-1) on logarithms: m plus that rounds to m
     # from k = 21 at n = 19, m = 2, and it underflows to 0.0 from k = 385
     log_excess = 2 * math.log(m) + (k - 1) * (1 - math.log(n))
     checks = {
         "lemma1_exact_soundness": check(tv and tv.value**2, "<=", cv and lemma1_radicand(cv.value, kn - 1, m)),
-        "lemma3_exact_soundness": check(cv, "<=", route),
-        "lemma3_exact_identity": check(cv, "==", route),
         "lemma2_mc_consistency": check(mc_v, "==", mc_e),
         "mc_matches_exact_collision_v": check(mc_v, "==", cv),
         "mc_matches_exact_collision_e": check(mc_e, "==", cv),
@@ -415,7 +404,7 @@ def verify_chain(n: int, k: int, m: int, samples: int, seed: int, shards: int = 
         "theorem1_dominates_exact_tv": check(tv, "<=", thm, theorem),
     }
 
-    unit = "histogram updates; word products for exact_m_power_c"
+    unit = "histogram updates for exact_avg_tv; word products for the others"
     return {
         "params": {"n": n, "k": k, "m": m},
         "samples": samples,

@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterator
 
@@ -180,12 +181,14 @@ class Quantity:
         return cls(None, None, None, "uninformative", samples=0, hits=0)
 
     def to_json(self) -> dict:
-        """Floats, inf past float range; "fraction" for a rational value; no None work field."""
+        """Floats, inf past float range; "fraction" for a rational value; no None work field.
+        Decimal writes the fraction's digits: str(int) refuses more than
+        sys.get_int_max_str_digits() of them, which E[m^C] / m^(kn) passes."""
         ends = {"value": self.value, "lo": self.lo, "hi": self.hi}
         out = {name: x if x is None else _inf_past_range(float, x) for name, x in ends.items()}
         out["provenance"] = self.provenance
         if isinstance(self.value, Fraction):
-            out["fraction"] = f"{self.value.numerator}/{self.value.denominator}"
+            out["fraction"] = f"{Decimal(self.value.numerator)}/{Decimal(self.value.denominator)}"
         work = {"confidence": self.confidence, "samples": self.samples, "hits": self.hits}
         return out | {name: x for name, x in work.items() if x is not None}
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 from scipy import stats
 
-from shufflesum.oracle import exact_transcript_laws
+from shufflesum.oracle import exact_avg_tv, histogram_laws
 
 # significance for every goodness-of-fit assertion in the suite
 SIGNIFICANCE = 1e-6
@@ -39,9 +39,39 @@ def binomial_sigma(n: int, p: float) -> float:
     return math.sqrt(n * p * (1.0 - p))
 
 
-def exact_sum(n: int, k: int, m: int, name: str):
-    """One quantity of ``oracle.exact_transcript_laws``, by its exact_work key."""
-    return exact_transcript_laws(n, k, m, [name])[name]
+def exact_sum(n: int, k: int, m: int, name: str) -> Fraction:
+    """An exact transcript quantity as a sum over ``oracle.histogram_laws``, by
+    its exact_work key: the package's ``exact_avg_tv``, or the reference
+    collision probability ``walk_collision``."""
+    return exact_avg_tv(n, k, m) if name == "exact_avg_tv" else walk_collision(n, k, m)
+
+
+def walk_collision(n: int, k: int, m: int) -> Fraction:
+    """Reference Pr[collision] by the histogram walk, sharing no code with E[m^C].
+
+    A transcript with block histograms h has probability N(h) / (D prod_j
+    multinomial(n; h_j)) at each of its orderings, D = m^((k-1)n). With F(h)
+    = prod_j prod_a h_j(a)! = (n!)^k / prod_j multinomial(n; h_j), two
+    executions on one input class collide with probability sum_h N(h)^2
+    F(h) / ((n!)^k D^2); weighing the classes' orderings over m^n averages
+    it over the input. It is also lemma 2's E, a fresh sharing equal to a
+    shuffled one: N(h) counts the D ordered unshuffled sharings S of a
+    class with h(S) = h, so E's sum_S N(h(S)) F(h(S)) = sum_h N(h)^2 F(h).
+    """
+    fact = [math.factorial(h) for h in range(n + 1)]
+    cell_factorials: dict[int, int] = {}
+    total = 0
+    for _, orderings, law in histogram_laws(n, k, m):
+        for key, count in law.items():
+            if key not in cell_factorials:
+                f, rest = 1, key
+                for _ in range(k * m):
+                    rest, h = divmod(rest, n + 1)
+                    f *= fact[h]
+                cell_factorials[key] = f
+            total += orderings * count * count * cell_factorials[key]
+    d = m ** ((k - 1) * n)
+    return Fraction(total, fact[n] ** k * d * d * m**n)
 
 
 def dixon_m_power_C(n: int, k: int, m: int) -> Fraction:

@@ -131,13 +131,17 @@ def test_criterion_09_chain_at_reference_scale():
     assert upper <= closed_form
     assert rep["checks"]["expectation_bound_mc"] == "pass"
     assert rep["checks"]["graph_route_le_theorem1"] == "pass"
-    # direct transcript collisions are unobservably rare here (~2^-56), so
-    # the direct-route estimate must sit below the uniform floor and be
-    # flagged rather than silently clamped
-    assert rep["mc_collision_v"].hits == 0
-    assert rep["lemma1_bound"].value is None
+    # direct transcript collisions are unobservably rare here (~2^-56): the
+    # samplers draw nothing, and say so, rather than record 0 hits
+    unsampled = Quantity(None, None, None, "uninformative", samples=0, hits=0)
+    assert rep["mc_collision_v"] == rep["mc_collision_e"] == unsampled
+    # lemma 1 reads the exact collision probability E[2^C] / 2^57 instead
+    exact = Fraction(exact_m_power_C(19, 3, 2), 2**57)
+    assert rep["exact_collision_v"] == Quantity.exact(exact)
+    assert rep["lemma1_bound"].value == math.sqrt(float(exact * 2**56 - 1))
+    assert round(rep["lemma1_bound"].value, 4) == 0.0530 < closed_form
     assert "fail" not in rep["checks"].values()
-    report(9, "chain report at (19,3,2): graph route consistent with 0.2023 closed form")
+    report(9, "chain report at (19,3,2): exact lemma 1 bound 0.0530 under the 0.2023 closed form")
 
 
 def _randomized_then_permuted_law(inputs, k, m):

@@ -461,8 +461,9 @@ class TestVerify:
         samples=st.integers(1, 20),
     )
     def test_chain_exit_code_past_float_range(self, n, k, m_bits, samples):
-        # exact E[m^C] here is often far past float range; every exact
-        # transcript law is over budget, so each example stays fast
+        # exact E[m^C] here is often far past float range, and the exact
+        # collision probability's fraction past str(int)'s digit limit; the
+        # walk is over budget, so each example stays fast
         args = ["verify", "chain", "--n", str(n), "--k", str(k), "--m-bits", str(m_bits),
                 "--samples", str(samples), "--seed", "1"]
         res = run_cli(CliRunner(), args)
@@ -476,6 +477,41 @@ class TestVerify:
         exact = json.loads(res.output)["exact_m_power_c"]
         assert Fraction(exact["fraction"]) == exact_m_power_C(19, 3, 2**63)
         assert exact["value"] == float("inf")
+
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_chain_fraction_past_the_digit_limit(self, runner, fmt):
+        # E[2^C] = (2^20000 + 1) / 2^19999 and V, E[2^C] / 2^40000, have more
+        # digits than str(int) writes by default; the report still writes them
+        samples = "10" if fmt == "json" else "1"  # the 20000-row graph sampler takes 0.3 s a sample
+        args = ["verify", "chain", "--n", "2", "--k", "20000", "--m", "2",
+                "--samples", samples, "--seed", "1", "--format", fmt]
+        res = run_cli(runner, args)
+        assert res.exit_code == 0, res.output
+        v = oracle.exact_collision(2, 20000, 2, exact_m_power_C(2, 20000, 2))
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            fraction = f"{v.numerator}/{v.denominator}"
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert len(fraction) > limit
+        if fmt == "json":
+            assert json.loads(res.output)["exact_collision_v"]["fraction"] == fraction
+        else:
+            (line,) = [line for line in res.output.splitlines() if line.startswith("exact_collision_v.fraction ")]
+            assert line.split()[1] == fraction
+
+    def test_chain_collision_over_its_budget(self, runner):
+        # at m = 2^63 V's denominator has 2.5e6 bits: E[m^C] is exact, V is
+        # refused by its own cost and reads null, and the command still passes
+        args = ["verify", "chain", "--n", "2", "--k", "20000", "--m-bits", "63",
+                "--samples", "1", "--seed", "1", "--format", "json"]
+        res = run_cli(runner, args)
+        assert res.exit_code == 0, res.output
+        report = json.loads(res.output)
+        assert report["exact_collision_v"] is None and report["exact_collision_e"] is None
+        assert report["exact_m_power_c"]["provenance"] == "exact"
+        assert report["exact_work"]["exact_collision_v"] > report["exact_work"]["budget"]
 
     def test_chain_theorem_bound_past_float_range(self, runner):
         # at n = 2 < e, sigma falls without bound as k grows: 2^-sigma is past float range
@@ -578,9 +614,7 @@ class TestOneExitRule:
             # Pr[C = 1] is near 1, far above a zero bound and its Hoeffding halfwidth
             ("graph-dist", (cli, "lemma4_probability_bound"),
              lambda n, k, c: 0.0 if c == 1 else lemma4_probability_bound(n, k, c), "lemma4_c1"),
-            ("tv-exact", (cli, "exact_transcript_laws"),
-             lambda n, k, m, names: {**oracle.exact_transcript_laws(n, k, m, names), "exact_avg_tv": Fraction(1)},
-             "lemma1_exact_soundness"),
+            ("tv-exact", (cli, "exact_avg_tv"), lambda n, k, m: Fraction(1), "lemma1_exact_soundness"),
         ],
     )
     def test_one_failed_check_exits_1(self, runner, monkeypatch, command, target, patch, failing):
@@ -615,27 +649,29 @@ class TestReportBytesPin:
     frequency and float-range helpers were each given one site; the table and
     CSV digests before those views were parsed from the JSON text. The chain
     digests were re-taken once exact_collision_e became exact_collision_v's
-    record, without a cost or identity check of its own."""
+    record, without a cost or identity check of its own, and again once that
+    record became E[m^C] / m^(kn), with its cost in word products and no
+    lemma-3 check comparing it with itself; tv-exact's bytes did not move."""
 
     @pytest.mark.parametrize(
         "args, digest",
         [
             (["chain", "--n", "19", "--k", "3", "--m", "2", "--samples", "500", "--seed", "1"],
-             "44c5fe2731da87cafd442041813ad99388f22ac8e174b012314154a98e41b688"),
+             "8c41d3f9e4acdcabffd1b695a8be596362906825ff77b1f1ae3bc51dfcf66877"),
             (["chain", "--n", "3", "--k", "3", "--m", "2", "--samples", "500", "--seed", "2"],
-             "dc5b9998e071215c306231a2026f3a5437bca74da3eadbdc1b5d68be3f8ecf31"),
+             "69b1ddd83d9ac5d9f52a28047c57bd985b25296444f6ce6b0d5a11ceecd32c58"),
             (["chain", "--n", "4", "--k", "2", "--m", "2", "--samples", "500", "--seed", "3"],
-             "84e911dc37b817544b264dfac1ff17403536d4125ffc73499c1572ec6a8781f0"),
+             "28cc3ea29094f9be17d7b1c8bc2a33d5617f92444bd591591f7e44ac9a6b09c1"),
             (["chain", "--n", "3", "--k", "2", "--m", "3", "--samples", "500", "--seed", "4"],
-             "938a85ad5dad5ba0da5314c773c2d6ff4f28259cf472027c7bc2574cf7c68f42"),
+             "47cbb2e72fb0ab4111da90c6388e8e347d1c9a2042f332e122bac952be2eb4ac"),
             (["chain", "--n", "4", "--k", "3", "--m", "2", "--samples", "500", "--seed", "5"],
-             "7a1e1a9e5621e62ff775a7eba33a870b3152afb1bdb642252beacb0a09d14074"),
+             "f2b8a53e3749d21e2c92b27d09c7ba110168bfe0b85f61499965cdc0e9d19230"),
             (["chain", "--n", "5", "--k", "2", "--m", "2", "--samples", "500", "--seed", "6"],
-             "b520224e94c589e88b96470a44ceb4abf9fb95e77b29f54858b4935522685c7d"),
+             "29f8fe49dad1eaf4c72c47bc1d83c3bdfbcb395faa64f035644ff2f2cc794114"),
             (["chain", "--n", "19", "--k", "385", "--m", "2", "--samples", "100", "--seed", "7"],
-             "3a95c2df3befa1ca0b03ddffc6a4ed7d2e2acb1aefd5ecf14d02c1b8ebe6ccc0"),
+             "7cc6e892b8ecc71f950dc99fb4029e13d79d21e687532eecbcb252e8f627de9a"),
             (["chain", "--n", "60", "--k", "1", "--m-bits", "32", "--samples", "200", "--seed", "8"],
-             "071ae955dfb179d86a7bd0010ce65a508f83baf5b1fdf904d5960ecc7dfe22eb"),
+             "d4ca7bc4235b7703554a6d665988e5496a4a5cddbe0124756347b779116d0a33"),
             (["tv-exact", "--n", "3", "--k", "2", "--m", "2"],
              "590db536c53991b9d263c82d02d331b89f57c2af457eeb272f62714bbde30aef"),
             (["graph-exp", "--n", "19", "--k", "3", "--m", "5", "--samples", "2000", "--seed", "9"],
@@ -662,8 +698,8 @@ class TestReportBytesPin:
     @pytest.mark.parametrize(
         "name, fmt, digest",
         [
-            ("chain-ref", "table", "59e55fa59f96e82d954f301ff059be5a5adfbcd533eff20c75704980a802747b"),
-            ("chain-ref", "csv", "2a6261907661f3097d601beac26d1810abb6f945101c8e1f9e8a0a33fe3552f1"),
+            ("chain-ref", "table", "46b3f0669bfccc57af7720cca210df4d73f706ad3e70e7ec2f1f5e3d30eddb3d"),
+            ("chain-ref", "csv", "c33c80b194f04c0443dd8b17f64c2c0cce4206cc431ddbef45123268bb6f74bc"),
             ("tv-exact", "table", "30261be6ca2f8c400d0af417ed086eaf118e84a6ca8fe32846935aa38377856a"),
             ("tv-exact", "csv", "f27a83184a68d34c5c2fdefd0526031c205f703fafd20e39f264b0148dda2f6a"),
             ("graph-exp", "table", "6d99cf9b014d324ff48b6e12a7d1b941e1825351c19decf2d30d80b1de1a40b2"),
@@ -682,16 +718,16 @@ class TestReportBytesPin:
 
 
 class TestOneWalk:
-    """Every exact transcript quantity of a command comes from one walk of the histogram laws."""
+    """A command walks the histogram laws at most once, for the exact TV alone."""
 
     @pytest.mark.parametrize(
         "command, walks",
         [
             (lambda runner: verify_chain(4, 3, 2, samples=10, seed=1), 1),
             (lambda runner: run_cli(runner, ["verify", "tv-exact", "--n", "4", "--k", "3", "--m", "2"]), 1),
-            # both quantities fit, and E is V's record
+            # TV fits; V and E are E[m^C] / m^(kn), from no walk
             (lambda runner: verify_chain(10, 3, 2, samples=10, seed=1), 1),
-            # no exact transcript quantity fits the budget at the reference point
+            # TV does not fit the budget at the reference point
             (lambda runner: verify_chain(19, 3, 2, samples=10, seed=1), 0),
         ],
         ids=["chain", "tv-exact", "chain-1032", "chain-over-budget"],

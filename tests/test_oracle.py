@@ -8,11 +8,10 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import exact_sum
+from helpers import dixon_m_power_C, exact_sum
 from shufflesum import oracle, randgraph
 from shufflesum.oracle import (
     HOEFFDING_CONFIDENCE,
-    TRANSCRIPT_SUMS,
     CollisionMode,
     check,
     collision_probability,
@@ -149,12 +148,30 @@ class TestExactCollision:
         assert pv <= Fraction(exact_m_power_C(n, k, m), m ** (k * n))
 
     def test_budget_guard(self):
-        with pytest.raises(EnumerationBudgetError):
-            exact_sum(19, 3, 2, "exact_collision_v")
+        # E[m^C] fits at (2, 20000, 2^63), but V's 2.5e6-bit denominator does
+        # not: its gcd and decimal digits take 1.6e9 word products
+        emc = exact_m_power_C(2, 20000, 2**63)
+        with pytest.raises(EnumerationBudgetError, match="^exact_collision_v takes .* word products, over the budget"):
+            oracle.exact_collision(2, 20000, 2**63, emc)
 
+
+# the exact transcript quantities, in report order
+EXACT_SUMS = ("exact_avg_tv", "exact_collision_v")
 
 # every instance the ordered enumerator in transcript_enumeration reaches
 REFERENCE_INSTANCES = SMALL_INSTANCES + [(3, 3, 2), (4, 2, 2), (3, 2, 3), (2, 4, 2)]
+
+
+# the 71 instances with n <= 8, k <= 5, m <= 5 where the walk's collision sum
+# takes at most 3e5 histogram updates, L^(k+1) n m^(k-1), and two past them
+WALK_GRID = sorted(
+    {
+        (n, k, m)
+        for n, k, m in itertools.product(range(1, 9), range(1, 6), range(2, 6))
+        if math.comb(n + m - 1, n) ** (k + 1) * n * m ** (k - 1) <= 3 * 10**5
+    }
+    | {(6, 2, 3), (10, 3, 2)}
+)
 
 
 def packed(histograms, n, m):
@@ -214,67 +231,77 @@ class TestHistogramLaw:
         assert round(float(exact_sum(5, 3, 2, "exact_avg_tv")), 4) == 0.0601
         assert exact_sum(10, 3, 2, "exact_avg_tv") == Fraction(928207003, 34359738368)
         assert round(float(exact_sum(10, 3, 2, "exact_avg_tv")), 4) == 0.0270
+        # V at the reference point, where the walk is over the budget, against
+        # Dixon's recursion: lemma 1 then reads 0.05297 there
+        v = oracle.exact_collision(19, 3, 2, exact_m_power_C(19, 3, 2))
+        assert v == dixon_m_power_C(19, 3, 2) / 2**57 == Fraction(35051863075, 2518686938297026694740967424)
+        assert round(lemma1_bound(Quantity.exact(v), 19, 3, 2).value, 6) == 0.052966
 
-    @pytest.mark.parametrize(
-        "n,k,m", [(2, 2, 2), (3, 3, 2), (4, 2, 2), (3, 2, 3), (4, 3, 2), (5, 2, 2), (3, 3, 3), (6, 2, 3), (10, 3, 2)]
-    )
+    @pytest.mark.parametrize("n,k,m", WALK_GRID)
     def test_collision_equals_graph_route(self, n, k, m):
-        # lemma 3 holds with equality: Pr[V = V'] = E[m^C] / m^(kn)
+        # lemma 3 holds with equality: the package's Pr[V = V'] = E[m^C] /
+        # m^(kn) equals the walk's sum, and Dixon's E[m^C] agrees
         p = exact_sum(n, k, m, "exact_collision_v")
-        assert p == Fraction(exact_m_power_C(n, k, m), m ** (k * n))
+        assert oracle.exact_collision(n, k, m, exact_m_power_C(n, k, m)) == p
+        assert p == dixon_m_power_C(n, k, m) / m ** (k * n)
 
 
 class TestExactWork:
     def test_reference_point_counts(self):
         # L = 20 input classes, S = 20^3 histogram tuples, U = 19 * 2^2
         conv = 20 * 76 * 8000
+        # n^2 w^log2(3) + w^2 word products, w = 3 words
+        miller = 19 * 19 * 3 ** math.log2(3) + 3 * 3
         assert oracle.exact_work(19, 3, 2) == {
             "exact_avg_tv": conv + 20**2 * 8000,
-            "exact_collision_v": conv,
-            # n^2 w^log2(3) + w^2 word products, w = 3 words
-            "exact_m_power_c": 19 * 19 * 3 ** math.log2(3) + 3 * 3,
+            # and w^2 more for the w = 3 words of V's denominator (19!)^2 2^57
+            "exact_collision_v": miller + 3 * 3,
+            "exact_m_power_c": miller,
         }
-        assert conv == 12_160_000
-        # the chain-exact instances, (10, 3, 2) and (15, 1, 4), where only V
-        # fits: L U S and L^2 S class pairs, U = n m^(k-1)
+        assert conv + 20**2 * 8000 == 15_360_000
+        # the chain-exact instances, (10, 3, 2) and (15, 1, 4): L U S and L^2 S
+        # class pairs, U = n m^(k-1)
         for (n, k, m), (conv, pairs) in {
             (3, 3, 2): (4 * 12 * 4**3, 4**2 * 4**3),
             (4, 2, 2): (5 * 8 * 5**2, 5**2 * 5**2),
             (10, 3, 2): (11 * 40 * 11**3, 11**2 * 11**3),
             (15, 1, 4): (816 * 15 * 816, 816**2 * 816),
         }.items():
-            work = {name: oracle.exact_work(n, k, m)[name] for name in TRANSCRIPT_SUMS}
-            assert work == {"exact_avg_tv": conv + pairs, "exact_collision_v": conv}
-            assert {type(units) for units in work.values()} == {int}
+            work = oracle.exact_work(n, k, m)["exact_avg_tv"]
+            assert work == conv + pairs and type(work) is int
 
     @pytest.mark.parametrize("n,k,m", [(19, 3, 2), (9, 3, 4)])
     def test_over_budget(self, n, k, m):
+        # the walk is over the budget; E[m^C] and V, in word products, are not
         work = oracle.exact_work(n, k, m)
-        assert all(work[name] > ENUMERATION_BUDGET for name in TRANSCRIPT_SUMS)
-        assert work["exact_m_power_c"] <= ENUMERATION_BUDGET
+        assert work["exact_avg_tv"] > ENUMERATION_BUDGET
+        assert work["exact_m_power_c"] < work["exact_collision_v"] <= ENUMERATION_BUDGET
         with pytest.raises(EnumerationBudgetError, match=f"takes {work['exact_avg_tv']} histogram updates"):
             exact_sum(n, k, m, "exact_avg_tv")
-        with pytest.raises(EnumerationBudgetError, match=f"takes {work['exact_collision_v']} histogram"):
-            exact_sum(n, k, m, "exact_collision_v")
+        assert 0 < oracle.exact_collision(n, k, m, exact_m_power_C(n, k, m)) < 1
 
     @pytest.mark.parametrize(
         "n, k, m, fitting",
         [
-            *[(n, k, m, TRANSCRIPT_SUMS) for n, k, m in [(3, 3, 2), (4, 2, 2), (3, 2, 3), (4, 3, 2), (5, 2, 2)]],
-            (10, 3, 2, TRANSCRIPT_SUMS),
+            *[(n, k, m, EXACT_SUMS) for n, k, m in [(3, 3, 2), (4, 2, 2), (3, 2, 3), (4, 3, 2), (5, 2, 2)]],
+            (10, 3, 2, EXACT_SUMS),
             (15, 1, 4, ("exact_collision_v",)),
         ],
     )
     def test_every_request_equals_the_full_one(self, n, k, m, fitting):
         # the chain-exact instances, (10, 3, 2), and one where only the
-        # collision probability fits
+        # collision probability fits: verify_chain computes exactly the
+        # quantities that fit, each the value its own function gives
         work = oracle.exact_work(n, k, m)
-        assert tuple(name for name in TRANSCRIPT_SUMS if work[name] <= ENUMERATION_BUDGET) == fitting
-        full = oracle.exact_transcript_laws(n, k, m, fitting)
-        assert set(full) == set(fitting)
-        for size in range(1, len(fitting) + 1):
-            for names in itertools.permutations(fitting, size):
-                assert oracle.exact_transcript_laws(n, k, m, names) == {name: full[name] for name in names}
+        assert tuple(name for name in EXACT_SUMS if work[name] <= ENUMERATION_BUDGET) == fitting
+        rep = verify_chain(n, k, m, samples=10, seed=1)
+        full = {
+            "exact_avg_tv": lambda: oracle.exact_avg_tv(n, k, m),
+            "exact_collision_v": lambda: oracle.exact_collision(n, k, m, exact_m_power_C(n, k, m)),
+        }
+        assert {name: rep[name] for name in EXACT_SUMS} == {
+            name: Quantity.exact(full[name]()) if name in fitting else None for name in EXACT_SUMS
+        }
 
     @pytest.mark.parametrize("n, k, m, names", [
         (10, 2, 3, ["exact_avg_tv", "exact_collision_v"]),
@@ -282,24 +309,34 @@ class TestExactWork:
         (19, 3, 2, ["exact_collision_v", "exact_avg_tv"]),
     ])
     def test_request_over_the_budget(self, n, k, m, names):
-        # the first quantity over the budget, in the order requested, is refused
-        over = next(name for name in names if oracle.exact_work(n, k, m)[name] > ENUMERATION_BUDGET)
-        with pytest.raises(EnumerationBudgetError, match=f"^{over} takes .* histogram updates, over the budget"):
-            oracle.exact_transcript_laws(n, k, m, names)
+        # the walk is refused over the budget, and only the walk: the chain
+        # still reports the exact collision probability
+        work = oracle.exact_work(n, k, m)
+        assert [name for name in names if work[name] > ENUMERATION_BUDGET] == ["exact_avg_tv"]
+        with pytest.raises(EnumerationBudgetError, match="^exact_avg_tv takes .* histogram updates, over the budget"):
+            oracle.exact_avg_tv(n, k, m)
+        rep = verify_chain(n, k, m, samples=10, seed=1)
+        assert rep["exact_avg_tv"] is None and rep["exact_collision_v"].provenance == "exact"
 
-    def test_empty_request_builds_nothing(self):
-        # m^(k-1) share tuples per input at k = 384: only a request builds them
-        assert oracle.exact_transcript_laws(19, 384, 2, []) == {}
+    def test_empty_request_builds_nothing(self, monkeypatch):
+        # m^(k-1) share tuples per input at k = 384: with the walk over the
+        # budget, the chain builds none of them
+        def refuse(*args):
+            raise AssertionError("share rows built")
+
+        monkeypatch.setattr(oracle, "_share_rows", refuse)
+        rep = verify_chain(19, 384, 2, samples=10, seed=1)
+        assert rep["exact_avg_tv"] is None and rep["exact_collision_v"].provenance == "exact"
 
     def test_large_counts_from_logarithms(self):
         # past 2^64 a float close to the exact count; no huge integer is built
-        # (C(499, 200) takes the Stirling estimate)
-        exact = math.comb(499, 200) ** 2 * 200
-        approx = oracle.exact_work(200, 1, 300)["exact_collision_v"]
-        assert isinstance(approx, float) and math.isclose(approx, exact, rel_tol=1e-2)
+        # (C(257, 129) takes the Stirling estimate)
+        classes = math.comb(257, 129)
+        approx = oracle.exact_work(129, 1, 129)["exact_avg_tv"]
+        assert isinstance(approx, float) and math.isclose(approx, classes**2 * 129 + classes**3, rel_tol=1e-2)
         work = oracle.exact_work(10**4, 11, 2**32)
-        assert {work[name] for name in TRANSCRIPT_SUMS} == {math.inf}
-        assert ENUMERATION_BUDGET < work["exact_m_power_c"] < math.inf
+        assert work["exact_avg_tv"] == math.inf
+        assert ENUMERATION_BUDGET < work["exact_m_power_c"] < work["exact_collision_v"] < math.inf
 
     def test_log_space_product_past_float_range(self):
         # n = 2^1023 is a float, (k-1) n log2(m) is not: every count reads
@@ -308,8 +345,8 @@ class TestExactWork:
         assert set(oracle.exact_work(n, 3, 2).values()) == {math.inf}
         with pytest.raises(EnumerationBudgetError, match="takes inf histogram updates"):
             exact_sum(n, 3, 2, "exact_avg_tv")
-        with pytest.raises(EnumerationBudgetError, match="takes inf histogram updates"):
-            exact_sum(n, 3, 2, "exact_collision_v")
+        with pytest.raises(EnumerationBudgetError, match="takes inf word products"):
+            oracle.exact_collision(n, 3, 2, Fraction(2))
 
     @pytest.mark.parametrize(
         "n, k, m", [(2, 2**1100, 2), (1, 2**1100, 2**63), (2**1100, 3, 2**63)], ids=["k", "k-m63", "n-m63"]
@@ -320,6 +357,27 @@ class TestExactWork:
         assert set(oracle.exact_work(n, k, m).values()) == {math.inf}
         with pytest.raises(EnumerationBudgetError, match="takes inf histogram updates"):
             exact_sum(n, k, m, "exact_avg_tv")
+
+    @pytest.mark.parametrize(
+        "n, k, m, words",
+        [(19, 3, 2, 3), (154, 3, 2, 36), (55, 4, 2**62, 225), (2, 20000, 2, 938), (2, 20000, 2**63, 39688)],
+    )
+    def test_collision_cost(self, n, k, m, words):
+        # V's cost is E[m^C]'s plus w^2 word products, w the 64-bit words of
+        # (n!)^(k-1) m^(kn), recomputed here from its bit count
+        bits = (k - 1) * math.log2(math.factorial(n)) + k * n * math.log2(m)
+        assert math.ceil(bits / 64) == words
+        work = oracle.exact_work(n, k, m)
+        assert work["exact_collision_v"] == work["exact_m_power_c"] + words * words
+
+    def test_collision_fits_wherever_m_power_c_does_at_m2(self):
+        # the w^2 term refuses V only where the digits would take seconds:
+        # at m = 2 it never moves V off exact where E[m^C] is exact
+        for n, k in itertools.product([1, 2, 19, 60, 154, 155, 400], [1, 3, 11]):
+            work = oracle.exact_work(n, k, 2)
+            assert (work["exact_collision_v"] <= ENUMERATION_BUDGET) == (work["exact_m_power_c"] <= ENUMERATION_BUDGET)
+        assert oracle.exact_work(154, 3, 2)["exact_collision_v"] <= ENUMERATION_BUDGET
+        assert oracle.exact_work(2, 20000, 2**63)["exact_collision_v"] > ENUMERATION_BUDGET
 
     @pytest.mark.parametrize("m", [2, 2**32, 2**63])
     @pytest.mark.parametrize("k", [1, 3, 11])
@@ -551,7 +609,7 @@ class TestVerifyChain:
         assert rep["exact_avg_tv"].value == Fraction(3, 16)
         assert rep["exact_collision_v"].value == Fraction(1, 24)
         assert rep["lemma1_bound"].provenance == "exact"
-        for name in ("lemma1_exact_soundness", "lemma3_exact_soundness", "lemma2_mc_consistency"):
+        for name in ("lemma1_exact_soundness", "lemma2_mc_consistency", "mc_matches_exact_collision_v"):
             assert rep["checks"][name] == "pass", name
         assert "fail" not in rep["checks"].values()
 
@@ -570,8 +628,14 @@ class TestVerifyChain:
 
     def test_large_instance_uses_monte_carlo(self):
         rep = verify_chain(19, 3, 2, samples=2000, seed=44)
-        assert (rep["exact_avg_tv"], rep["exact_collision_v"], rep["exact_collision_e"]) == (None, None, None)
-        assert rep["lemma1_bound"] == Quantity(None, None, None, "uninformative", samples=0, hits=0)
+        # the walk is over the budget; both collision probabilities are E[m^C] / m^(kn)
+        assert rep["exact_avg_tv"] is None
+        v = Quantity.exact(Fraction(35051863075, 2518686938297026694740967424))
+        assert rep["exact_collision_v"] == rep["exact_collision_e"] == v
+        assert rep["lemma1_bound"] == lemma1_bound(v, 19, 3, 2)
+        assert rep["lemma1_bound"].provenance == "exact"
+        # the collision samplers would expect 2^-27 hits, so they draw nothing
+        assert rep["mc_collision_v"] == Quantity(None, None, None, "uninformative", samples=0, hits=0)
         # E[m^C] is exact at any n the recursion's budget allows
         assert rep["exact_m_power_c"].value == Fraction(35051863075, 17476901442)
         assert rep["lemma3_bound"].provenance == "exact"
@@ -623,7 +687,9 @@ class TestVerifyChain:
                 if isinstance(entry, dict) and "value" in entry:
                     assert entry["provenance"] in ("exact", "monte-carlo", "uninformative"), entry
         uninformative = {"value": None, "lo": None, "hi": None, "provenance": "uninformative", "samples": 0, "hits": 0}
-        assert ref["lemma1_bound"] == uninformative
+        assert ref["mc_collision_v"] == ref["mc_collision_e"] == uninformative
+        assert ref["exact_collision_v"]["fraction"] == "35051863075/2518686938297026694740967424"
+        assert ref["lemma1_bound"]["provenance"] == "exact"
 
     def test_exact_collision_without_e_event(self):
         # E is V's sum regrouped, so one exact collision probability is both,
@@ -633,25 +699,28 @@ class TestVerifyChain:
         assert rep["exact_collision_e"] == rep["exact_collision_v"]
         assert rep["lemma1_bound"].provenance == "exact"
         assert rep["checks"]["mc_matches_exact_collision_e"] == "pass"
-        assert "lemma2_exact_identity" not in rep["checks"]
-        assert rep["checks"]["lemma3_exact_identity"] == "pass"
         assert "fail" not in rep["checks"].values()
 
     @pytest.mark.parametrize("n,k,m", [(3, 2, 2), (4, 3, 2), (2, 2, 3)])
     def test_lemma3_identity_checked(self, n, k, m):
+        # the report's one exact collision probability is E[m^C] / m^(kn); the
+        # identity is checked here against the walk, not by the report, where
+        # it would compare a record with itself
         rep = verify_chain(n, k, m, samples=1000, seed=48)
-        assert rep["checks"]["lemma3_exact_identity"] == "pass"
-        assert rep["checks"]["lemma3_exact_soundness"] == "pass"
+        assert rep["exact_collision_v"].value == exact_sum(n, k, m, "exact_collision_v")
+        assert rep["exact_collision_v"].value == rep["exact_m_power_c"].value / m ** (k * n)
+        assert not [name for name in rep["checks"] if name.startswith(("lemma2_exact", "lemma3_exact"))]
+        assert rep["checks"]["mc_matches_exact_collision_v"] == rep["checks"]["mc_matches_exact_collision_e"] == "pass"
 
     def test_report_states_work_against_budget(self):
         work = verify_chain(19, 3, 2, samples=100, seed=49)["exact_work"]
         assert work == {
             "budget": ENUMERATION_BUDGET,
-            "unit": "histogram updates; word products for exact_m_power_c",
+            "unit": "histogram updates for exact_avg_tv; word products for the others",
             **oracle.exact_work(19, 3, 2),
         }
-        assert work["exact_collision_v"] == 12_160_000 > work["budget"]
-        assert work["exact_m_power_c"] <= work["budget"]
+        assert work["exact_avg_tv"] == 15_360_000 > work["budget"]
+        assert work["exact_m_power_c"] < work["exact_collision_v"] <= work["budget"]
 
 
 class TestCollisionSkip:

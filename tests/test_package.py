@@ -121,10 +121,28 @@ def test_one_cost_evaluation():
 
 def test_one_enumeration_of_sharings():
     # oracle.histogram_laws alone builds the users' share rows, and takes
-    # none from a caller: the exact collision probability is one sum over
-    # its laws, with no second walk of ordered sharings beside it
+    # none from a caller: the exact TV is one sum over its laws, with no
+    # second walk of ordered sharings beside it
     assert _sites(ast.Call, "func", "_share_rows") == ["oracle.py:histogram_laws"]
     assert "rows" not in inspect.signature(oracle.histogram_laws).parameters
+
+
+def test_one_exact_collision_probability():
+    # oracle.exact_collision alone divides E[m^C] by a power of m: the exact
+    # collision probability has one route, and only oracle.exact_avg_tv
+    # walks the histogram laws, for TV, with no collision sum beside it
+    divisions = [
+        site
+        for site, node in _nodes()
+        if isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Div)
+        and isinstance(node.right, ast.BinOp)
+        and isinstance(node.right.op, ast.Pow)
+        and ast.unparse(node.right.left) == "m"
+    ]
+    assert divisions == ["oracle.py:exact_collision"]
+    assert _sites(ast.Call, "func", "histogram_laws") == ["oracle.py:exact_avg_tv"]
+    assert not any(hasattr(oracle, name) for name in ("exact_transcript_laws", "TRANSCRIPT_SUMS"))
 
 
 def test_one_check_decision():

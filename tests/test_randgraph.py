@@ -446,8 +446,8 @@ class TestEstimators:
         for call in (
             lambda: estimate_m_power_C(5, 2, 1, 1000, seed=6),
             lambda: exact_m_power_C(3, 2, 1),
-            lambda: oracle.exact_transcript_laws(3, 2, 1, ["exact_avg_tv"]),
-            lambda: oracle.exact_transcript_laws(3, 2, 1, []),
+            lambda: oracle.exact_avg_tv(3, 2, 1),
+            lambda: oracle.exact_collision(3, 2, 1, Fraction(1)),
             lambda: oracle.exact_work(3, 2, 1),
         ):
             with pytest.raises(ValueError):
