@@ -198,7 +198,7 @@ def _component_counts(edges: np.ndarray, n: int, work: np.ndarray) -> np.ndarray
     shaped (k, batch * n): graph b's vertex v is b*n + v, and row i holds
     b*n + p_i(v) there, p_i the graph's i-th permutation. work is an int64
     array of 4 + k rows of at least batch * n: row 0 holds arange, which the
-    counter reads; it overwrites the other rows, so no round allocates.
+    counter reads; it overwrites the other rows, so no gather allocates.
     Rows 4 on take the inverse q_i of each permutation, written once per
     batch (q[p] = vertices); zip(..., strict=True) refuses a work array
     without one inverse row per permutation.
@@ -213,7 +213,8 @@ def _component_counts(edges: np.ndarray, n: int, work: np.ndarray) -> np.ndarray
     the rounds grow like log n even at k = 1, where propagation alone moves
     a label one cycle step per round. Gathers write into the work rows with
     mode="clip", which keeps every valid index: with out=, numpy's default
-    mode="raise" buffers the result in a new array.
+    mode="raise" buffers the result in a new array. Rows shorter than k
+    would spend a round on 3k calls, so blocks of 2^16 // length are gathered.
 
     Invariant: a vertex's label is a vertex of its own component, and no
     larger than the vertex itself. From round 2 on (round 1 is not checked:
@@ -226,20 +227,28 @@ def _component_counts(edges: np.ndarray, n: int, work: np.ndarray) -> np.ndarray
     While some edge joins unequal labels, the next round lowers a label, so
     the loop ends.
     """
-    vertices, labels, new, pulled, *inverse = work[:, : edges.shape[1]]
+    k, size = edges.shape
+    vertices, labels, new, pulled, *inverse = work[:, :size]
     for p, q in zip(edges, inverse, strict=True):
         q[p] = vertices
+    step = 1 if size >= k else max(1, _BATCH_ELEMENTS // size)
+    blocks = [(edges[i : i + step], work[4 + i : 4 + i + step, :size]) for i in range(0, k, step)]
+    scratch = pulled[None] if step == 1 else np.empty((min(step, k), size), dtype=np.int64)
     np.copyto(labels, vertices)
     first = True
     while True:
         np.copyto(new, labels)
-        for p, q in zip(edges, inverse, strict=True):
-            np.minimum(new, np.take(new, p, out=pulled, mode="clip"), out=new)
-            np.minimum(new, np.take(new, q, out=pulled, mode="clip"), out=new)
+        if step == 1:
+            for p, q in zip(edges, inverse, strict=True):
+                np.minimum(new, np.take(new, p, out=pulled, mode="clip"), out=new)
+                np.minimum(new, np.take(new, q, out=pulled, mode="clip"), out=new)
+        else:
+            for rows in (rows for block in blocks for rows in block):
+                np.minimum(new, np.take(new, rows, out=scratch[: len(rows)], mode="clip").min(axis=0), out=new)
         np.minimum.at(new, labels, new)
         np.take(new, new, out=labels, mode="clip")
         if not first and all(
-            np.array_equal(np.take(labels, p, out=pulled, mode="clip"), labels) for p in edges
+            (np.take(labels, rows, out=scratch[: len(rows)], mode="clip") == labels).all() for rows, _ in blocks
         ):
             break
         first = False

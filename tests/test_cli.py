@@ -482,9 +482,8 @@ class TestVerify:
     def test_chain_fraction_past_the_digit_limit(self, runner, fmt):
         # E[2^C] = (2^20000 + 1) / 2^19999 and V, E[2^C] / 2^40000, have more
         # digits than str(int) writes by default; the report still writes them
-        samples = "10" if fmt == "json" else "1"  # the 20000-row graph sampler takes 0.3 s a sample
         args = ["verify", "chain", "--n", "2", "--k", "20000", "--m", "2",
-                "--samples", samples, "--seed", "1", "--format", fmt]
+                "--samples", "1", "--seed", "1", "--format", fmt]
         res = run_cli(runner, args)
         assert res.exit_code == 0, res.output
         v = oracle.exact_collision(2, 20000, 2, exact_m_power_C(2, 20000, 2))

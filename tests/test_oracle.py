@@ -330,9 +330,9 @@ class TestExactWork:
 
     def test_large_counts_from_logarithms(self):
         # past 2^64 a float close to the exact count; no huge integer is built
-        # (C(257, 129) takes the Stirling estimate)
-        classes = math.comb(257, 129)
-        approx = oracle.exact_work(129, 1, 129)["exact_avg_tv"]
+        # (r = min(n, m-1) = 129 > 128: C(259, 129) takes the Stirling estimate)
+        classes = math.comb(259, 129)
+        approx = oracle.exact_work(130, 1, 130)["exact_avg_tv"]
         assert isinstance(approx, float) and math.isclose(approx, classes**2 * 129 + classes**3, rel_tol=1e-2)
         work = oracle.exact_work(10**4, 11, 2**32)
         assert work["exact_avg_tv"] == math.inf

@@ -279,6 +279,42 @@ class TestBatchCounts:
                 assert batch_counts(perms) == union_find_counts(perms)
             assert batch_counts(np.stack(rows))[:2] == [n, 1]
 
+    @pytest.mark.parametrize("cap", [None, 256], ids=["one-block", "blocks"])
+    def test_rows_shorter_than_k(self, monkeypatch, cap):
+        # rows shorter than k are gathered in blocks of cap // row-length
+        # rows; at cap 256 the last block of each case is short
+        if cap is not None:
+            monkeypatch.setattr(randgraph, "_BATCH_ELEMENTS", cap)
+        rng = np.random.default_rng(8)
+        for batch, k, n in [(1, 3, 2), (2, 31, 5), (4, 200, 3), (3, 50, 1)]:
+            perms = rng.permuted(np.tile(np.arange(n), (batch, k, 1)), axis=-1)
+            assert batch_counts(perms) == union_find_counts(perms), (batch, k, n)
+        # identity rows, and in one graph a 40-cycle as the last row: at cap
+        # 256, rows of 80 make blocks of 3 and a last block of one, whose
+        # labels take more than the 2 rounds the first blocks agree after
+        n, k = 40, 100
+        identity = np.tile(np.arange(n), (k, 1))
+        cycle = identity.copy()
+        cycle[-1] = np.roll(np.arange(n), 1)
+        perms = np.stack([cycle, identity])
+        rounds = count_rounds(monkeypatch)
+        assert batch_counts(perms) == [1, n] == union_find_counts(perms)
+        assert rounds[0] > 2
+
+    def test_large_k_gathers_in_few_calls(self, monkeypatch):
+        # one graph of 2 vertices and 20000 permutations: row by row, each
+        # round took 3k gathers (0.3 s); in one block it takes 4
+        take, calls = np.take, [0]
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return take(*args, **kwargs)
+
+        perms = np.random.default_rng(9).permuted(np.tile(np.arange(2), (1, 20000, 1)), axis=-1)
+        monkeypatch.setattr(np, "take", counted)
+        assert batch_counts(perms) == [1]
+        assert calls[0] <= 4 * 3
+
     @pytest.mark.parametrize(
         "n, k, samples, shards, cap",
         [(19, 3, 7500, 1, None), (19, 3, 7500, 3, None), (1000, 3, 50, 1, None),
