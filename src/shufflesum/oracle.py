@@ -290,10 +290,13 @@ def _root(x: Fraction | float, exponent: int, m: int) -> float | None:
 
 
 def _root_bound(q: Quantity, exponent: int, m: int) -> Quantity:
-    # _root of the value and of both ends, once each where they are equal (an
-    # exact record); the root is increasing, so the interval still holds the value
-    roots = {x: _root(x, exponent, m) for x in {q.value, q.lo, q.hi}}
-    return replace(q, value=roots[q.value], lo=roots[q.lo], hi=roots[q.hi])
+    # _root of the value, and of each end unequal to it, so an exact record
+    # takes one root; == decides that without hashing, which for a Fraction
+    # is a modular inverse. The root is increasing, so the interval still
+    # holds the value
+    value = _root(q.value, exponent, m)
+    lo, hi = (value if end == q.value else _root(end, exponent, m) for end in (q.lo, q.hi))
+    return replace(q, value=value, lo=lo, hi=hi)
 
 
 def lemma1_bound(p: Quantity, n: int, k: int, m: int) -> Quantity:

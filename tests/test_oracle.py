@@ -563,6 +563,22 @@ class TestLemma1Bound:
         assert math.isclose(b.hi, math.sqrt(2 * 0.9 - 1), rel_tol=1e-12)
         assert (b.provenance, b.confidence, b.samples, b.hits) == ("monte-carlo", HOEFFDING_CONFIDENCE, 100, 50)
 
+    def test_exact_record_is_rooted_without_hashing(self, monkeypatch):
+        # lemma 1's and lemma 3's roots of the exact V and E[m^C] at (19, 3, 2)
+        # decide that an exact record's ends equal its value without hashing
+        # the Fraction, which costs a modular inverse per hash
+        emc = exact_m_power_C(19, 3, 2)
+        v = oracle.exact_collision(19, 3, 2, emc)
+        expected = [lemma1_bound(Quantity.exact(v), 19, 3, 2), oracle._root_bound(Quantity.exact(emc), -1, 2)]
+
+        def unhashable(self):
+            raise AssertionError("an exact record's Fraction was hashed")
+
+        monkeypatch.setattr(Fraction, "__hash__", unhashable)
+        got = [lemma1_bound(Quantity.exact(v), 19, 3, 2), oracle._root_bound(Quantity.exact(emc), -1, 2)]
+        assert got == expected
+        assert got[0].provenance == "exact" and got[0].lo == got[0].value == got[0].hi
+
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             lemma1_bound(sampled(1.5), 2, 2, 2)

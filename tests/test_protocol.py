@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import SIGNIFICANCE, binomial_sigma, chisq_pvalue, group_sum, two_sample_chisq_pvalue
-from shufflesum import randgraph
+from shufflesum import protocol, randgraph
 from shufflesum.protocol import Modulus, aggregate_batch, run_batch, share_batch, transcript_line
 from transcript_enumeration import exact_output_distribution
 
@@ -242,9 +242,12 @@ def assert_line_is_record(blocks, clear, r, m, seed):
         pytest.fail(f"lines part at {at}: {line[at - 20 : at + 20]!r} != {expected[at - 20 : at + 20]!r}")
 
 
-# values on each side of a change of digit count and of the writer's uint32/uint64 switch,
-# the largest power of ten below 2^63, and the largest residue
-EDGE_RESIDUES = [0, 9, 10, 99, 100, 2**32 - 1, 2**32, 10**18, 2**63 - 1]
+# values on each side of every change of digit count d = 1..19, so that every
+# padding of d + 2 bytes to whole words is written, and of the writer's
+# uint32/uint64 switch, and the largest residue
+EDGE_RESIDUES = sorted(
+    {10 ** (d - 1) + step for d in range(1, 20) for step in (-1, 0)} | {2**32 - 1, 2**32, 2**63 - 1}
+)
 
 
 class TestSerialization:
@@ -280,6 +283,34 @@ class TestSerialization:
         assert_line_is_record(row[None, None], row[None], 0, m, seed=0)
         mixed = np.array([[[value, 0, 2**63 - 1, value]]], dtype=np.uint64)
         assert_line_is_record(mixed, None, 0, m, seed=1)
+
+    def test_word_tables(self):
+        words = protocol._WORDS.tobytes()
+        assert words[: 4 * protocol._LAST] == "".join(f"{i:04d}" for i in range(10**4)).encode()
+        assert words[4 * protocol._LAST :] == "".join(f"{i:02d}, " for i in range(100)).encode()
+
+    def test_work_arrays_made_once_per_line(self, monkeypatch):
+        # the writer makes its work arrays once per line, not per row or per
+        # chunk: one row, then 12 rows, then 12 rows of 10 chunks each
+        empty, calls = np.empty, [0]
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return empty(*args, **kwargs)
+
+        m = Modulus(2**32)
+        rng = np.random.default_rng(23)
+        blocks, clear = run_batch(rng.integers(0, m.m, size=(1, 10**4), dtype=np.uint64), 11, m, rng, clear=True)
+        monkeypatch.setattr(np, "empty", counted)
+        counts = []
+        for rows, clear_row, chunk in [(blocks[0, :1], None, None), (blocks[0], clear[0], None),
+                                       (blocks[0], clear[0], 1000)]:
+            if chunk is not None:
+                monkeypatch.setattr(randgraph, "_BATCH_ELEMENTS", chunk)
+            calls[0] = 0
+            transcript_line(rows, clear_row, m, seed=0)
+            counts.append(calls[0])
+        assert counts[0] > 0 and counts == [counts[0]] * 3
 
     def test_row_longer_than_a_chunk(self):
         # a row crosses the chunk seam at _BATCH_ELEMENTS values, with a
