@@ -20,7 +20,7 @@ residues.
 ``simulate`` prints. Numpy formats the residues, with no Python int per
 residue, and the text is byte-identical to ``json.dumps`` of the record
 {n, k, m, variant, blocks, clear_block, seed} with ``sort_keys=True``.
-Each residue is written as whole 4-byte words gathered from two tables,
+Each residue is written as whole 4-byte words gathered from one table of
 "0000".."9999" and "00, ".."99, ", and one compress per chunk drops its
 leading zeros; the work arrays are made once per line.
 """
