@@ -7,9 +7,10 @@ those of ``oracle.verify_chain``. graph-exp checks expectation_bound_mc, on
 lemma 4's E[m^C] bound, and prints its E[m^C] record as mc_m_power_c, as
 chain does, and its mean also as estimate; graph-dist checks lemma4_c<c> per
 component count c seen; tv-exact checks lemma1_exact_soundness on the
-walk's exact TV and chain's exact_collision_v, E[m^C] / m^(kn), refusing
-TV's work first. Formats: table, one-line JSON, or key,value CSV
-(``emit_report``). Exit codes: 0 no check reads "fail", 1 one does
+walk's exact TV and lemma 1's radicand E[m^C] / m - 1 of the exact E[m^C],
+whose root is its lemma1_bound as in chain, refusing TV's work first.
+Formats: table, one-line JSON, or key,value CSV (``emit_report``). Exit
+codes: 0 no check reads "fail", 1 one does
 (simulate: a conservation check failed), 2 invalid or over-budget
 parameters, 3 an unexpected error (traceback on stderr). Seeds are always
 explicit in the output; a seed that was not supplied is generated once and
@@ -321,19 +322,19 @@ def verify_graph_exp(n, k, m, m_bits, samples, seed, shards, fmt) -> None:
 @_FORMAT
 def verify_tv_exact(n, k, m, m_bits, fmt) -> None:
     """Exact average TV, summed over block histograms, vs lemma 1's bound on
-    the exact collision probability E[m^C] / m^(kn); exit 2 past the work budget."""
+    the exact collision probability E[m^C] / m^(kn), sqrt(E[m^C] / m - 1);
+    exit 2 past the work budget."""
     m_val = _resolve_m(m, m_bits).m
     tv = Quantity.exact(exact_avg_tv(n, k, m_val))
-    collision = Quantity.exact(exact_collision(n, k, m_val, exact_m_power_C(n, k, m_val)))
-    radicand = lemma1_radicand(collision.value, k * n - 1, m_val)
+    emc = Quantity.exact(exact_m_power_C(n, k, m_val))
     report = {
         "params": {"n": n, "k": k, "m": m_val},
         "exact_avg_tv": tv,
-        "exact_collision": collision,
-        "lemma1_bound": lemma1_bound(collision, n, k, m_val),
+        "exact_collision": Quantity.exact(exact_collision(n, k, m_val, emc.value)),
+        "lemma1_bound": lemma1_bound(emc, m_val),
         # lemma 1 holds at every n, k and m
         "preconditions_ok": {},
-        "checks": {"lemma1_exact_soundness": check(tv.value**2, "<=", radicand)},
+        "checks": {"lemma1_exact_soundness": check(tv.value**2, "<=", lemma1_radicand(emc.value, m_val))},
     }
     _finish(report, fmt)
 

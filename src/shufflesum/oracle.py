@@ -27,7 +27,9 @@ sums after shuffling as before with probability m^(C-n): the linear map S
 component, since its image is spanned by the differences e_v - e_p(v)
 along the graph's edges. A fresh sharing R of the same input then equals
 pi(S) with probability m^(-(k-1)n), which gives m^C / m^(kn); average over
-pi, and lemma 2 makes it both collision probabilities. So the report gives
+pi, and lemma 2 makes it both collision probabilities. Lemma 1's radicand
+is then E[m^C] / m - 1, so the report's lemma1_bound and lemma3_bound are
+one record, ``lemma1_bound`` of the graph route's E[m^C]. The report gives
 ``exact_collision`` as both exact collisions and checks lemmas 2 and 3
 where they can fail: against the engine's two samplers here, and in the
 tests against an independent sum over the histogram laws and an ordered
@@ -43,9 +45,8 @@ match, so Pr[collision] <= m^-((k-1)n), and the report's
 collision_hits_log2_bound = log2(samples) - (k-1) n log2(m) bounds the log2
 of the hits a collision sample expects. At or below UNINFORMATIVE_HITS the
 samplers draw nothing: mc_collision_{v,e} read provenance "uninformative",
-0 samples, 0 hits and no value; lemma2_mc_consistency and
-mc_matches_exact_collision_{v,e} read "unavailable"; and lemma1_bound,
-without an exact collision probability, is that same record.
+0 samples, 0 hits and no value, and lemma2_mc_consistency and
+mc_matches_exact_collision_{v,e} read "unavailable".
 """
 
 from __future__ import annotations
@@ -265,52 +266,30 @@ def collision_probability(
     return sampled_frequency(hits, samples)
 
 
-def lemma1_radicand(x: Fraction, exponent: int, m: int) -> Fraction:
-    """Lemma 1's radicand x m^exponent - 1, exactly: x = Pr[collision] at exponent kn - 1,
-    or, on the graph route, x = E[m^C] at exponent -1."""
-    return x * Fraction(m) ** exponent - 1
+def lemma1_radicand(x: Fraction, m: int) -> Fraction:
+    """Lemma 1's radicand m^(kn-1) Pr[collision] - 1, exactly, as x / m - 1 of
+    x = E[m^C]: lemma 3 holds with equality, Pr[collision] = E[m^C] / m^(kn)."""
+    return x / m - 1
 
 
-def _root(x: Fraction | float, exponent: int, m: int) -> float | None:
-    """sqrt(x m^exponent - 1), or None where the radicand is negative, never
-    clamped. The sign is decided exactly for a rational x and by logarithms
-    for a float; the root reads inf past float range."""
-    if isinstance(x, (int, Fraction)):
-        radicand = lemma1_radicand(x, exponent, m)
+def lemma1_bound(q: Quantity, m: int) -> Quantity:
+    """Lemma 1's distance bound sqrt(E[m^C] / m - 1) of an E[m^C] record q, with
+    q's provenance, confidence and work. It roots the value and each end
+    unequal to it (== decides that without hashing a Fraction, a modular
+    inverse), each sign decided exactly, a float's as the rational it is: an
+    end below the floor E[m^C] = m reads None, never clamped, to tell
+    estimation noise from a zero bound; +inf reads inf, -inf and NaN None.
+    The root is increasing, so the interval still holds the value."""
+
+    def root(x: Fraction | float) -> float | None:
+        if isinstance(x, float) and not math.isfinite(x):
+            return x if x >= m else None
+        radicand = lemma1_radicand(Fraction(x), m)
         return None if radicand < 0 else _sqrt_or_inf(radicand)
-    if x <= 0:
-        return None
-    # log(radicand + 1); the radicand is >= 0 iff this is
-    log_arg = _inf_past_range(float, exponent) * math.log(m) + math.log(x)
-    if log_arg < 0:
-        return None
-    # as _sqrt_or_inf: by the logarithm only where the radicand is past float range
-    root = _inf_past_range(lambda: math.sqrt(math.expm1(log_arg)))
-    return root if root < math.inf else _inf_past_range(math.exp, log_arg / 2)
 
-
-def _root_bound(q: Quantity, exponent: int, m: int) -> Quantity:
-    # _root of the value, and of each end unequal to it, so an exact record
-    # takes one root; == decides that without hashing, which for a Fraction
-    # is a modular inverse. The root is increasing, so the interval still
-    # holds the value
-    value = _root(q.value, exponent, m)
-    lo, hi = (value if end == q.value else _root(end, exponent, m) for end in (q.lo, q.hi))
+    value = root(q.value)
+    lo, hi = (value if end == q.value else root(end) for end in (q.lo, q.hi))
     return replace(q, value=value, lo=lo, hi=hi)
-
-
-def lemma1_bound(p: Quantity, n: int, k: int, m: int) -> Quantity:
-    """Distance bound sqrt(m^(kn-1) p - 1) on the collision probability p.
-
-    Keeps p's provenance, confidence and work. An exact p decides the
-    radicand's sign exactly. An estimate below the uniform floor m^(1-kn)
-    leaves a negative radicand; that end reads None, never clamped, to tell
-    estimation noise from a genuinely zero bound.
-    """
-    _check_sizes(n, k, m)
-    if not 0 <= p.value <= 1:
-        raise ValueError(f"collision probability must be in [0, 1], got {p.value}")
-    return _root_bound(p, k * n - 1, m)
 
 
 def theorem_bound(n: int, k: int, m: int) -> float:
@@ -348,12 +327,12 @@ def verify_chain(n: int, k: int, m: int, samples: int, seed: int, shards: int = 
     E[m^C] estimate is always sampled; the two collision estimates only
     where ``collision_hits_log2_bound``, log2 of an upper bound on their
     expected hits, is above log2(UNINFORMATIVE_HITS), and otherwise are
-    "uninformative" records with 0 samples, 0 hits and no value, as is
-    lemma1_bound when no exact collision probability exists. Every computed
-    number is a ``Quantity``: exact ones are rationals with lo = hi = value,
-    Monte Carlo ones carry their interval, confidence and samples, and the
-    two bounds keep the provenance, interval and work of the quantity under
-    their root. Only ``theorem1_bound``, a closed form, is a plain number.
+    "uninformative" records with 0 samples, 0 hits and no value. Every
+    computed number is a ``Quantity``: exact ones are rationals with lo = hi
+    = value, Monte Carlo ones carry their interval, confidence and samples,
+    and lemma1_bound and lemma3_bound are one record, ``lemma1_bound`` of the
+    exact E[m^C] where it fits, else of the estimate. Only
+    ``theorem1_bound``, a closed form, is a plain number.
     exact_collision_v and exact_collision_e are one record,
     ``exact_collision``'s E[m^C] / m^(kn): given the permutations, a uniform
     share matrix keeps its user sums under the shuffle with probability
@@ -383,12 +362,9 @@ def verify_chain(n: int, k: int, m: int, samples: int, seed: int, shards: int = 
         if log2_hits > math.log2(UNINFORMATIVE_HITS) else None
         for mode in CollisionMode
     )
-    p = cv or mc_v
     unsampled = Quantity.uninformative()
 
-    kn = k * n
-    # the graph route's radicand E[m^C]/m^(kn) * m^(kn-1) - 1 collapses to E[m^C]/m - 1
-    l3 = _root_bound(emc or mc_emc, -1, m)
+    distance = lemma1_bound(emc or mc_emc, m)
     thm = theorem_bound(n, k, m) if n >= 2 else None
     theorem = regime_flags(n, k, sigma_for(k, n, m) if n >= 2 else -math.inf)
     graph = regime_flags(n, k, m=m)
@@ -397,13 +373,13 @@ def verify_chain(n: int, k: int, m: int, samples: int, seed: int, shards: int = 
     # from k = 21 at n = 19, m = 2, and it underflows to 0.0 from k = 385
     log_excess = 2 * math.log(m) + (k - 1) * (1 - math.log(n))
     checks = {
-        "lemma1_exact_soundness": check(tv and tv.value**2, "<=", cv and lemma1_radicand(cv.value, kn - 1, m)),
+        "lemma1_exact_soundness": check(tv and tv.value**2, "<=", emc and lemma1_radicand(emc.value, m)),
         "lemma2_mc_consistency": check(mc_v, "==", mc_e),
         "mc_matches_exact_collision_v": check(mc_v, "==", cv),
         "mc_matches_exact_collision_e": check(mc_e, "==", cv),
         "expectation_bound_exact": check(emc and _ln(emc.value - m), "<=", log_excess, graph),
         "expectation_bound_mc": check(mc_emc, "<=", expectation_bound(n, k, m), graph),
-        "graph_route_le_theorem1": check(l3, "<=", thm, theorem),
+        "graph_route_le_theorem1": check(distance, "<=", thm, theorem),
         "theorem1_dominates_exact_tv": check(tv, "<=", thm, theorem),
     }
 
@@ -422,8 +398,8 @@ def verify_chain(n: int, k: int, m: int, samples: int, seed: int, shards: int = 
         "mc_collision_e": mc_e or unsampled,
         "collision_hits_log2_bound": log2_hits,
         "mc_m_power_c": mc_emc,
-        "lemma1_bound": lemma1_bound(p, n, k, m) if p else unsampled,
-        "lemma3_bound": l3,
+        "lemma1_bound": distance,
+        "lemma3_bound": distance,
         "theorem1_bound": thm,
         "preconditions_ok": theorem | graph,
         "checks": checks,

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -296,10 +297,11 @@ def estimate_component_distribution(
 
 
 def _sqrt_or_inf(x: Fraction, divisor: int = 1) -> float:
-    """sqrt(x / divisor) of a non-negative x; by logarithms when x itself is
-    past float range, and inf only when the root is past it too."""
+    """sqrt(x / divisor) of a non-negative x; by logarithms where a positive x is
+    past float range or below its normal floats (2^-1631 reads 0.0), and inf
+    only when the root is past float range too."""
     value = _inf_past_range(float, x)
-    if value < math.inf:
+    if sys.float_info.min <= value < math.inf or not x:
         return math.sqrt(value / divisor)
     return _inf_past_range(math.exp, (math.log(x.numerator) - math.log(x.denominator * divisor)) / 2)
 

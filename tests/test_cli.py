@@ -623,10 +623,10 @@ class TestOneExitRule:
         assert [name for name, status in report["checks"].items() if status == "fail"] == [failing]
 
     def test_one_lemma1_radicand(self, runner, monkeypatch):
-        # chain and tv-exact both decide lemma 1 on oracle.lemma1_radicand
+        # chain and tv-exact both decide lemma 1 on oracle.lemma1_radicand of E[m^C]
         assert cli.lemma1_radicand is oracle.lemma1_radicand
         for module in (oracle, cli):
-            monkeypatch.setattr(module, "lemma1_radicand", lambda x, exponent, m: Fraction(-1))
+            monkeypatch.setattr(module, "lemma1_radicand", lambda x, m: Fraction(-1))
         for args in (["chain", "--n", "4", "--k", "3", "--m", "2", "--samples", "100", "--seed", "1"],
                      ["tv-exact", "--n", "3", "--k", "2", "--m", "2"]):
             code, report = verify_json(runner, *args)
@@ -650,7 +650,10 @@ class TestReportBytesPin:
     digests were re-taken once exact_collision_e became exact_collision_v's
     record, without a cost or identity check of its own, and again once that
     record became E[m^C] / m^(kn), with its cost in word products and no
-    lemma-3 check comparing it with itself; tv-exact's bytes did not move."""
+    lemma-3 check comparing it with itself; tv-exact's bytes did not move.
+    chain-k385 was re-taken once a radicand below float range, 2^-1631.2
+    there, was rooted by logarithms: its lemma1_bound and lemma3_bound read
+    3.0151e-246, not 0.0, and no other field moved."""
 
     @pytest.mark.parametrize(
         "args, digest",
@@ -668,7 +671,7 @@ class TestReportBytesPin:
             (["chain", "--n", "5", "--k", "2", "--m", "2", "--samples", "500", "--seed", "6"],
              "29f8fe49dad1eaf4c72c47bc1d83c3bdfbcb395faa64f035644ff2f2cc794114"),
             (["chain", "--n", "19", "--k", "385", "--m", "2", "--samples", "100", "--seed", "7"],
-             "7cc6e892b8ecc71f950dc99fb4029e13d79d21e687532eecbcb252e8f627de9a"),
+             "21ba4eff5f619da9a2d412c9ce12d9e4ca74acec0f9e7cba7889b5d29064433d"),
             (["chain", "--n", "60", "--k", "1", "--m-bits", "32", "--samples", "200", "--seed", "8"],
              "d4ca7bc4235b7703554a6d665988e5496a4a5cddbe0124756347b779116d0a33"),
             (["tv-exact", "--n", "3", "--k", "2", "--m", "2"],

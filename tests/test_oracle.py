@@ -235,7 +235,7 @@ class TestHistogramLaw:
         # Dixon's recursion: lemma 1 then reads 0.05297 there
         v = oracle.exact_collision(19, 3, 2, exact_m_power_C(19, 3, 2))
         assert v == dixon_m_power_C(19, 3, 2) / 2**57 == Fraction(35051863075, 2518686938297026694740967424)
-        assert round(lemma1_bound(Quantity.exact(v), 19, 3, 2).value, 6) == 0.052966
+        assert round(lemma1_bound(Quantity.exact(exact_m_power_C(19, 3, 2)), 2).value, 6) == 0.052966
 
     @pytest.mark.parametrize("n,k,m", WALK_GRID)
     def test_collision_equals_graph_route(self, n, k, m):
@@ -509,81 +509,82 @@ def sampled(p):
 
 
 class TestLemma1Bound:
+    """lemma1_bound roots E[m^C] / m - 1 of an E[m^C] record: lemma 3 holds with
+    equality, so lemma 1's radicand m^(kn-1) Pr[collision] - 1 is that one."""
+
     def test_uniform_floor_exact(self):
-        for n, k, m in [(1, 2, 2), (2, 2, 3), (3, 2, 2)]:
-            b = lemma1_bound(Quantity.exact(Fraction(1, m ** (k * n - 1))), n, k, m)
-            assert b == Quantity(0.0, 0.0, 0.0, "exact")
+        # E[m^C] = m, every graph connected, as at n = 1: a zero bound
+        for m in (2, 3, 2**63):
+            assert lemma1_bound(Quantity.exact(Fraction(m)), m) == Quantity(0.0, 0.0, 0.0, "exact")
 
     def test_single_user_two_shares_float(self):
-        assert lemma1_bound(sampled(1 / 2), 1, 2, 2).value == 0.0
+        assert lemma1_bound(sampled(2.0), 2).value == 0.0
 
     def test_below_floor_is_flagged(self):
-        b = lemma1_bound(Quantity.exact(Fraction(1, 100)), 2, 2, 2)
+        b = lemma1_bound(Quantity.exact(Fraction(199, 100)), 2)
         assert b.value is None and b.lo is None and b.hi is None
-        assert lemma1_bound(sampled(0.0), 2, 2, 2).value is None
+        assert lemma1_bound(sampled(1.5), 2).value is None
+        assert lemma1_bound(sampled(0.0), 2).value is None
 
     def test_exact_uses_rational_sign(self):
-        # a hair above the uniform floor 2^-5 stays a number on the exact path
-        # even though the excess is far below float resolution
-        p = Fraction(1, 32) + Fraction(1, 2**80)
-        assert lemma1_bound(Quantity.exact(p), 3, 2, 2).value is not None
+        # a hair above the floor m stays a number on the exact path, and a
+        # float's sign is decided as the rational it is, even though the
+        # excess is far below float resolution
+        assert lemma1_bound(Quantity.exact(2 + Fraction(1, 2**80)), 2).value is not None
+        assert lemma1_bound(Quantity.exact(2 - Fraction(1, 2**80)), 2).value is None
+        above = math.nextafter(2**32, math.inf)
+        assert lemma1_bound(sampled(above), 2**32).value == math.sqrt(math.ulp(2.0**32) / 2**32)
+        assert lemma1_bound(sampled(math.nextafter(2**32, 0)), 2**32).value is None
 
     def test_log_space_large_instance(self):
-        b = lemma1_bound(sampled(1.0), 100, 3, 2**32)
-        assert b.value == math.inf
+        # an E[m^C] estimate past float range reads inf, and so does its root;
+        # an infinite lower end is below the floor, and a NaN one, inf - inf,
+        # bounds nothing
+        for lo in (-math.inf, math.nan):
+            b = lemma1_bound(Quantity(math.inf, lo, math.inf, "monte-carlo", 0.99, 100), 2**32)
+            assert b.value == b.hi == math.inf and b.lo is None
 
     def test_exact_root_near_float_max(self):
         # the radicand 10^616 - 1 is past float range, its root 1.0e308 is not
-        b = lemma1_bound(Quantity.exact(Fraction(10**616, 2**2079)), 2, 17, 2**63)
+        b = lemma1_bound(Quantity.exact(Fraction(10**616 + 1) * 2**63), 2**63)
         assert b.value is not None and math.isclose(b.value, 1e308, rel_tol=1e-12)
 
-    def test_monte_carlo_root_near_float_max(self):
-        # log(radicand + 1) is about 1419.05, and exp of its half is a float
-        b = lemma1_bound(sampled(math.exp(-22)), 2, 17, 2**63)
-        assert b.provenance == "monte-carlo" and math.isclose(b.value, 1.3914e308, rel_tol=1e-4)
-
-    def test_log_space_product_past_float_range(self):
-        # k n = 3 * 2^1023, so (kn - 1) ln(m) is past float range
-        p = sampled(0.5)
-        assert lemma1_bound(p, 2**1023, 3, 2) == Quantity(
-            math.inf, math.inf, math.inf, "monte-carlo", HOEFFDING_CONFIDENCE, 1000
-        )
-
     def test_moderate_value(self):
-        # collision 3/4 at (n=2, k=1, m=2): sqrt(2 * 3/4 - 1) = sqrt(1/2)
-        b = lemma1_bound(Quantity.exact(Fraction(3, 4)), 2, 1, 2)
+        # E[2^C] = 3 at (n=2, k=1, m=2): sqrt(3/2 - 1) = sqrt(1/2)
+        b = lemma1_bound(Quantity.exact(Fraction(3)), 2)
         assert abs(b.value - math.sqrt(0.5)) < 1e-12
 
     def test_interval_ends_take_the_root(self):
-        # the bound keeps the estimate's provenance and work; an end whose
-        # radicand is negative reads None, and the others their own root
-        p = Quantity.sampled(0.5, 0.4, HOEFFDING_CONFIDENCE, 100, 50)
-        b = lemma1_bound(p, 2, 1, 2)
+        # the bound keeps the estimate's provenance and work; an end below
+        # the floor m reads None, and the others their own root
+        q = Quantity.sampled(2.0, 1.6, HOEFFDING_CONFIDENCE, 100, 50)
+        b = lemma1_bound(q, 2)
         assert b.lo is None and b.value == 0.0
-        assert math.isclose(b.hi, math.sqrt(2 * 0.9 - 1), rel_tol=1e-12)
+        assert math.isclose(b.hi, math.sqrt(3.6 / 2 - 1), rel_tol=1e-12)
         assert (b.provenance, b.confidence, b.samples, b.hits) == ("monte-carlo", HOEFFDING_CONFIDENCE, 100, 50)
 
     def test_exact_record_is_rooted_without_hashing(self, monkeypatch):
-        # lemma 1's and lemma 3's roots of the exact V and E[m^C] at (19, 3, 2)
-        # decide that an exact record's ends equal its value without hashing
-        # the Fraction, which costs a modular inverse per hash
-        emc = exact_m_power_C(19, 3, 2)
-        v = oracle.exact_collision(19, 3, 2, emc)
-        expected = [lemma1_bound(Quantity.exact(v), 19, 3, 2), oracle._root_bound(Quantity.exact(emc), -1, 2)]
+        # the root of the exact E[m^C] at (19, 3, 2) decides that an exact
+        # record's ends equal its value without hashing the Fraction, which
+        # costs a modular inverse per hash
+        emc = Quantity.exact(exact_m_power_C(19, 3, 2))
+        expected = lemma1_bound(emc, 2)
 
         def unhashable(self):
             raise AssertionError("an exact record's Fraction was hashed")
 
         monkeypatch.setattr(Fraction, "__hash__", unhashable)
-        got = [lemma1_bound(Quantity.exact(v), 19, 3, 2), oracle._root_bound(Quantity.exact(emc), -1, 2)]
+        got = lemma1_bound(emc, 2)
         assert got == expected
-        assert got[0].provenance == "exact" and got[0].lo == got[0].value == got[0].hi
+        assert got.provenance == "exact" and got.lo == got.value == got.hi
 
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            lemma1_bound(sampled(1.5), 2, 2, 2)
-        with pytest.raises(ValueError):
-            lemma1_bound(Quantity.exact(Fraction(-1, 2)), 2, 2, 2)
+    def test_tiny_exact_root_is_not_zero(self):
+        # at (19, 385, 2) the radicand is 2^-1631.2, below float range, while
+        # its root 3.0151e-246 is a normal float: it does not read 0.0
+        emc = exact_m_power_C(19, 385, 2)
+        assert float(emc / 2 - 1) == 0.0
+        b = lemma1_bound(Quantity.exact(emc), 2)
+        assert math.isclose(b.value, 3.0151478785209812e-246, rel_tol=1e-12)
 
 
 class TestCheck:
@@ -648,8 +649,10 @@ class TestVerifyChain:
         assert rep["exact_avg_tv"] is None
         v = Quantity.exact(Fraction(35051863075, 2518686938297026694740967424))
         assert rep["exact_collision_v"] == rep["exact_collision_e"] == v
-        assert rep["lemma1_bound"] == lemma1_bound(v, 19, 3, 2)
+        assert rep["lemma1_bound"] is rep["lemma3_bound"]
+        assert rep["lemma1_bound"] == lemma1_bound(rep["exact_m_power_c"], 2)
         assert rep["lemma1_bound"].provenance == "exact"
+        assert v.value * 2**56 - 1 == rep["exact_m_power_c"].value / 2 - 1
         # the collision samplers would expect 2^-27 hits, so they draw nothing
         assert rep["mc_collision_v"] == Quantity(None, None, None, "uninformative", samples=0, hits=0)
         # E[m^C] is exact at any n the recursion's budget allows
@@ -660,6 +663,19 @@ class TestVerifyChain:
         assert rep["checks"]["expectation_bound_exact"] == "pass"
         assert rep["checks"]["expectation_bound_mc"] == "pass"
         assert rep["checks"]["graph_route_le_theorem1"] == "pass"
+
+    def test_lemma1_bound_exact_where_only_v_is_over_budget(self):
+        # V needs 1.008e7 word products here, just over the budget, E[m^C]
+        # 1.5e3: lemma 1's bound is the exact root of E[m^C] / m - 1 = (m - 1)
+        # 2^-1600, a radicand below float range whose root is a normal float
+        rep = verify_chain(2, 1600, 2**63, samples=1, seed=1)
+        assert rep["exact_collision_v"] is None
+        assert rep["exact_m_power_c"].provenance == "exact"
+        assert rep["exact_m_power_c"].value == 2**63 + Fraction(2**63 * (2**63 - 1), 2**1600)
+        assert rep["lemma1_bound"] is rep["lemma3_bound"]
+        assert rep["lemma1_bound"] == lemma1_bound(rep["exact_m_power_c"], 2**63)
+        assert rep["lemma1_bound"].provenance == "exact"
+        assert math.isclose(rep["lemma1_bound"].value, 4.554579973613338e-232, rel_tol=1e-12)
 
     @pytest.mark.parametrize("m", [2, 2**32])
     @pytest.mark.parametrize("k", [384, 385, 400])

@@ -145,6 +145,15 @@ def test_one_exact_collision_probability():
     assert not any(hasattr(oracle, name) for name in ("exact_transcript_laws", "TRANSCRIPT_SUMS"))
 
 
+def test_one_distance_root():
+    # lemma 3 is an identity, so lemma 1's radicand is E[m^C] / m - 1 and
+    # oracle.lemma1_bound alone roots a distance bound, for chain (lemma1_bound
+    # and lemma3_bound) and tv-exact; the other root is a sample's deviation
+    assert _sites(ast.Call, "func", "_sqrt_or_inf") == ["oracle.py:lemma1_bound", "randgraph.py:estimate_m_power_C"]
+    assert _sites(ast.Call, "func", "lemma1_bound") == ["cli.py:verify_tv_exact", "oracle.py:verify_chain"]
+    assert not any(hasattr(oracle, name) for name in ("_root", "_root_bound"))
+
+
 def test_one_check_decision():
     # oracle.check alone gives a check its status, "not-applicable" outside
     # the regime it is given included, and cli._finish alone exits on "fail":
