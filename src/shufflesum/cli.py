@@ -43,7 +43,7 @@ from .oracle import (
     verify_chain,
 )
 from .planner import baseline_k_lower_bound, plan_shuffled_k, regime_flags
-from .protocol import Modulus, aggregate_batch, run_batch, transcript_line
+from .protocol import Modulus, aggregate_batch, run_batch, transcript_pieces
 from .randgraph import (
     EnumerationBudgetError,
     Quantity,
@@ -87,6 +87,28 @@ def _stdout_may_close():
     except BrokenPipeError:
         with open(os.devnull, "w") as devnull:
             os.dup2(devnull.fileno(), sys.stdout.fileno())
+
+
+@contextlib.contextmanager
+def _byte_writer(out: str | None):
+    """A write(bytes) for the file ``out``, opened "wb" by click.open_file,
+    or, without one, for the current sys.stdout's binary buffer. A
+    text-only stdout, such as the io.StringIO of contextlib.redirect_stdout,
+    has no buffer: it is given each piece decoded, the same text."""
+    if out is not None:
+        with click.open_file(out, "wb") as fh:
+            yield fh.write
+        return
+    stdout = sys.stdout
+    buffer = getattr(stdout, "buffer", None)
+    if buffer is None:
+        yield lambda piece: stdout.write(piece.decode("ascii"))
+        return
+    # text already written to stdout goes out before the bytes that follow it,
+    # and the last bytes go out here, where _stdout_may_close sees a closed pipe
+    stdout.flush()
+    yield buffer.write
+    buffer.flush()
 
 
 def _flatten(prefix: str, value, out: dict) -> None:
@@ -230,13 +252,16 @@ def plan(sigma: float, n: int, m: int | None, m_bits: int | None, fmt: str) -> N
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None,
               help="Write transcripts (JSON lines) here instead of stdout.")
 def simulate(n, k, m, m_bits, variant, seed, runs, out) -> None:
-    """Run the protocol and record transcripts plus conservation checks."""
+    """Run the protocol and record transcripts plus conservation checks.
+    Transcripts are written as binary ASCII, a piece at a time, to --out
+    or to stdout's binary stream."""
     mod = _resolve_m(m, m_bits)
     clear = variant == "randomized"
     failures = 0
-    # run r is shard r's one draw, written as soon as it is made: memory stays at one run's worth
+    # run r is shard r's one draw, written piece by piece as it is made:
+    # memory stays at one run's worth, and no line is ever held whole
     draws = enumerate(shard_batches(runs, runs, n, k, seed))
-    with _stdout_may_close(), click.open_file(out or "-", "w", encoding="utf-8") as fh:
+    with _stdout_may_close(), _byte_writer(out) as write:
         for r, (rng, size) in draws:
             inputs = rng.integers(0, mod.m, size=(size, n), dtype=np.uint64)
             blocks, clear_block = run_batch(inputs, k, mod, rng, clear)
@@ -250,7 +275,9 @@ def simulate(n, k, m, m_bits, variant, seed, runs, out) -> None:
                 err=True,
             )
             clear_row = None if clear_block is None else clear_block[0]
-            print(transcript_line(blocks[0], clear_row, mod, rng.bit_generator.seed_seq.entropy), file=fh)
+            for piece in transcript_pieces(blocks[0], clear_row, mod, rng.bit_generator.seed_seq.entropy):
+                write(piece)
+            write(b"\n")
     if out is not None:
         _echo(f"wrote {runs} transcript(s) to {out}", err=True)
     _echo(f"seed={seed}", err=True)

@@ -16,17 +16,21 @@ subtraction: both operands are below m, so no intermediate reaches
 2m <= 2**64, which is why ``Modulus`` caps m at ``MAX_MODULUS`` = 2**63.
 ``aggregate_batch`` sums a run exactly, over the 32-bit halves of its
 residues.
-``transcript_line`` writes one run of a result as the JSON line that
-``simulate`` prints. Numpy formats the residues, with no Python int per
-residue, and the text is byte-identical to ``json.dumps`` of the record
-{n, k, m, variant, blocks, clear_block, seed} with ``sort_keys=True``.
-Each residue is written as whole 4-byte words gathered from one table of
-"0000".."9999" and "00, ".."99, ", and one compress per chunk drops its
-leading zeros; the work arrays are made once per line.
+``transcript_pieces`` writes one run of a result as the bytes pieces of
+the JSON line that ``simulate`` writes, a piece per chunk of a row, so the
+line is never held whole. Numpy formats the residues, with no Python int
+per residue, and the joined pieces are byte-identical to ``json.dumps`` of
+the record {n, k, m, variant, blocks, clear_block, seed} with
+``sort_keys=True``. Each residue is written as whole 4-byte words gathered
+from one table of "0000".."9999" and "00, ".."99, ", whose second half
+holds the same words with their leading zeros NUL: a value's words above
+its highest nonzero part come from that half, and one ``bytes.replace``
+per chunk drops the NUL bytes. The work arrays are made once per line.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,105 +128,108 @@ def aggregate_batch(blocks: np.ndarray, clear: np.ndarray | None, m: Modulus) ->
 
 
 def _word_table() -> np.ndarray:
-    """uint32 words holding the bytes "0000".."9999", then from ``_LAST``
-    on "00, ".."99, ", in order: a value's 4-digit groups and its last word.
-    Copies of the 100 two-digit strings build it, with no arithmetic: the
+    """uint32 words in two halves of ``_HALF`` words each. The first holds
+    the bytes "0000".."9999", then from ``_LAST`` on "00, ".."99, ", in
+    order: a value's 4-digit groups and its last word. The second holds the
+    same words with each leading "0" made NUL, except the units digit of a
+    last word, so that 0 still reads "0, ": the words of a value's top part.
+    Copies of the 100 two-digit strings build the first half, and a uint8
+    mask of its leading "0" bytes the second, with no int64 arithmetic: the
     10**4 strings in Python took 2.8 ms of every import, and int64 numpy
     arithmetic 0.3 MB of its peak RSS."""
     pairs = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode(), dtype=np.uint8)
     pairs = pairs.reshape(100, 2)
-    text = np.empty((_LAST + 100, 4), dtype=np.uint8)
-    groups = text[:_LAST].reshape(100, 100, 4)
+    text = np.empty((2, _HALF, 4), dtype=np.uint8)
+    full, top = text
+    groups = full[:_LAST].reshape(100, 100, 4)
     groups[:, :, :2] = pairs[:, None]
     groups[:, :, 2:] = pairs
-    text[_LAST:, :2] = pairs
-    text[_LAST:, 2:] = np.frombuffer(b", ", dtype=np.uint8)
+    full[_LAST:, :2] = pairs
+    full[_LAST:, 2:] = np.frombuffer(b", ", dtype=np.uint8)
+    # NUL where a byte and every byte before it in its word is "0", but for
+    # a last word's units digit; a column at a time, so that no temporary
+    # outgrows one column of bools
+    top[:] = full
+    lead = np.ones(_HALF, dtype=bool)
+    for col in range(4):
+        lead &= full[:, col] == ord("0")
+        np.copyto(top[:, col], 0, where=lead)
+        lead[_LAST:] = False
     return text.view(np.uint32).ravel()
 
 
-# both tables in one array, so that one gather fills every word of a chunk
+# both tables, and both halves, in one array, so that one gather fills every
+# word of a chunk; _HALF is the offset of the NUL-padded half
 _LAST = 10**4
+_HALF = _LAST + 100
 _WORDS = _word_table()
 
 
-def _rows_text(rows: list[np.ndarray]) -> list[str]:
-    """The residues of each of equally long, non-empty 1-D uint64 arrays as
-    JSON does, "a, b, c".
+def _rows_bytes(rows: list[np.ndarray], joints: list[bytes]) -> Iterator[bytes]:
+    """``joints[0]``, then for each of equally long, non-empty 1-D uint64
+    arrays its residues as JSON writes them, b"a, b, c", and the joint after
+    it, as bytes pieces: one piece per chunk of at most
+    ``randgraph._BATCH_ELEMENTS`` values.
 
-    With d the digits of the largest residue, every value is written as its
-    d digits and ", ", zero-padded in front to w = ceil((d + 2) / 4) whole
-    4-byte words: its last two digits and the separator, and each 4 digits
-    above them, looked up in ``_WORDS``. So at m = 2**32, w = 3 and all 12
-    bytes are text. The value's digit count L, from d - 1 compares, picks a
-    row of a (d, 4w) keep table that keeps its last L + 2 bytes, and one
-    compress of each chunk of at most ``randgraph._BATCH_ELEMENTS`` values
-    drops every leading byte, and the separator after a row's last value.
-    The work arrays are made once for all rows and chunks. Below 2**32 the
-    arithmetic runs in uint32."""
+    With d the digits of the largest residue, every value is written as
+    w = ceil((d + 2) / 4) whole 4-byte words of ``_WORDS``: its last two
+    digits and ", ", and each 4 digits above them. A word whose part above
+    it is 0 comes from the NUL-padded half, so the value's leading zeros are
+    NUL bytes in front of it, and one ``bytes.replace`` per chunk drops them,
+    with the separator after a row's last value, which is made NUL. So at
+    m = 2**32, w = 3 and all 12 bytes are text. The work arrays are made
+    once for all rows and chunks. Below 2**32 the arithmetic runs in uint32."""
     top = max(int(row.max()) for row in rows)
-    d = len(str(top))
-    w = (d + 5) // 4
+    w = (len(str(top)) + 5) // 4
     n = len(rows[0])
     size = min(n, randgraph._BATCH_ELEMENTS)
     dtype = np.uint32 if top < 2**32 else np.uint64
     q, t, r = (np.empty(size, dtype=dtype) for _ in range(3))
+    above_zero = np.empty(size, dtype=bool)
     index = np.empty((size, w), dtype=np.intp)
     words = np.empty((size, w), dtype=np.uint32)
-    over = np.empty((d - 1, size), dtype=bool)
-    shorter = np.empty(size, dtype=np.uint8)
-    keep = np.empty((size, 4 * w), dtype=bool)
-    powers = np.array([10**p for p in range(1, d)], dtype=dtype)[:, None]
-    # row j keeps the last j + 3 bytes: the digits of a (j + 1)-digit value, and ", "
-    masks = np.arange(4 * w) >= 4 * w - 3 - np.arange(d)[:, None]
-    texts = []
-    for row in rows:
-        chunks = []
+    yield joints[0]
+    for row, joint in zip(rows, joints[1:]):
         for start in range(0, n, size):
             chunk = row[start : start + size]
             used = len(chunk)
-            q_, t_, r_, index_, words_, keep_ = q[:used], t[:used], r[:used], index[:used], words[:used], keep[:used]
+            q_, t_, r_, zero_, index_, words_ = q[:used], t[:used], r[:used], above_zero[:used], index[:used], words[:used]
             q_[:] = chunk
-            # digits beyond the first: one per power of ten that the value reaches
-            np.greater_equal(q_, powers, out=over[:, :used])
-            np.add.reduce(over[:, :used].view(np.uint8), axis=0, out=shorter[:used])
-            np.take(masks, shorter[:used], axis=0, out=keep_, mode="clip")
             # word indices from the last: the value mod 100, then mod 10**4 of
-            # what is left, while q_ holds what is left
+            # what is left, while q_ holds what is left; the NUL half where
+            # nothing is left above the word, and always for the top word
             for col in range(w - 1, 0, -1):
                 base = 100 if col == w - 1 else 10**4
                 np.floor_divide(q_, base, out=t_)
                 np.multiply(t_, base, out=r_)
-                # same_kind admits uint64 into intp: every index is below 10**4
+                # same_kind admits uint64 into intp: every index is below 2 * _HALF
                 np.subtract(q_, r_, out=index_[:, col], casting="same_kind")
+                np.equal(t_, 0, out=zero_)
+                np.add(index_[:, col], _HALF, out=index_[:, col], where=zero_)
                 q_, t_ = t_, q_
-            index_[:, 0] = q_
+            np.add(q_, _HALF, out=index_[:, 0], casting="same_kind")
             index_[:, w - 1] += _LAST
             np.take(_WORDS, index_, out=words_, mode="clip")
             if start + used == n:
-                keep_[-1, -2:] = False
-            chunks.append(str(words_.view(np.uint8)[keep_], "ascii"))
-        texts.append("".join(chunks))
-    return texts
+                words_.view(np.uint8)[-1, -2:] = 0
+            yield words_.tobytes().replace(b"\0", b"")
+        yield joint
 
 
-def transcript_line(blocks: np.ndarray, clear: np.ndarray | None, m: Modulus, seed: int) -> str:
+def transcript_pieces(blocks: np.ndarray, clear: np.ndarray | None, m: Modulus, seed: int) -> Iterator[bytes]:
     """One run of a ``run_batch`` result, its (k, n) blocks and its clear
-    block (None in the plain variant), as one JSON object, without a newline:
-    {"blocks", "clear_block", "k", "m", "n", "seed", "variant"}, byte for
-    byte what ``json.dumps(record, sort_keys=True)`` prints for the record
-    of those keys, its blocks and clear block as lists of ints (null in the
-    plain variant). ``_rows_text`` writes every row's residues, each as
-    whole 4-byte words, with one set of work arrays for the line."""
+    block (None in the plain variant), as the bytes pieces of one JSON
+    object, without a newline: {"blocks", "clear_block", "k", "m", "n",
+    "seed", "variant"}. Joined, they are byte for byte what
+    ``json.dumps(record, sort_keys=True)`` prints for the record of those
+    keys, its blocks and clear block as lists of ints (null in the plain
+    variant), encoded as ASCII. ``_rows_bytes`` writes every row's
+    residues, each as whole 4-byte words, with one set of work arrays for
+    the line, a piece at a time, so the line is never held whole."""
     k, n = blocks.shape
-    texts = _rows_text([*blocks] if clear is None else [*blocks, clear])
-    clear_block = "null" if clear is None else f"[{texts.pop()}]"
     variant = "plain" if clear is None else "randomized"
-    # one join, so the megabytes of residue text are copied once
-    pieces = ['{"blocks": [[']
-    for text in texts:
-        pieces += [text, "], ["]
-    pieces[-1] = (
-        f']], "clear_block": {clear_block}, "k": {k}, "m": {m.m}, '
-        f'"n": {n}, "seed": {seed}, "variant": "{variant}"}}'
-    )
-    return "".join(pieces)
+    end = f'"k": {k}, "m": {m.m}, "n": {n}, "seed": {seed}, "variant": "{variant}"}}'.encode()
+    joints = [b'{"blocks": [['] + [b"], ["] * (k - 1)
+    if clear is None:
+        return _rows_bytes([*blocks], joints + [b']], "clear_block": null, ' + end])
+    return _rows_bytes([*blocks, clear], joints + [b']], "clear_block": [', b"], " + end])

@@ -315,7 +315,8 @@ def estimate_m_power_C(
     estimate_component_distribution. Accumulation is exact over integer
     component counts, so no overflow before the final division; the normal
     CI is a fair approximation for small m but optimistic for large m,
-    where m^C is heavy-tailed. Mean or halfwidth is inf past float range.
+    where m^C is heavy-tailed. Mean or halfwidth is inf past float range,
+    and where the halfwidth is, the lower end is m, since m <= m^C.
     Where every graph had the same C = c, one sample included, the normal
     CI has width 0 or none; the interval is then [m, m^c + m^n q] instead,
     since m <= m^C <= m^n, with q = 1 - (1 - MEAN_CI_CONFIDENCE)^(1/samples)
@@ -333,7 +334,11 @@ def estimate_m_power_C(
         return Quantity(mean, float(m), hi, "monte-carlo", MEAN_CI_CONFIDENCE, samples)
     total_sq = sum(cnt * m ** (2 * c) for c, cnt in counts.items())
     var = (Fraction(total_sq) - Fraction(total * total, samples)) / (samples - 1)
-    return Quantity.sampled(mean, _Z99 * _sqrt_or_inf(var, samples), MEAN_CI_CONFIDENCE, samples)
+    halfwidth = _Z99 * _sqrt_or_inf(var, samples)
+    if halfwidth == math.inf:
+        # mean - halfwidth reads -inf, or inf - inf = NaN past float range: the floor m holds
+        return Quantity(mean, float(m), math.inf, "monte-carlo", MEAN_CI_CONFIDENCE, samples)
+    return Quantity.sampled(mean, halfwidth, MEAN_CI_CONFIDENCE, samples)
 
 
 def m_power_c_work(n: int, k: int, m: int) -> float:

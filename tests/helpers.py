@@ -8,6 +8,7 @@ from fractions import Fraction
 from scipy import stats
 
 from shufflesum.oracle import exact_avg_tv, histogram_laws
+from shufflesum.protocol import transcript_pieces
 
 # significance for every goodness-of-fit assertion in the suite
 SIGNIFICANCE = 1e-6
@@ -16,6 +17,11 @@ SIGNIFICANCE = 1e-6
 def group_sum(elements, mod) -> int:
     """Sum of the elements in Z_m, by Python's unbounded ints; the empty sum is 0."""
     return sum(elements) % mod.m
+
+
+def transcript_line(blocks, clear, m, seed) -> str:
+    """The whole line that ``protocol.transcript_pieces`` writes, as one str."""
+    return b"".join(transcript_pieces(blocks, clear, m, seed)).decode()
 
 
 def chisq_pvalue(observed: list[int], expected_probs: list[float]) -> float:

@@ -174,9 +174,9 @@ def test_one_check_decision():
 
 
 def test_one_transcript_writer():
-    # protocol.transcript_line alone formats a transcript: simulate calls it
+    # protocol.transcript_pieces alone formats a transcript: simulate calls it
     # and makes no json.dumps call of its own
-    assert _sites(ast.Call, "func", "transcript_line") == ["cli.py:simulate"]
+    assert _sites(ast.Call, "func", "transcript_pieces") == ["cli.py:simulate"]
     assert "cli.py:simulate" not in _sites(ast.Call, "func", "dumps")
 
 

@@ -7,9 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import SIGNIFICANCE, binomial_sigma, chisq_pvalue, group_sum, two_sample_chisq_pvalue
+from helpers import (
+    SIGNIFICANCE,
+    binomial_sigma,
+    chisq_pvalue,
+    group_sum,
+    transcript_line,
+    two_sample_chisq_pvalue,
+)
 from shufflesum import protocol, randgraph
-from shufflesum.protocol import Modulus, aggregate_batch, run_batch, share_batch, transcript_line
+from shufflesum.protocol import Modulus, aggregate_batch, run_batch, share_batch
 from transcript_enumeration import exact_output_distribution
 
 
@@ -244,9 +251,12 @@ def assert_line_is_record(blocks, clear, r, m, seed):
 
 # values on each side of every change of digit count d = 1..19, so that every
 # padding of d + 2 bytes to whole words is written, and of the writer's
-# uint32/uint64 switch, and the largest residue
+# uint32/uint64 switch, and the largest residue; and values with a zero
+# 4-digit group below a nonzero one, whose zero word comes from the text half
+# of the table, not the NUL-padded one
 EDGE_RESIDUES = sorted(
     {10 ** (d - 1) + step for d in range(1, 20) for step in (-1, 0)} | {2**32 - 1, 2**32, 2**63 - 1}
+    | {10**8, 10**8 + 1, 10**12 + 1, 10**16 + 10**4, 10**18 + 10**8 + 5, 10**6 + 7}
 )
 
 
@@ -285,13 +295,24 @@ class TestSerialization:
         assert_line_is_record(mixed, None, 0, m, seed=1)
 
     def test_word_tables(self):
+        # the text half, then the same words with every leading "0" NUL, but
+        # a last word's units digit, so that 0 still reads "0, "
+        def top(word):
+            digits = word[:4] if word[2:] != ", " else word[:1]
+            lead = len(digits) - len(digits.lstrip("0"))
+            return "\0" * lead + word[lead:]
+
+        text = [f"{i:04d}" for i in range(10**4)] + [f"{i:02d}, " for i in range(100)]
         words = protocol._WORDS.tobytes()
-        assert words[: 4 * protocol._LAST] == "".join(f"{i:04d}" for i in range(10**4)).encode()
-        assert words[4 * protocol._LAST :] == "".join(f"{i:02d}, " for i in range(100)).encode()
+        assert len(words) == 8 * protocol._HALF == 8 * len(text)
+        assert words[: 4 * protocol._HALF] == "".join(text).encode()
+        assert words[4 * protocol._HALF :] == "".join(map(top, text)).encode()
+        assert words[4 * (protocol._HALF + protocol._LAST) :][:8] == b"\x000, \x001, "
 
     def test_work_arrays_made_once_per_line(self, monkeypatch):
-        # the writer makes its work arrays once per line, not per row or per
-        # chunk: one row, then 12 rows, then 12 rows of 10 chunks each
+        # the writer makes its work arrays once per line, not per row, per
+        # chunk or for the clear block: one row, one row and a clear block,
+        # then 12 rows, then 12 rows of 10 chunks each
         empty, calls = np.empty, [0]
 
         def counted(*args, **kwargs):
@@ -303,14 +324,15 @@ class TestSerialization:
         blocks, clear = run_batch(rng.integers(0, m.m, size=(1, 10**4), dtype=np.uint64), 11, m, rng, clear=True)
         monkeypatch.setattr(np, "empty", counted)
         counts = []
-        for rows, clear_row, chunk in [(blocks[0, :1], None, None), (blocks[0], clear[0], None),
-                                       (blocks[0], clear[0], 1000)]:
+        for rows, clear_row, chunk in [(blocks[0, :1], None, None), (blocks[0, :1], clear[0], None),
+                                       (blocks[0], clear[0], None), (blocks[0], clear[0], 1000)]:
             if chunk is not None:
                 monkeypatch.setattr(randgraph, "_BATCH_ELEMENTS", chunk)
             calls[0] = 0
             transcript_line(rows, clear_row, m, seed=0)
             counts.append(calls[0])
-        assert counts[0] > 0 and counts == [counts[0]] * 3
+        # a clear block adds no set of its own to the blocks'
+        assert counts[0] > 0 and counts == [counts[0]] * 4
 
     def test_row_longer_than_a_chunk(self):
         # a row crosses the chunk seam at _BATCH_ELEMENTS values, with a
