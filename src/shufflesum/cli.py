@@ -91,24 +91,16 @@ def _stdout_may_close():
 
 @contextlib.contextmanager
 def _byte_writer(out: str | None):
-    """A write(bytes) for the file ``out``, opened "wb" by click.open_file,
-    or, without one, for the current sys.stdout's binary buffer. A
-    text-only stdout, such as the io.StringIO of contextlib.redirect_stdout,
-    has no buffer: it is given each piece decoded, the same text."""
-    if out is not None:
-        with click.open_file(out, "wb") as fh:
-            yield fh.write
-        return
-    stdout = sys.stdout
-    buffer = getattr(stdout, "buffer", None)
-    if buffer is None:
+    """A write(bytes) for the file ``out``, opened "wb" by click.open_file.
+    Without one, or for "-", each piece goes to the current sys.stdout
+    decoded, the same text: stdout may be text-only, such as the io.StringIO
+    of contextlib.redirect_stdout."""
+    if out is None or out == "-":
+        stdout = sys.stdout
         yield lambda piece: stdout.write(piece.decode("ascii"))
         return
-    # text already written to stdout goes out before the bytes that follow it,
-    # and the last bytes go out here, where _stdout_may_close sees a closed pipe
-    stdout.flush()
-    yield buffer.write
-    buffer.flush()
+    with click.open_file(out, "wb") as fh:
+        yield fh.write
 
 
 def _flatten(prefix: str, value, out: dict) -> None:
@@ -253,8 +245,8 @@ def plan(sigma: float, n: int, m: int | None, m_bits: int | None, fmt: str) -> N
               help="Write transcripts (JSON lines) here instead of stdout.")
 def simulate(n, k, m, m_bits, variant, seed, runs, out) -> None:
     """Run the protocol and record transcripts plus conservation checks.
-    Transcripts are written as binary ASCII, a piece at a time, to --out
-    or to stdout's binary stream."""
+    Transcripts are written a piece at a time: to --out as binary ASCII,
+    to stdout as text."""
     mod = _resolve_m(m, m_bits)
     clear = variant == "randomized"
     failures = 0

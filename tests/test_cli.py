@@ -175,17 +175,19 @@ class TestSimulate:
         assert res.stdout == out.read_text(encoding="utf-8")
 
     def test_text_only_stdout_matches_out_file(self, tmp_path):
-        # a stdout with no binary buffer, as under contextlib.redirect_stdout,
-        # gets the same transcripts as text
+        # a text-only stdout, as under contextlib.redirect_stdout,
+        # gets the same transcripts as text, with no --out and with --out -
         args = ["simulate", "--n", "30", "--k", "3", "--m-bits", "40", "--variant", "randomized",
                 "--seed", "5", "--runs", "2"]
         out = tmp_path / "s.jsonl"
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             main.main(args + ["--out", str(out)], standalone_mode=False)
-            main.main(args, standalone_mode=False)
-        assert stdout.getvalue() == out.read_text(encoding="utf-8")
-        assert len(stdout.getvalue().splitlines()) == 2
+        for to_stdout in ([], ["--out", "-"]):
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+                main.main(args + to_stdout, standalone_mode=False)
+            assert stdout.getvalue() == out.read_text(encoding="utf-8")
+            assert len(stdout.getvalue().splitlines()) == 2
 
     @pytest.mark.parametrize(
         "variant, digest",
